@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import EstimationError, InputError
 from .estimates import MCEstimate
-from .exterior import UnitVector
 from .lp import lp_feasible
 from .polytope import Face, NormalCone, Polytope
 from .util import as_rng, omega
@@ -205,12 +204,6 @@ def cone_sphere_samples(cone: NormalCone, n: int, rng,
     total = omega(m)
     se = total * math.sqrt(max(phat * (1.0 - phat), 0.0) / tried)
     return out, MCEstimate(total * phat, se, tried)
-
-
-def sample_cone_sphere(cone: NormalCone, rng, measure_samples: int = 40000):
-    """One uniform direction in n(P,F) plus the measure estimate."""
-    us, measure = cone_sphere_samples(cone, 1, rng, measure_samples=measure_samples)
-    return UnitVector(us[0]), measure
 
 
 def external_angle(p: Polytope, face: Face, rng=None,

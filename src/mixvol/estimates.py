@@ -27,10 +27,6 @@ class MCEstimate:
         return MCEstimate(float(value), 0.0, samples, seed)
 
 
-def exact(value: float, samples: int = 0, seed=None) -> MCEstimate:
-    return MCEstimate.exact(value, samples, seed)
-
-
 def from_samples(values, seed=None) -> MCEstimate:
     v = np.asarray(values, dtype=float)
     n = v.size

@@ -229,13 +229,6 @@ def diag_projection_norm(points) -> float:
     return explicit
 
 
-def diag_projection_norms(points: np.ndarray) -> np.ndarray:
-    """Batched variant: points shaped (N, k, d) -> norms shaped (N,)."""
-    x = np.asarray(points, dtype=float)
-    mean = x.mean(axis=1, keepdims=True)
-    return np.sqrt(((x - mean) ** 2).sum(axis=(1, 2)))
-
-
 def uniform_subspace(u, m: int, rng) -> Subspace:
     """Uniform (Haar) m-dimensional subspace of u^perp."""
     uv = _vec(u)

@@ -34,8 +34,7 @@ import numpy as np
 
 from .cones import cone_sphere_samples, general_position, spherical_measure
 from .errors import DivergenceError, EstimationError, InputError
-from .estimates import (MCEstimate, combine_product, combine_sum, exact,
-                        from_samples)
+from .estimates import MCEstimate, combine_product, combine_sum, from_samples
 from .exterior import (Subspace, UnitVector, graded_index_sets,
                        graded_scalar_product, subspace_determinant,
                        tangent_subspace, wedge_norm_sq)
@@ -525,7 +524,7 @@ class FlagAtomSet:
         Haar average of <V,T>^2 contributes exactly 1/binom(d-1,n))."""
         scale = self.gamma / math.comb(self.d - 1, self.n)
         parts = [a.cone_mass.scaled(scale * a.hausdorff) for a in self.atoms]
-        return combine_sum(parts) if parts else exact(0.0)
+        return combine_sum(parts) if parts else MCEstimate.exact(0.0)
 
     def integrate(self, g, rng, samples_per_atom: int = 2000) -> MCEstimate:
         """MC integral of g(u, V) against the flag measure; g maps a unit
@@ -550,7 +549,7 @@ class FlagAtomSet:
                 vals[s] = g(us[s], v) * w
             parts.append(combine_product([from_samples(vals), mass])
                          .scaled(self.gamma * atom.hausdorff))
-        return combine_sum(parts) if parts else exact(0.0)
+        return combine_sum(parts) if parts else MCEstimate.exact(0.0)
 
 
 def polytope_flag_atoms(P: Polytope, n: int, rng=None,
@@ -639,7 +638,7 @@ def _flag_sum(polytopes, degrees, mode, rng, eps, samples, threads,
         weights.append(math.prod(a.hausdorff * max(a.cone_mass.value, 1e-12)
                                  for a in t))
     if not kept:
-        return exact(0.0)
+        return MCEstimate.exact(0.0)
     budgets = _split_budget(np.array(weights), samples)
     streams = spawn_rngs(rng, len(kept))
 

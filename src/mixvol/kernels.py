@@ -446,16 +446,6 @@ def eval_G(spec: KernelSpec, us, rng=None) -> float:
     return float(kernel_values(base, _one(spec, us), rng=rng)[0])
 
 
-def eval_G_eps(spec: KernelSpec, us, rng=None) -> float:
-    """Cutoff kernel G^(eps) = G * 1{dist(0, conv u) >= eps}; bounded by
-    omega_k/(omega_{d-j} eps^{d-j})."""
-    if spec.mode != "r":
-        raise InputError("eval_G_eps needs a mode r spec")
-    if spec.epsilon <= 0:
-        raise InputError("eval_G_eps needs epsilon > 0")
-    return float(kernel_values(spec, _one(spec, us), rng=rng)[0])
-
-
 # ---------------------------------------------------------------------------
 # closed-form self test
 

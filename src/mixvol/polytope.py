@@ -1,11 +1,13 @@
 """Convex polytopes with explicit face lattices and normal cones.
 
 Construction is brute force over vertex subsets (desk scale: ambient
-dimension <= 4, a few dozen vertices).  Lower-dimensional bodies (segments,
-points) are supported through `Polytope.hull(..., allow_degenerate=True)`;
-their faces include the relative-interior top face, whose normal cone picks
-up lineality.  `hull_from_points` keeps the strict contract and raises on
-degenerate input.
+dimension <= 4, a few dozen vertices).  Volumes come from facet recursion
+(a pyramid over each facet, down to polygons and segments) and never build
+the face lattice, which is made on first use by faces and normal cones.
+Lower-dimensional bodies (segments, points) are supported through
+`Polytope.hull(..., allow_degenerate=True)`; their faces include the
+relative-interior top face, whose normal cone picks up lineality.
+`hull_from_points` keeps the strict contract and raises on degenerate input.
 
 All derived data is deterministic: vertices are sorted lexicographically,
 facets by (normal, offset), faces by (dim, vertex ids).
@@ -26,6 +28,8 @@ from .exterior import Subspace
 from .util import multinomial, kappa, omega, orthonormal_columns
 
 _TOL = 1e-9
+# below this many candidate planes the scalar dedupe loop beats numpy passes
+_SHORT_PLANE_LIST = 16
 
 
 # ---------------------------------------------------------------------------
@@ -147,46 +151,54 @@ def _batched_normals(diffs: np.ndarray) -> np.ndarray:
 
 
 def _candidate_facets(pts: np.ndarray, tol: float):
-    """All supporting hyperplanes through dd affinely independent points."""
+    """All supporting hyperplanes through dd affinely independent points,
+    as (unit normals, offsets) arrays."""
     M, dd = pts.shape
     if dd == 1:
-        lo, hi = np.argmin(pts[:, 0]), np.argmax(pts[:, 0])
-        return [(np.array([-1.0]), -pts[lo, 0]), (np.array([1.0]), pts[hi, 0])]
-    combos = np.array(list(itertools.combinations(range(M), dd)), dtype=int)
-    planes = []
+        return np.array([[-1.0], [1.0]]), np.array([-pts[:, 0].min(), pts[:, 0].max()])
+    combos = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(M), dd)),
+                         dtype=int, count=math.comb(M, dd) * dd).reshape(-1, dd)
+    normals, offsets = [np.zeros((0, dd))], [np.zeros(0)]
     chunk = max(1, 200000 // max(M, 1))
     for s in range(0, combos.shape[0], chunk):
         c = combos[s:s + chunk]
         base = pts[c[:, 0]]
         diffs = pts[c[:, 1:]] - base[:, None, :]
-        normals = _batched_normals(diffs)
-        mag = np.linalg.norm(normals, axis=1)
+        ns = _batched_normals(diffs)
+        mag = np.linalg.norm(ns, axis=1)
         ok = mag > 1e-12
         if not ok.any():
             continue
-        normals = normals[ok] / mag[ok, None]
-        offsets = np.einsum("ij,ij->i", normals, base[ok])
-        side = pts @ normals.T - offsets  # (M, Cc)
-        hi = side.max(axis=0)
-        lo = side.min(axis=0)
-        for i in np.flatnonzero(hi <= tol):
-            planes.append((normals[i], offsets[i]))
-        for i in np.flatnonzero(lo >= -tol):
-            planes.append((-normals[i], -offsets[i]))
-    return planes
+        ns = ns[ok] / mag[ok, None]
+        offs = np.einsum("ij,ij->i", ns, base[ok])
+        side = pts @ ns.T - offs  # (M, Cc)
+        up = side.max(axis=0) <= tol
+        down = side.min(axis=0) >= -tol
+        normals += [ns[up], -ns[down]]
+        offsets += [offs[up], -offs[down]]
+    return np.concatenate(normals), np.concatenate(offsets)
 
 
-def _dedupe_planes(planes, tol: float):
-    reps = []
-    for n, off in planes:
-        found = False
-        for rn, roff in reps:
-            if np.linalg.norm(n - rn) <= 1e-6 and abs(off - roff) <= 10 * tol:
-                found = True
-                break
-        if not found:
-            reps.append((n, off))
-    return reps
+def _dedupe_planes(normals: np.ndarray, offsets: np.ndarray, tol: float):
+    """Greedy grouping: keep a plane unless it lies within 1e-6 in normal and
+    10 tol in offset of a plane kept before it.  One vectorised pass per kept
+    plane; short lists take the scalar loop, which is faster there."""
+    if len(offsets) <= _SHORT_PLANE_LIST:
+        keep = []
+        for i in range(len(offsets)):
+            if not any(abs(offsets[i] - offsets[r]) <= 10 * tol
+                       and np.linalg.norm(normals[i] - normals[r]) <= 1e-6 for r in keep):
+                keep.append(i)
+        return normals[keep], offsets[keep]
+    keep = []
+    idx = np.arange(len(offsets))
+    while idx.size:
+        i = idx[0]
+        keep.append(i)
+        far = ((np.abs(offsets[idx] - offsets[i]) > 10 * tol)
+               | (np.linalg.norm(normals[idx] - normals[i], axis=1) > 1e-6))
+        idx = idx[far]
+    return normals[keep], offsets[keep]
 
 
 def _hull_core(pts: np.ndarray, tol: float):
@@ -195,48 +207,72 @@ def _hull_core(pts: np.ndarray, tol: float):
     Returns (vertices, facet list) with facet = (unit normal, offset,
     vertex index tuple) referring to the returned vertex order.
     """
-    M, dd = pts.shape
-    planes = _dedupe_planes(_candidate_facets(pts, tol), tol)
-    if not planes:
+    dd = pts.shape[1]
+    normals, offsets = _dedupe_planes(*_candidate_facets(pts, tol), tol)
+    if not len(offsets):
         raise DegenerateInputError("no supporting hyperplanes found")
-    refined = []
-    for n, off in planes:
-        on = np.abs(pts @ n - off) <= 5 * tol
-        sub = pts[on]
+    on = np.abs(pts @ normals.T - offsets) <= 5 * tol  # (M, F)
+    for j in np.flatnonzero(on.sum(axis=0) > dd):
         # refit the plane through its incident points for better conditioning
+        sub = pts[on[:, j]]
         c = sub.mean(axis=0)
-        if sub.shape[0] > dd:
-            _, _, vt = np.linalg.svd(sub - c)
-            n2 = vt[-1]
-            if np.dot(n2, n) < 0:
-                n2 = -n2
-            off2 = float(np.dot(n2, c))
-            if (pts @ n2 - off2).max() <= 5 * tol:
-                n, off = n2, off2
-        refined.append((n, float(off)))
-    planes = _dedupe_planes(refined, tol)
+        _, _, vt = np.linalg.svd(sub - c)
+        n2 = vt[-1] if np.dot(vt[-1], normals[j]) >= 0 else -vt[-1]
+        off2 = float(np.dot(n2, c))
+        if (pts @ n2 - off2).max() <= 5 * tol:
+            normals[j], offsets[j] = n2, off2
+    normals, offsets = _dedupe_planes(normals, offsets, tol)
 
-    normals = np.array([p[0] for p in planes])
-    offsets = np.array([p[1] for p in planes])
+    # a point is a vertex when the normals of the planes through it span R^dd
     active = np.abs(pts @ normals.T - offsets) <= 5 * tol  # (M, F)
-    is_vertex = np.zeros(M, dtype=bool)
-    for i in range(M):
-        rows = normals[active[i]]
-        if rows.shape[0] >= dd and np.linalg.matrix_rank(rows, tol=1e-8) == dd:
-            is_vertex[i] = True
+    sv = np.linalg.svd(active[:, :, None] * normals, compute_uv=False)
+    is_vertex = (sv > 1e-8).sum(axis=1) == dd
     verts = pts[is_vertex]
     if verts.shape[0] < dd + 1:
         raise DegenerateInputError("extreme point set is not full-dimensional")
     order = np.lexsort(verts.T[::-1])
     verts = verts[order]
 
+    on = np.abs(verts @ normals.T - offsets) <= 5 * tol
     facets = []
-    for n, off in planes:
-        ids = tuple(int(i) for i in np.flatnonzero(np.abs(verts @ n - off) <= 5 * tol))
+    for n, off, col in zip(normals, offsets, on.T):
+        ids = tuple(int(i) for i in np.flatnonzero(col))
         if len(ids) >= dd:
-            facets.append((n, off, ids))
+            facets.append((n, float(off), ids))
     facets.sort(key=lambda f: (tuple(np.round(f[0], 12)), round(f[1], 12)))
     return verts, facets
+
+
+def _volume(pts: np.ndarray, tol: float, facet: bool = False) -> float:
+    """H^d measure of the hull of points spanning R^d (local coordinates).
+
+    d = 1 is max - min and a point has measure 1.  A polygon facet (whose
+    points are all its vertices) is measured by the shoelace formula after
+    an angular sort; every other body by pyramids over its facets.
+    """
+    d = pts.shape[1]
+    if d < 2:
+        return float(np.ptp(pts)) if d else 1.0
+    if facet and d == 2:
+        w = pts - pts.mean(axis=0)
+        x, y = w[np.argsort(np.arctan2(w[:, 1], w[:, 0]))].T
+        return 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
+    return _pyramid_volume(*_hull_core(pts, tol), tol)
+
+
+def _pyramid_volume(verts: np.ndarray, facets, tol: float) -> float:
+    """V(P) = (1/d) sum_F (h(P, u_F) - <u_F, c>) V_{d-1}(F), c the vertex
+    centroid (Schneider, Convex Bodies, ch. 5).  A facet is measured after
+    dropping the largest coordinate k of its normal, which scales its
+    (d-1)-volume by |u_k|."""
+    d = verts.shape[1]
+    c = verts.mean(axis=0)
+    total = 0.0
+    for n, off, ids in facets:
+        k = int(np.argmax(np.abs(n)))
+        fv = np.delete(verts[list(ids)], k, axis=1)
+        total += (off - float(n @ c)) * _volume(fv, tol, facet=True) / abs(n[k])
+    return total / d
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +288,6 @@ class Polytope:
         self._frame = frame               # (d, intrinsic_dim)
         self.facets = facets              # ambient-lifted (normal, offset, vertex ids)
         self._lattice = None
-        self._top = None
 
     # -- construction
 
@@ -372,7 +407,6 @@ class Polytope:
             return Face(ids, fdim, fav, frame, centroid, 0.0, cone)
 
         faces = [make_face(s) for s in all_sets]
-        top = make_face(frozenset(range(self.n_vertices)))
         by_dim: dict[int, list[Face]] = {}
         for f in faces:
             if len(f.vertex_ids) == self.n_vertices:
@@ -381,6 +415,7 @@ class Polytope:
         if self.intrinsic_dim < d:
             # lower-dimensional body: the relative interior is a proper piece
             # of the normal bundle, so the top face belongs to the lattice
+            top = make_face(frozenset(range(self.n_vertices)))
             by_dim.setdefault(self.intrinsic_dim, []).append(top)
         for k in by_dim:
             by_dim[k].sort(key=lambda f: f.vertex_ids)
@@ -412,26 +447,12 @@ class Polytope:
             for f in by_dim.get(dd, []):
                 measures[face_key(f)] = compute_measure(f)
 
-        # the top face (volume carrier); uses facet measures just computed
-        if self.intrinsic_dim == d:
-            subs = by_dim.get(d - 1, [])
-            total = 0.0
-            for g in subs:
-                w = top.centroid - g.centroid
-                h = np.linalg.norm(w - g.frame.project(w))
-                total += h * measures[face_key(g)]
-            top_measure = total / d if d else 1.0
-        else:
-            top_measure = measures[face_key(top)]
 
         def with_measure(f: Face) -> Face:
             return Face(f.vertex_ids, f.dim, f.vertices, f.frame, f.centroid,
                         measures[face_key(f)], f.normal_cone)
 
-        lattice = {k: [with_measure(f) for f in v] for k, v in by_dim.items()}
-        self._lattice = lattice
-        self._top = Face(top.vertex_ids, self.intrinsic_dim, top.vertices, top.frame,
-                         top.centroid, top_measure, top.normal_cone)
+        self._lattice = {k: [with_measure(f) for f in v] for k, v in by_dim.items()}
 
     def face_lattice(self) -> dict[int, list[Face]]:
         """Faces by dimension.  Full-dimensional bodies: proper faces 0..d-1.
@@ -447,12 +468,12 @@ class Polytope:
         return self.face_lattice().get(j, [])
 
     def volume(self) -> float:
-        """H^d measure; 0 for lower-dimensional bodies."""
+        """H^d measure by facet recursion, without the face lattice; 0 for
+        lower-dimensional bodies."""
         if not self.is_full_dimensional():
             return 0.0
-        if self._top is None:
-            self._build_lattice()
-        return self._top.measure
+        tol = _TOL * max(1.0, float(np.max(np.abs(self.vertices))))
+        return _pyramid_volume(self.vertices, self.facets, tol)
 
     def face_measure(self, face: Face) -> float:
         return face.measure
@@ -534,7 +555,8 @@ def scaled_sum(coeffs, polys, name=None) -> Polytope:
 def sum_volume(coeffs, polys) -> float:
     """Volume of the scaled Minkowski sum.
 
-    Native hull for small candidate sets; large vertex products go through
+    Small candidate sets are measured by facet recursion on the native hull,
+    without a Polytope or its face lattice; large vertex products go through
     Qhull, which only has to produce the volume.
     """
     d = polys[0].dim
@@ -550,7 +572,8 @@ def sum_volume(coeffs, polys) -> float:
     if rank < d:
         return 0.0
     if pts.shape[0] <= 150:
-        return Polytope.hull(pts, allow_degenerate=True).volume()
+        tol = _TOL * max(1.0, float(np.max(np.abs(pts))))
+        return _volume(pts - pts.mean(axis=0), tol)
     from scipy.spatial import ConvexHull  # plumbing fallback for big sums
 
     return float(ConvexHull(pts).volume)

@@ -2,13 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixvol.errors import DegenerateInputError, InputError
-from mixvol.generators import cube, diamond, segment, simplex
+from mixvol.generators import cube, diamond, rotated_cube, segment, simplex
 from mixvol.polytope import (Polytope, area_measure_atoms, hull_from_points,
                              lattice_report, minkowski_sum,
                              polytope_from_json, polytope_to_json,
@@ -188,3 +191,120 @@ def test_area_measure_total_mass():
     am3 = area_measure_atoms(cube(3), 1)
     got3 = am3.total_mass(rng=0)
     assert abs(got3.value - am3.constant * 3.0) <= 3.0 * got3.std_error + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# facet-recursion volumes against Qhull; the lattice they no longer build
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _sum_points(coeffs, polys):
+    pts = np.zeros((1, polys[0].dim))
+    for t, p in zip(coeffs, polys):
+        pts = (pts[:, None, :] + t * p.vertices[None, :, :]).reshape(-1, p.dim)
+    return pts
+
+
+def _with_coplanar_points(p):
+    """Vertices plus every edge midpoint and facet centroid (coplanar, not extreme)."""
+    extra = [f.centroid for j in (1, p.dim - 1) for f in p.faces(j)]
+    return np.vstack([p.vertices, extra])
+
+
+SUM_CASES = (
+    ([1.0, 1.0], [cube(2), diamond(2)]),
+    ([0.5, 1.5], [rotated_cube(2, 3), simplex(2)]),
+    ([1.0, 0.5, 0.7], [cube(2), simplex(2), diamond(2)]),
+    ([0.75, 1.25], [cube(3), diamond(3)]),
+    ([1.0, 0.5], [rotated_cube(3, 1), simplex(3)]),
+    ([1.0, 0.5, 0.7], [rotated_cube(3, 1), simplex(3), segment(3, 2)]),
+    ([1.0, 0.5, 0.7], [cube(3), segment(3, 0), segment(3, 1)]),
+    ([0.5, 1.0], [simplex(4), diamond(4)]),
+    ([1.0, 0.5, 0.7], [segment(4, 0), segment(4, 1), cube(4)]),
+)
+
+
+@pytest.mark.parametrize("case", range(len(SUM_CASES)))
+def test_sum_volume_matches_qhull(case):
+    from scipy.spatial import ConvexHull
+
+    coeffs, polys = SUM_CASES[case]
+    pts = _sum_points(coeffs, polys)
+    assert len(pts) <= 150  # the native path, not the Qhull fallback
+    want = ConvexHull(pts).volume
+    assert sum_volume(coeffs, polys) == pytest.approx(want, rel=1e-12)
+    body = Polytope.hull(pts)
+    assert body.volume() == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+def test_body_volumes_match_qhull(d):
+    from scipy.spatial import ConvexHull
+
+    bodies = [cube(d), simplex(d), diamond(d), rotated_cube(d, 7)]
+    for p in bodies:
+        assert p.volume() == pytest.approx(ConvexHull(p.vertices).volume, rel=1e-12)
+        pts = _with_coplanar_points(p)
+        q = Polytope.hull(pts)
+        assert q.n_vertices == p.n_vertices
+        assert q.volume() == pytest.approx(ConvexHull(pts).volume, rel=1e-12)
+        assert sum_volume([1.0], [q]) == pytest.approx(p.volume(), rel=1e-12)
+
+
+def test_plane_dedupe_paths_agree(monkeypatch):
+    # the vectorised grouping and the scalar loop used for short lists keep
+    # the same planes, in the same order, on clusters near the tolerances
+    import mixvol.polytope as poly
+
+    rng = np.random.default_rng(4)
+    centers = rng.standard_normal((12, 3))
+    centers /= np.linalg.norm(centers, axis=1, keepdims=True)
+    pick = rng.integers(0, 12, 400)
+    normals = centers[pick] + rng.choice([0.0, 4e-7, 2e-6], (400, 1)) * rng.standard_normal((400, 3))
+    offsets = rng.integers(0, 3, 400) + rng.choice([0.0, 6e-9, 2e-8], 400)
+    out = []
+    for short in (0, 10 ** 6):
+        monkeypatch.setattr(poly, "_SHORT_PLANE_LIST", short)
+        out.append(poly._dedupe_planes(normals, offsets, 1e-9))
+    assert 12 < len(out[0][1]) < 400
+    np.testing.assert_array_equal(out[0][0], out[1][0])
+    np.testing.assert_array_equal(out[0][1], out[1][1])
+
+
+def _snapshot_body(key):
+    head, *args = key.split(":")
+    args = [int(a) for a in args]
+    makers = {"cube": cube, "simplex": simplex, "diamond": diamond,
+              "segment": segment, "rotated_cube": rotated_cube}
+    return makers[head](*args)
+
+
+def test_lattice_report_matches_snapshot():
+    # reports of generator bodies and rotated cubes in d = 2..4, recorded
+    # from the lattice-based volume code that facet recursion replaced
+    with open(os.path.join(DATA, "lattice_reports.json"), encoding="utf-8") as fh:
+        snapshot = json.load(fh)
+    for key, want in snapshot.items():
+        got = json.loads(json.dumps(lattice_report(_snapshot_body(key))))
+        assert got == want, key
+
+
+def test_volume_does_not_build_the_lattice():
+    p = Polytope.hull(rotated_cube(3, 2).vertices)
+    assert p.volume() == pytest.approx(1.0)
+    assert p._lattice is None
+
+
+def test_oracle_does_not_import_qhull():
+    import mixvol
+
+    code = ("import sys\n"
+            "from mixvol import cube, diamond, oracle_mixed_volumes\n"
+            "oracle_mixed_volumes([cube(3), diamond(3)])\n"
+            "assert 'scipy.spatial' not in sys.modules\n")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(mixvol.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

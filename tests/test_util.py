@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixvol.errors import InputError
-from mixvol.estimates import (MCEstimate, combine_product, combine_sum, exact,
+from mixvol.estimates import (MCEstimate, combine_product, combine_sum,
                               from_indicator, from_samples)
 from mixvol.util import (as_rng, chunk_sizes, complete_basis, gram_det,
                          kappa, multinomial, omega, orthonormal_columns,
@@ -110,7 +110,7 @@ def test_as_rng_accepts_seed_and_generator(rng):
 
 
 def test_exact_estimate_has_zero_error():
-    e = exact(3.0)
+    e = MCEstimate.exact(3.0)
     assert e.std_error == 0.0
     assert e.within(3.0)
     assert not e.within(3.1)
