@@ -28,8 +28,6 @@ from .exterior import Subspace
 from .util import multinomial, kappa, omega, orthonormal_columns
 
 _TOL = 1e-9
-# below this many candidate planes the scalar dedupe loop beats numpy passes
-_SHORT_PLANE_LIST = 16
 
 
 # ---------------------------------------------------------------------------
@@ -182,14 +180,7 @@ def _candidate_facets(pts: np.ndarray, tol: float):
 def _dedupe_planes(normals: np.ndarray, offsets: np.ndarray, tol: float):
     """Greedy grouping: keep a plane unless it lies within 1e-6 in normal and
     10 tol in offset of a plane kept before it.  One vectorised pass per kept
-    plane; short lists take the scalar loop, which is faster there."""
-    if len(offsets) <= _SHORT_PLANE_LIST:
-        keep = []
-        for i in range(len(offsets)):
-            if not any(abs(offsets[i] - offsets[r]) <= 10 * tol
-                       and np.linalg.norm(normals[i] - normals[r]) <= 1e-6 for r in keep):
-                keep.append(i)
-        return normals[keep], offsets[keep]
+    plane."""
     keep = []
     idx = np.arange(len(offsets))
     while idx.size:
@@ -243,17 +234,14 @@ def _hull_core(pts: np.ndarray, tol: float):
     return verts, facets
 
 
-def _volume(pts: np.ndarray, tol: float, facet: bool = False) -> float:
-    """H^d measure of the hull of points spanning R^d (local coordinates).
-
-    d = 1 is max - min and a point has measure 1.  A polygon facet (whose
-    points are all its vertices) is measured by the shoelace formula after
-    an angular sort; every other body by pyramids over its facets.
-    """
+def _facet_volume(pts: np.ndarray, tol: float) -> float:
+    """H^d measure of a facet given by its vertices in local coordinates
+    spanning R^d: a point has measure 1, a segment max - min, a polygon the
+    shoelace formula after an angular sort, higher facets their pyramids."""
     d = pts.shape[1]
     if d < 2:
         return float(np.ptp(pts)) if d else 1.0
-    if facet and d == 2:
+    if d == 2:
         w = pts - pts.mean(axis=0)
         x, y = w[np.argsort(np.arctan2(w[:, 1], w[:, 0]))].T
         return 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
@@ -271,7 +259,7 @@ def _pyramid_volume(verts: np.ndarray, facets, tol: float) -> float:
     for n, off, ids in facets:
         k = int(np.argmax(np.abs(n)))
         fv = np.delete(verts[list(ids)], k, axis=1)
-        total += (off - float(n @ c)) * _volume(fv, tol, facet=True) / abs(n[k])
+        total += (off - float(n @ c)) * _facet_volume(fv, tol) / abs(n[k])
     return total / d
 
 
@@ -447,7 +435,6 @@ class Polytope:
             for f in by_dim.get(dd, []):
                 measures[face_key(f)] = compute_measure(f)
 
-
         def with_measure(f: Face) -> Face:
             return Face(f.vertex_ids, f.dim, f.vertices, f.frame, f.centroid,
                         measures[face_key(f)], f.normal_cone)
@@ -573,7 +560,7 @@ def sum_volume(coeffs, polys) -> float:
         return 0.0
     if pts.shape[0] <= 150:
         tol = _TOL * max(1.0, float(np.max(np.abs(pts))))
-        return _volume(pts - pts.mean(axis=0), tol)
+        return _pyramid_volume(*_hull_core(pts - pts.mean(axis=0), tol), tol)
     from scipy.spatial import ConvexHull  # plumbing fallback for big sums
 
     return float(ConvexHull(pts).volume)

@@ -252,10 +252,10 @@ def test_body_volumes_match_qhull(d):
         assert sum_volume([1.0], [q]) == pytest.approx(p.volume(), rel=1e-12)
 
 
-def test_plane_dedupe_paths_agree(monkeypatch):
-    # the vectorised grouping and the scalar loop used for short lists keep
-    # the same planes, in the same order, on clusters near the tolerances
-    import mixvol.polytope as poly
+def test_plane_dedupe_is_greedy_grouping():
+    # keeps the planes a first-come greedy loop keeps, in the same order, on
+    # clusters near the 1e-6 normal and 10 tol offset thresholds
+    from mixvol.polytope import _dedupe_planes
 
     rng = np.random.default_rng(4)
     centers = rng.standard_normal((12, 3))
@@ -263,13 +263,15 @@ def test_plane_dedupe_paths_agree(monkeypatch):
     pick = rng.integers(0, 12, 400)
     normals = centers[pick] + rng.choice([0.0, 4e-7, 2e-6], (400, 1)) * rng.standard_normal((400, 3))
     offsets = rng.integers(0, 3, 400) + rng.choice([0.0, 6e-9, 2e-8], 400)
-    out = []
-    for short in (0, 10 ** 6):
-        monkeypatch.setattr(poly, "_SHORT_PLANE_LIST", short)
-        out.append(poly._dedupe_planes(normals, offsets, 1e-9))
-    assert 12 < len(out[0][1]) < 400
-    np.testing.assert_array_equal(out[0][0], out[1][0])
-    np.testing.assert_array_equal(out[0][1], out[1][1])
+    keep = []
+    for i in range(400):
+        if not any(abs(offsets[i] - offsets[r]) <= 10 * 1e-9
+                   and np.linalg.norm(normals[i] - normals[r]) <= 1e-6 for r in keep):
+            keep.append(i)
+    got_normals, got_offsets = _dedupe_planes(normals, offsets, 1e-9)
+    assert 12 < len(keep) < 400
+    np.testing.assert_array_equal(got_normals, normals[keep])
+    np.testing.assert_array_equal(got_offsets, offsets[keep])
 
 
 def _snapshot_body(key):
