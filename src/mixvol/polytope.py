@@ -234,10 +234,10 @@ def _hull_core(pts: np.ndarray, tol: float):
     return verts, facets
 
 
-def _facet_volume(pts: np.ndarray, tol: float) -> float:
-    """H^d measure of a facet given by its vertices in local coordinates
+def _face_volume(pts: np.ndarray, tol: float) -> float:
+    """H^d measure of a face given by its vertices in local coordinates
     spanning R^d: a point has measure 1, a segment max - min, a polygon the
-    shoelace formula after an angular sort, higher facets their pyramids."""
+    shoelace formula after an angular sort, higher faces their pyramids."""
     d = pts.shape[1]
     if d < 2:
         return float(np.ptp(pts)) if d else 1.0
@@ -259,7 +259,7 @@ def _pyramid_volume(verts: np.ndarray, facets, tol: float) -> float:
     for n, off, ids in facets:
         k = int(np.argmax(np.abs(n)))
         fv = np.delete(verts[list(ids)], k, axis=1)
-        total += (off - float(n @ c)) * _facet_volume(fv, tol) / abs(n[k])
+        total += (off - float(n @ c)) * _face_volume(fv, tol) / abs(n[k])
     return total / d
 
 
@@ -392,7 +392,8 @@ class Polytope:
             fns = [n for (n, off, fids) in self.facets if idset <= frozenset(fids)]
             fn_arr = np.array(fns) if fns else np.zeros((0, d))
             cone = _build_cone(verts, fav, frame, fn_arr, lin_basis)
-            return Face(ids, fdim, fav, frame, centroid, 0.0, cone)
+            measure = _face_volume((fav - centroid) @ frame.frame, self._tol())
+            return Face(ids, fdim, fav, frame, centroid, measure, cone)
 
         faces = [make_face(s) for s in all_sets]
         by_dim: dict[int, list[Face]] = {}
@@ -408,38 +409,7 @@ class Polytope:
         for k in by_dim:
             by_dim[k].sort(key=lambda f: f.vertex_ids)
 
-        # bottom-up Hausdorff measures; fan decomposition over subfaces
-        measures: dict[tuple, float] = {}
-
-        def face_key(f: Face):
-            return f.vertex_ids
-
-        ordered = sorted(by_dim.get(0, []), key=face_key) if 0 in by_dim else []
-        for f in ordered:
-            measures[face_key(f)] = 1.0
-        max_dim = max(by_dim) if by_dim else 0
-
-        def compute_measure(f: Face):
-            if f.dim == 0:
-                return 1.0
-            subs = [g for g in by_dim.get(f.dim - 1, [])
-                    if set(g.vertex_ids) < set(f.vertex_ids)]
-            total = 0.0
-            for g in subs:
-                w = f.centroid - g.centroid
-                h = np.linalg.norm(w - g.frame.project(w))
-                total += h * measures[face_key(g)]
-            return total / f.dim
-
-        for dd in range(1, max_dim + 1):
-            for f in by_dim.get(dd, []):
-                measures[face_key(f)] = compute_measure(f)
-
-        def with_measure(f: Face) -> Face:
-            return Face(f.vertex_ids, f.dim, f.vertices, f.frame, f.centroid,
-                        measures[face_key(f)], f.normal_cone)
-
-        self._lattice = {k: [with_measure(f) for f in v] for k, v in by_dim.items()}
+        self._lattice = by_dim
 
     def face_lattice(self) -> dict[int, list[Face]]:
         """Faces by dimension.  Full-dimensional bodies: proper faces 0..d-1.
@@ -454,13 +424,15 @@ class Polytope:
             raise InputError("face dimension must be >= 0")
         return self.face_lattice().get(j, [])
 
+    def _tol(self) -> float:
+        return _TOL * max(1.0, float(np.max(np.abs(self.vertices))))
+
     def volume(self) -> float:
         """H^d measure by facet recursion, without the face lattice; 0 for
         lower-dimensional bodies."""
         if not self.is_full_dimensional():
             return 0.0
-        tol = _TOL * max(1.0, float(np.max(np.abs(self.vertices))))
-        return _pyramid_volume(self.vertices, self.facets, tol)
+        return _pyramid_volume(self.vertices, self.facets, self._tol())
 
     def face_measure(self, face: Face) -> float:
         return face.measure
