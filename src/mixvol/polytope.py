@@ -3,7 +3,8 @@
 Construction is brute force over vertex subsets (desk scale: ambient
 dimension <= 4, a few dozen vertices).  Volumes come from facet recursion
 (a pyramid over each facet, down to polygons and segments) and never build
-the face lattice, which is made on first use by faces and normal cones.
+the face lattice, which is made on first use by faces and normal cones and
+measures each face the same way in the face's own frame.
 Lower-dimensional bodies (segments, points) are supported through
 `Polytope.hull(..., allow_degenerate=True)`; their faces include the
 relative-interior top face, whose normal cone picks up lineality.

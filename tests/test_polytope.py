@@ -284,7 +284,7 @@ def _snapshot_body(key):
 
 def test_lattice_report_matches_snapshot():
     # reports of generator bodies and rotated cubes in d = 2..4, recorded
-    # from the lattice-based volume code that facet recursion replaced
+    # from the fan decomposition over subfaces that facet recursion replaced
     with open(os.path.join(DATA, "lattice_reports.json"), encoding="utf-8") as fh:
         snapshot = json.load(fh)
     for key, want in snapshot.items():
