@@ -116,17 +116,21 @@ def _build_cone(all_vertices: np.ndarray, face_vertices: np.ndarray,
 
 
 def _dedupe_points(pts: np.ndarray, tol: float) -> np.ndarray:
-    order = np.lexsort(pts.T[::-1])
-    pts = pts[order]
-    out = []
-    for p in pts:
-        if not out:
-            out.append(p)
-            continue
-        d = np.min(np.linalg.norm(np.asarray(out) - p, axis=1))
-        if d > tol:
-            out.append(p)
-    return np.asarray(out)
+    """Lex-sorted points without near-duplicates: a point is dropped when it
+    lies within tol of a point kept before it (first-come greedy).  Points
+    with no neighbour within tol are always kept, so after one pairwise
+    distance pass the greedy loop runs over the others only."""
+    pts = pts[np.lexsort(pts.T[::-1])]
+    m = pts.shape[0]
+    close = np.zeros((m, m), dtype=bool)
+    rows = max(1, 2 ** 20 // max(m * pts.shape[1], 1))  # bounds the (rows, m, d) block
+    for s in range(0, m, rows):
+        close[s:s + rows] = np.linalg.norm(pts[s:s + rows, None] - pts[None], axis=2) <= tol
+    close = np.tril(close, -1)
+    keep = np.ones(m, dtype=bool)
+    for i in np.flatnonzero(close.any(axis=1)):
+        keep[i] = not keep[close[i]].any()
+    return pts[keep]
 
 
 def _batched_normals(diffs: np.ndarray) -> np.ndarray:

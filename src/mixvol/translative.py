@@ -23,7 +23,7 @@ from .estimates import MCEstimate, from_samples
 from .exterior import subspace_determinant
 from .kernels import KernelSpec, hull_distance_batch, kernel_values
 from .mixed_volume import oracle_mixed_volumes
-from .polytope import Polytope, minkowski_sum
+from .polytope import Polytope
 from .util import as_rng, chunk_sizes, complete_basis
 
 _DET_TOL = 1e-9
@@ -258,17 +258,20 @@ def curvature_mixed_functional(polytopes, r, eps: float = 0.0) -> float:
 class _VertexEngine:
     """Batched vertex enumeration for K_1 cap (K_2+z_2) cap ... over many z.
 
-    The stacked H-representation has right-hand side affine in z, so each
-    d-subset of rows yields a candidate vertex that is affine in z as well;
-    candidates and feasibility masks come out vectorized over samples.
+    Body i enters scaled by lambdas[i] as (A_i, lambdas[i] b_i), so scaled
+    bodies are never re-hulled.  The stacked H-representation has right-hand
+    side affine in z, so each d-subset of rows yields a candidate vertex that
+    is affine in z as well; candidates and feasibility masks come out
+    vectorized over samples.  In R^3 the in-plane frame of every row is made
+    once here for the face rings of _poly3d_values.
     """
 
-    def __init__(self, polytopes):
+    def __init__(self, polytopes, lambdas):
         d = polytopes[0].dim
         k = len(polytopes)
         systems = [p.halfspaces() for p in polytopes]
         self.A = np.vstack([a for a, _ in systems])
-        self.b = np.concatenate([b for _, b in systems])
+        self.b = np.concatenate([lam * b for (_, b), lam in zip(systems, lambdas)])
         m = self.A.shape[0]
         self.C = np.zeros((m, (k - 1) * d))
         ofs = systems[0][0].shape[0]
@@ -284,14 +287,17 @@ class _VertexEngine:
         self.base = np.einsum("sij,sj->si", inv, self.b[idx])
         self.slope = np.einsum("sij,sjm->sim", inv, self.C[idx])
         self.scale = max(1.0, float(np.max(np.abs(self.b))))
+        self.frames = np.stack([complete_basis(n.reshape(-1, 1)) for n in self.A]) \
+            if d == 3 else None
 
     def candidates(self, z: np.ndarray):
-        """(vertices (N, S, d), feasibility (N, S)) for z of shape (N, (k-1)d)."""
+        """(vertices (N, S, d), feasibility (N, S), right-hand sides (N, m))
+        for z of shape (N, (k-1)d)."""
         x = self.base[None] + np.einsum("sdm,nm->nsd", self.slope, z)
         bz = self.b[None] + z @ self.C.T
         lhs = np.einsum("md,nsd->nsm", self.A, x)
         feas = (lhs <= bz[:, None, :] + _FEAS_TOL * self.scale).all(axis=2)
-        return x, feas
+        return x, feas, bz
 
 
 def _poly2d_values(x: np.ndarray, feas: np.ndarray, j: int) -> np.ndarray:
@@ -320,90 +326,118 @@ def _poly2d_values(x: np.ndarray, feas: np.ndarray, j: int) -> np.ndarray:
     return vals
 
 
-def _poly3d_value(pts: np.ndarray, planes_a: np.ndarray, planes_b: np.ndarray,
-                  frames, j: int, tol: float) -> float:
-    """V_1 or V_2 of one intersection polytope from its vertices and planes."""
+def _poly3d_values(x: np.ndarray, feas: np.ndarray, A: np.ndarray,
+                   bz: np.ndarray, frames: np.ndarray, j: int,
+                   tol: float) -> np.ndarray:
+    """V_1 or V_2 per sample of 3-D intersection polytopes, one chunk at once.
+
+    Feasible candidates are deduped per sample on their tol-rounded keys
+    (the first occurrence stays, in candidate order) and compacted to the
+    chunk's largest vertex count V, so the face work is (N, m, V).  Fewer
+    than 4 vertices give 0.  Each plane carrying at least 3 vertices is a
+    face ring, angle-sorted in the plane's frame; padding slots repeat the
+    first sorted vertex, which adds zero-length edges and leaves the
+    shoelace sum unchanged.  V_2 is half the summed face areas.  For V_1 a
+    ring edge longer than tol is keyed by (sample, vertex-slot pair), and an
+    edge met on exactly two faces adds length * angle(a_i, a_l) / (2 pi).
+    """
+    n_samples = x.shape[0]
+    vals = np.zeros(n_samples)
+    sid, cid = np.nonzero(feas)
+    if sid.size == 0:
+        return vals
+    pts = x[sid, cid]
     key = np.round(pts / tol).astype(np.int64)
-    _, first = np.unique(key, axis=0, return_index=True)
-    pts = pts[np.sort(first)]
-    if pts.shape[0] < 4:
-        return 0.0
-    area_total = 0.0
-    edges: dict = {}
-    for i in range(planes_a.shape[0]):
-        on = np.abs(pts @ planes_a[i] - planes_b[i]) <= tol
-        if int(on.sum()) < 3:
-            continue
-        ring = pts[on]
-        uv = (ring - ring.mean(axis=0)) @ frames[i]
-        order = np.argsort(np.arctan2(uv[:, 1], uv[:, 0]))
-        ring = ring[order]
-        uv = uv[order]
-        nxt = np.roll(uv, -1, axis=0)
-        area_total += 0.5 * abs(float(np.sum(uv[:, 0] * nxt[:, 1] - uv[:, 1] * nxt[:, 0])))
-        if j == 1:
-            rk = np.round(ring / tol).astype(np.int64)
-            for a in range(ring.shape[0]):
-                bidx = (a + 1) % ring.shape[0]
-                kk = (tuple(rk[a]), tuple(rk[bidx]))
-                kk = kk if kk[0] <= kk[1] else (kk[1], kk[0])
-                length = float(np.linalg.norm(ring[bidx] - ring[a]))
-                if length > tol:
-                    edges.setdefault(kk, []).append((i, length))
+    # lexsort is stable, so within one key the earliest candidate leads
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0], sid))
+    ks = np.column_stack([sid, key])[order]
+    lead = np.ones(order.size, dtype=bool)
+    lead[1:] = (ks[1:] != ks[:-1]).any(axis=1)
+    keep = np.zeros(order.size, dtype=bool)
+    keep[order[lead]] = True
+    sid, pts = sid[keep], pts[keep]
+    cnt = np.bincount(sid, minlength=n_samples)
+    nv = int(cnt.max())
+    slot = np.arange(sid.size) - (np.cumsum(cnt) - cnt)[sid]
+    P = np.zeros((n_samples, nv, 3))
+    P[sid, slot] = pts
+    valid = np.zeros((n_samples, nv), dtype=bool)
+    valid[sid, slot] = True
+
+    on = (valid[..., None] & (np.abs(P @ A.T - bz[:, None, :]) <= tol)).transpose(0, 2, 1)
+    ring_cnt = on.sum(axis=2)
+    face = ring_cnt >= 3
+    cen = (on @ P) / np.maximum(ring_cnt, 1)[..., None]
+    uv = np.einsum("nmvd,mde->nmve", P[:, None] - cen[:, :, None], frames)
+    ang = np.where(on, np.arctan2(uv[..., 1], uv[..., 0]), np.inf)
+    srt = np.argsort(ang, axis=2)
+    srt = np.where(np.take_along_axis(on, srt, axis=2), srt, srt[..., :1])
     if j == 2:
-        return 0.5 * area_total
-    v1 = 0.0
-    for _, hits in edges.items():
-        if len(hits) != 2:
-            continue
-        (ia, la), (ib, _) = hits
-        cosang = float(np.clip(planes_a[ia] @ planes_a[ib], -1.0, 1.0))
-        v1 += la * math.acos(cosang) / (2.0 * math.pi)
-    return v1
+        u = np.take_along_axis(uv, srt[..., None], axis=2)
+        nxt = np.roll(u, -1, axis=2)
+        area = 0.5 * np.abs((u[..., 0] * nxt[..., 1] - u[..., 1] * nxt[..., 0]).sum(axis=2))
+        vals = 0.5 * np.where(face, area, 0.0).sum(axis=1)
+    else:
+        nxt = np.roll(srt, -1, axis=2)
+        rows = np.arange(n_samples)[:, None, None]
+        length = np.linalg.norm(P[rows, nxt] - P[rows, srt], axis=3)
+        live = face[..., None] & (length > tol)
+        es, ei, _ = np.nonzero(live)
+        lo = np.minimum(srt, nxt)[live]
+        hi = np.maximum(srt, nxt)[live]
+        ekey = (es * nv + lo) * nv + hi
+        # stable: the hits of one edge stay in plane order
+        eo = np.argsort(ekey, kind="stable")
+        ekey = ekey[eo]
+        start = np.flatnonzero(np.r_[True, ekey[1:] != ekey[:-1]])
+        size = np.diff(np.r_[start, ekey.size])
+        first = eo[start[size == 2]]
+        second = eo[start[size == 2] + 1]
+        angle = np.arccos(np.clip(A @ A.T, -1.0, 1.0))
+        contrib = length[live][first] * angle[ei[first], ei[second]] / (2.0 * math.pi)
+        vals = np.bincount(es[first], weights=contrib, minlength=n_samples)
+    vals[cnt < 4] = 0.0
+    return vals
 
 
-def _sample_boxes(polytopes):
-    """Per-body translation boxes covering {z : K_1 cap (K_i + z) != empty}."""
-    lo1 = polytopes[0].vertices.min(axis=0)
-    hi1 = polytopes[0].vertices.max(axis=0)
-    lows, highs = [], []
-    for p in polytopes[1:]:
-        # bounding box of K_1 + (-K_i), inflated to dodge boundary bias
-        lows.append(lo1 - p.vertices.max(axis=0) - 1e-9)
-        highs.append(hi1 - p.vertices.min(axis=0) + 1e-9)
+def _sample_boxes(verts):
+    """Per-body translation boxes covering {z : K_1 cap (K_i + z) != empty},
+    from the (scaled) vertex arrays."""
+    lo1, hi1 = verts[0].min(axis=0), verts[0].max(axis=0)
+    # bounding box of K_1 + (-K_i), inflated to dodge boundary bias
+    lows = [lo1 - v.max(axis=0) - 1e-9 for v in verts[1:]]
+    highs = [hi1 - v.min(axis=0) + 1e-9 for v in verts[1:]]
     return np.concatenate(lows), np.concatenate(highs)
 
 
-def _translative_value(polytopes, j: int, unit: np.ndarray) -> MCEstimate:
+def _translative_value(polytopes, lambdas, j: int, unit: np.ndarray) -> MCEstimate:
+    """Translation integral of V_j over the bodies lambdas[i] * K_i."""
     d = polytopes[0].dim
     k = len(polytopes)
-    lo, hi = _sample_boxes(polytopes)
+    verts = [lam * p.vertices for p, lam in zip(polytopes, lambdas)]
+    lo, hi = _sample_boxes(verts)
     z = lo[None] + unit * (hi - lo)[None]
     box_volume = float(np.prod(hi - lo))
 
     if j == 0 and k == 2:
-        diff = minkowski_sum(polytopes[0], polytopes[1].negate())
-        a, b = diff.halfspaces()
+        diffs = (verts[0][:, None, :] - verts[1][None, :, :]).reshape(-1, d)
+        a, b = Polytope.hull(diffs, allow_degenerate=True).halfspaces()
         ind = (z @ a.T <= b[None] + _FEAS_TOL).all(axis=1)
         return from_samples(ind.astype(float)).scaled(box_volume)
 
-    engine = _VertexEngine(polytopes)
+    engine = _VertexEngine(polytopes, lambdas)
+    tol = 1e-7 * engine.scale
     vals = np.empty(unit.shape[0])
     ofs = 0
     for size in chunk_sizes(unit.shape[0], 4096 if d == 2 else 512):
-        zc = z[ofs:ofs + size]
-        x, feas = engine.candidates(zc)
+        x, feas, bz = engine.candidates(z[ofs:ofs + size])
         if j == 0:
             vals[ofs:ofs + size] = feas.any(axis=1).astype(float)
         elif d == 2:
             vals[ofs:ofs + size] = _poly2d_values(x, feas, j)
         else:
-            frames = [complete_basis(n.reshape(-1, 1)) for n in engine.A]
-            bz = engine.b[None] + zc @ engine.C.T
-            tol = 1e-7 * engine.scale
-            for s in range(size):
-                vals[ofs + s] = _poly3d_value(x[s][feas[s]], engine.A, bz[s],
-                                              frames, j, tol)
+            vals[ofs:ofs + size] = _poly3d_values(x, feas, engine.A, bz,
+                                                  engine.frames, j, tol)
         ofs += size
     return from_samples(vals).scaled(box_volume)
 
@@ -422,7 +456,7 @@ def translative_integral_mc(polytopes, j: int, rng=None,
     k = len(polytopes)
     rng = as_rng(rng)
     unit = rng.random((samples, (k - 1) * d))
-    return _translative_value(polytopes, j, unit)
+    return _translative_value(polytopes, [1.0] * k, j, unit)
 
 
 def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
@@ -431,7 +465,9 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
 
     Runs _translative_value on every lambda-scaled body combination with
     shared uniform draws (common random numbers), then least-squares fits
-    int = sum_r (prod_i lambda_i^{r_i}) V_r.  Errors are propagated through
+    int = sum_r (prod_i lambda_i^{r_i}) V_r.  The scaled bodies are not
+    re-hulled: their vertices and facet offsets are multiplied by lambda,
+    so lambdas must be positive.  Errors are propagated through
     the fit conservatively (CRN correlates the grid values, so per-entry
     sigmas are the absolute row sums of the pseudoinverse times the grid
     sigmas).
@@ -440,6 +476,8 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
     k = len(polytopes)
     rng = as_rng(rng)
     r_list = _degree_tuples(d, k, j)
+    if any(float(v) <= 0.0 for v in lambdas):
+        raise InputError("scaling factors must be positive")
     combos = list(itertools.product([float(v) for v in lambdas], repeat=k))
     design = np.array([[math.prod(lam ** ri for lam, ri in zip(combo, r))
                         for r in r_list] for combo in combos])
@@ -447,10 +485,7 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
     if cond > 1e8:
         raise EstimationError(f"homogeneous fit ill-conditioned (cond={cond:.3e})")
     unit = rng.random((samples, (k - 1) * d))
-    grid = []
-    for combo in combos:
-        scaled = [p.transform(np.eye(d) * lam) for p, lam in zip(polytopes, combo)]
-        grid.append(_translative_value(scaled, j, unit))
+    grid = [_translative_value(polytopes, combo, j, unit) for combo in combos]
     y = np.array([g.value for g in grid])
     sig = np.array([g.std_error for g in grid])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)

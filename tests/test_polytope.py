@@ -274,6 +274,37 @@ def test_plane_dedupe_is_greedy_grouping():
     np.testing.assert_array_equal(got_offsets, offsets[keep])
 
 
+def _greedy_dedupe(pts, tol):
+    pts = pts[np.lexsort(pts.T[::-1])]
+    out = []
+    for p in pts:
+        if not out or np.min(np.linalg.norm(np.asarray(out) - p, axis=1)) > tol:
+            out.append(p)
+    return np.asarray(out)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_point_dedupe_is_greedy(scale):
+    # the vectorised dedupe keeps exactly the points a first-come greedy loop
+    # over the lex-sorted points keeps
+    from mixvol.polytope import _dedupe_points
+
+    tol = 1e-9 * scale
+    # exact duplicates, and a chain a-b-c with only neighbours within tol:
+    # greedy keeps a, drops b and keeps c
+    chain = np.array([[0.0, 0.0, 0.0], [0.6, 0.0, 0.0], [1.2, 0.0, 0.0]]) * tol + scale
+    got = _dedupe_points(np.vstack([chain, chain[::-1]]), tol)
+    np.testing.assert_array_equal(got, chain[[0, 2]])
+    rng = np.random.default_rng(8)
+    base = scale * rng.standard_normal((40, 3))
+    pick = rng.integers(0, 40, 150)
+    pts = base[pick] + rng.choice([0.0, 0.5, 0.9, 1.5], (150, 1)) * tol \
+        * rng.standard_normal((150, 3)) / np.sqrt(3.0)
+    want = _greedy_dedupe(pts, tol)
+    assert 40 < len(want) < 150
+    np.testing.assert_array_equal(_dedupe_points(pts, tol), want)
+
+
 def _snapshot_body(key):
     head, *args = key.split(":")
     args = [int(a) for a in args]

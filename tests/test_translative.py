@@ -16,9 +16,12 @@ from hypothesis import given, settings, strategies as st
 
 from mixvol.errors import DivergenceError, EstimationError, InputError
 from mixvol.generators import cube, diamond, rotated_cube, segment
-from mixvol.translative import (TranslativeTable, curvature_mixed_functional,
+from mixvol.translative import (TranslativeTable, _poly3d_values,
+                                _sample_boxes, _translative_value,
+                                _VertexEngine, curvature_mixed_functional,
                                 decompose_homogeneous, duality_check,
                                 translative_integral_mc)
+from mixvol.util import complete_basis
 
 
 def test_curvature_square_diamond():
@@ -144,6 +147,9 @@ def test_translative_validation():
         translative_integral_mc([cube(2), diamond(2)], 2, rng=0)
     with pytest.raises(InputError):
         translative_integral_mc([cube(2), diamond(3)], 0, rng=0)
+    with pytest.raises(InputError):
+        decompose_homogeneous([cube(2), diamond(2)], 0, rng=0, samples=100,
+                              lambdas=(1.0, -1.0, 2.0))
 
 
 def test_translative_seed_reproducible():
@@ -201,3 +207,124 @@ def test_duality_input_validation():
         duality_check(cube(2), diamond(2), 2)
     with pytest.raises(InputError):
         duality_check(cube(2), diamond(3), 1)
+
+
+def test_translation_integral_lower_dimensional_body():
+    # the j = 0 pair path needs no H-representation of a segment:
+    # vol(Q + (-S)) = 2, and the decomposition splits it into vol(Q) = 1,
+    # the mixed term 1 and vol(S) = 0
+    K, S = cube(2), segment(2, 0)
+    est = translative_integral_mc([K, S], 0, rng=23, samples=20000)
+    assert abs(est.value - 2.0) <= 1e-6
+    table = decompose_homogeneous([K, S], 0, rng=23, samples=4000)
+    for r, want in (((2, 0), 1.0), ((1, 1), 1.0), ((0, 2), 0.0)):
+        assert abs(table.value(r) - want) <= 1e-6, (r, table.entries)
+    with pytest.raises(InputError):
+        translative_integral_mc([K, S], 1, rng=23, samples=100)
+
+
+def _poly3d_value_loop(pts, planes_a, planes_b, frames, j, tol):
+    """Per-sample reference valuation: V_1 or V_2 of one intersection
+    polytope from its feasible candidate vertices and the stacked planes."""
+    key = np.round(pts / tol).astype(np.int64)
+    _, first = np.unique(key, axis=0, return_index=True)
+    pts = pts[np.sort(first)]
+    if pts.shape[0] < 4:
+        return 0.0
+    area_total = 0.0
+    edges = {}
+    for i in range(planes_a.shape[0]):
+        on = np.abs(pts @ planes_a[i] - planes_b[i]) <= tol
+        if int(on.sum()) < 3:
+            continue
+        ring = pts[on]
+        uv = (ring - ring.mean(axis=0)) @ frames[i]
+        order = np.argsort(np.arctan2(uv[:, 1], uv[:, 0]))
+        ring = ring[order]
+        uv = uv[order]
+        nxt = np.roll(uv, -1, axis=0)
+        area_total += 0.5 * abs(float(np.sum(uv[:, 0] * nxt[:, 1]
+                                             - uv[:, 1] * nxt[:, 0])))
+        if j == 1:
+            rk = np.round(ring / tol).astype(np.int64)
+            for a in range(ring.shape[0]):
+                b = (a + 1) % ring.shape[0]
+                kk = (tuple(rk[a]), tuple(rk[b]))
+                kk = kk if kk[0] <= kk[1] else (kk[1], kk[0])
+                length = float(np.linalg.norm(ring[b] - ring[a]))
+                if length > tol:
+                    edges.setdefault(kk, []).append((i, length))
+    if j == 2:
+        return 0.5 * area_total
+    v1 = 0.0
+    for hits in edges.values():
+        if len(hits) != 2:
+            continue
+        (ia, la), (ib, _) = hits
+        cosang = float(np.clip(planes_a[ia] @ planes_a[ib], -1.0, 1.0))
+        v1 += la * math.acos(cosang) / (2.0 * math.pi)
+    return v1
+
+
+@pytest.mark.parametrize("other", ["diamond", "rotated", "cube"])
+def test_batched_3d_valuation_matches_loop(other):
+    K = cube(3)
+    L = {"diamond": diamond(3), "rotated": rotated_cube(3, 5),
+         "cube": cube(3)}[other]
+    rng = np.random.default_rng(29)
+    # translations on a half-integer grid put planes on top of each other,
+    # touch faces (flat and empty intersections) and merge vertices
+    grid = np.stack(np.meshgrid(*[np.arange(-2.0, 2.5, 0.5)] * 3,
+                                indexing="ij"), axis=-1).reshape(-1, 3)
+    for lams in ((1.0, 1.0), (1.5, 2.0), (2.0, 1.5)):
+        engine = _VertexEngine([K, L], lams)
+        frames = [complete_basis(n.reshape(-1, 1)) for n in engine.A]
+        np.testing.assert_array_equal(engine.frames, np.stack(frames))
+        lo, hi = _sample_boxes([lam * p.vertices for p, lam in zip((K, L), lams)])
+        z = np.vstack([lo + rng.random((512, 3)) * (hi - lo), grid])
+        x, feas, bz = engine.candidates(z)
+        tol = 1e-7 * engine.scale
+        # two edited copies of the fullest intersection: one cut down to 3
+        # distinct vertices of one face (under 4 vertices gives 0), and one
+        # whose first vertex is split into two points 0.1 tol apart on either
+        # side of a rounding edge, so both survive the dedupe
+        x = np.concatenate([x, np.zeros((x.shape[0], 1, 3))], axis=1)
+        feas = np.concatenate([feas, np.zeros((x.shape[0], 1), dtype=bool)], axis=1)
+        s = int(np.argmax(feas.sum(axis=1)))
+        on = np.flatnonzero(feas[s] & (np.abs(x[s] @ engine.A[0] - bz[s, 0]) <= tol))
+        _, first = np.unique(np.round(x[s, on] / tol), axis=0, return_index=True)
+        assert first.size >= 3
+        few = np.zeros_like(feas[s])
+        few[on[np.sort(first)[:3]]] = True
+        split_x = x[s].copy()
+        split_feas = feas[s].copy()
+        a = np.flatnonzero(feas[s])[0]
+        cell = np.round(x[s, a] / tol)
+        split_x[a] = (cell + [0.45, 0.0, 0.0]) * tol
+        split_x[-1] = (cell + [0.55, 0.0, 0.0]) * tol
+        split_feas[-1] = True
+        x = np.concatenate([x, x[s][None], split_x[None]])
+        feas = np.concatenate([feas, few[None], split_feas[None]])
+        bz = np.concatenate([bz, bz[[s, s]]])
+        for j in (1, 2):
+            got = _poly3d_values(x, feas, engine.A, bz, engine.frames, j, tol)
+            want = np.array([_poly3d_value_loop(x[s][feas[s]], engine.A, bz[s],
+                                                frames, j, tol)
+                             for s in range(x.shape[0])])
+            assert np.count_nonzero(want) > 100 and want[-2] == 0.0
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.max(want))
+
+
+@pytest.mark.parametrize("d,j", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_scaled_bodies_match_rehulled(d, j):
+    # scaling vertices and facet offsets in place gives the translation
+    # integral of the re-hulled scaled bodies
+    bodies = [cube(d), rotated_cube(d, 5)]
+    unit = np.random.default_rng(31).random((300 if d == 3 else 2000, d))
+    lams = (1.5, 2.0)
+    got = _translative_value(bodies, lams, j, unit)
+    rehulled = [p.transform(lam * np.eye(d)) for p, lam in zip(bodies, lams)]
+    want = _translative_value(rehulled, (1.0, 1.0), j, unit)
+    assert got.value == pytest.approx(want.value, rel=1e-12)
+    assert got.std_error == pytest.approx(want.std_error, rel=1e-12)
