@@ -164,7 +164,6 @@ def _cmd_flag_check(args) -> int:
     _require_seed(args)
     bodies = _load_bodies(args)
     degrees = _parse_degrees(args.degrees)
-    d = bodies[0].dim
     report = {"schema": _SCHEMA, "command": "flag-check",
               "degrees": list(degrees), "bodies": [b.name for b in bodies],
               "seed": args.seed, "eps": args.eps or 0.0}
@@ -181,9 +180,6 @@ def _cmd_flag_check(args) -> int:
         except DivergenceError:
             ref = None
     else:
-        if sum(degrees) != d:
-            raise InputError("flag volume needs degrees summing to the "
-                             "dimension; use --functional otherwise")
         est = flag_mixed_volume(bodies, degrees, rng=args.seed,
                                 eps=args.eps or 0.0, samples=args.samples,
                                 threads=args.threads,

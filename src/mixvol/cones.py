@@ -22,7 +22,7 @@ from .errors import EstimationError, InputError
 from .estimates import MCEstimate
 from .lp import lp_feasible
 from .polytope import Face, NormalCone, Polytope
-from .util import as_rng, omega
+from .util import as_rng, check_bodies, omega
 
 _TOL = 1e-9
 _THIN = 1e-4
@@ -255,14 +255,8 @@ def random_admissible(polytopes, degrees, rng, verify: bool = False,
     against every face tuple whose dimensions sum past d, and draws whose
     shifted cones come within `margin` of intersecting there are rejected.
     """
-    if len(polytopes) != len(degrees):
-        raise InputError("one degree per body required")
-    d = polytopes[0].dim
+    d, _ = check_bodies(polytopes, degrees, "n")
     k = len(polytopes)
-    if any(p.dim != d for p in polytopes):
-        raise InputError("dimension mismatch")
-    if sum(degrees) != d:
-        raise InputError(f"degrees {tuple(degrees)} must sum to d={d}")
     rng = as_rng(rng)
     for _ in range(max_resample):
         x = random_direction_tuple(d, k, rng)
@@ -343,11 +337,7 @@ def general_position(polytopes, degrees, mode: str, tol: float = _TOL) -> bool:
     mode = {"mixed-volume": "n", "translative": "r", "n": "n", "r": "r"}.get(mode)
     if mode is None:
         raise InputError('mode must be "mixed-volume" or "translative"')
-    if len(polytopes) != len(degrees):
-        raise InputError("one degree per body required")
-    d = polytopes[0].dim
-    if mode == "n" and sum(degrees) != d:
-        raise InputError("mixed-volume mode needs degrees summing to d")
+    d, degrees = check_bodies(polytopes, degrees, mode)
     pools = [p.faces(j) for p, j in zip(polytopes, degrees)]
     if any(not pool for pool in pools):
         return True

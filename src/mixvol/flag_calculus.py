@@ -41,8 +41,9 @@ from .exterior import (Subspace, UnitVector, graded_index_sets,
 from .kernels import KernelSpec, kernel_values
 from .mixed_volume import _split_budget
 from .polytope import Face, NormalCone, Polytope
-from .util import (as_rng, multinomial, omega, parallel_map,
-                   random_unit_vectors, spawn_rngs)
+from .util import (as_rng, check_bodies, check_count, check_degrees,
+                   multinomial, omega, parallel_map, random_unit_vectors,
+                   spawn_rngs)
 
 _MASS_SAMPLES = 40000
 
@@ -344,9 +345,7 @@ def phi_kernel(us, subspaces, rng=None, dmatrix_cache=None) -> float:
     us = [_as_unit_array(u) for u in us]
     d = us[0].shape[0]
     frames = [_as_frame(s, d) for s in subspaces]
-    degrees = tuple(f.shape[1] for f in frames)
-    if sum(degrees) != d:
-        raise InputError("subspace dimensions must sum to the ambient dimension")
+    degrees = check_degrees(d, [f.shape[1] for f in frames], "n")
     _check_slots(us, frames, degrees, d)
     a_vecs = _phi_coefficients(d, degrees, rng=rng, cache_path=dmatrix_cache)
     vals = _phi_values(d, degrees, [u.reshape(1, -1) for u in us],
@@ -362,9 +361,7 @@ def phi_multiplier(us, flag_subspaces, rng=None, dmatrix_cache=None) -> float:
     us = [_as_unit_array(u) for u in us]
     d = us[0].shape[0]
     frames = [_as_frame(s, d) for s in flag_subspaces]
-    degrees = tuple(d - 1 - f.shape[1] for f in frames)
-    if sum(degrees) != d:
-        raise InputError("flag dimensions incompatible with a mixed volume")
+    degrees = check_degrees(d, [d - 1 - f.shape[1] for f in frames], "n")
     _check_slots(us, frames, tuple(d - 1 - n for n in degrees), d)
     comps = [_batched_complement(
         np.concatenate([u.reshape(1, -1, 1), f[None]], axis=2), d)[0]
@@ -384,16 +381,12 @@ def psi_kernel(us, subspaces, rng=None, samples: int = 512,
     us = [_as_unit_array(u) for u in us]
     d = us[0].shape[0]
     frames = [_as_frame(s, d) for s in subspaces]
-    degrees = tuple(d - 1 - f.shape[1] for f in frames)
-    if any(not 1 <= r <= d - 1 for r in degrees) or \
-            sum(degrees) < (len(degrees) - 1) * d:
-        raise InputError("subspace dimensions incompatible with a "
-                         "translative multidegree")
+    degrees = check_degrees(d, [d - 1 - f.shape[1] for f in frames], "r")
     _check_slots(us, frames, tuple(d - 1 - r for r in degrees), d)
     j = sum(degrees) - (len(degrees) - 1) * d
     a_vecs = [d_matrix(d, d - 1 - r, rng=rng, cache_path=dmatrix_cache).a
               for r in degrees]
-    reps = samples if j > 0 else 1
+    reps = check_count(samples) if j > 0 else 1
     vals = _psi_values(d, degrees,
                        [np.repeat(u.reshape(1, -1), reps, axis=0) for u in us],
                        [np.repeat(f[None], reps, axis=0) for f in frames],
@@ -430,17 +423,12 @@ def verify_multiplier_identity(d: int, degrees, identity: str = "subspace",
     """
     if identity not in ("subspace", "interleaved"):
         raise InputError('identity must be "subspace" or "interleaved"')
-    degrees = tuple(int(x) for x in degrees)
+    degrees = check_degrees(d, degrees, "n" if identity == "subspace" else "r")
+    check_count(trials, "trials")
+    check_count(samples)
     k = len(degrees)
-    if identity == "subspace":
-        if sum(degrees) != d or any(not 0 <= n <= d - 1 for n in degrees):
-            raise InputError("subspace identity needs mixed-volume degrees")
-        slot_dims = degrees
-    else:
-        if any(not 1 <= r <= d - 1 for r in degrees) or \
-                sum(degrees) < (k - 1) * d:
-            raise InputError("interleaved identity needs translative degrees")
-        slot_dims = tuple(d - 1 - r for r in degrees)
+    slot_dims = degrees if identity == "subspace" else \
+        tuple(d - 1 - r for r in degrees)
     rng = as_rng(rng)
     a_vecs = [d_matrix(d, s, rng=rng, cache_path=dmatrix_cache).a
               for s in slot_dims]
@@ -665,16 +653,8 @@ def flag_mixed_volume(polytopes, n, rng=None, eps: float = 0.0,
     position, which is checked up front; eps > 0 evaluates the cutoff
     kernel F^(eps) instead and always converges (monotone in eps).
     """
-    if len(polytopes) < 2:
-        raise InputError("need at least two bodies")
-    d = polytopes[0].dim
-    if any(p.dim != d for p in polytopes):
-        raise InputError("ambient dimension mismatch")
-    n = tuple(int(x) for x in n)
-    if len(n) != len(polytopes):
-        raise InputError("one degree per body required")
-    if sum(n) != d:
-        raise InputError("degrees must sum to the dimension")
+    d, n = check_bodies(polytopes, n, "n")
+    check_count(samples)
     if eps < 0:
         raise InputError("eps must be nonnegative")
     if eps == 0.0 and not general_position(polytopes, n, "mixed-volume"):
@@ -695,18 +675,8 @@ def flag_mixed_functional(polytopes, r, rng=None, eps: float = 0.0,
     r_i; no multinomial factor applies.  General (r)-position (no choice of
     cone normals capturing 0 in its hull) is required for eps = 0.
     """
-    if len(polytopes) < 2:
-        raise InputError("need at least two bodies")
-    d = polytopes[0].dim
-    if any(p.dim != d for p in polytopes):
-        raise InputError("ambient dimension mismatch")
-    r = tuple(int(x) for x in r)
-    if len(r) != len(polytopes):
-        raise InputError("one degree per body required")
-    if any(not 1 <= ri <= d - 1 for ri in r):
-        raise InputError(f"degrees must lie in [1, {d - 1}]")
-    if sum(r) < (len(r) - 1) * d:
-        raise InputError("degree sum below (k-1)*d")
+    _, r = check_bodies(polytopes, r, "r")
+    check_count(samples)
     if eps < 0:
         raise InputError("eps must be nonnegative")
     if eps == 0.0 and not general_position(polytopes, r, "translative"):

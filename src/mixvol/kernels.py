@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DivergenceError, InputError
 from .estimates import MCEstimate, from_samples
-from .util import as_rng, omega
+from .util import as_rng, check_degrees, omega
 
 _SPREAD_FLOOR = 1e-9
 _RANK_TOL = 1e-10
@@ -42,9 +42,9 @@ _RANK_TOL = 1e-10
 class KernelSpec:
     """Degrees and cutoff for one kernel evaluation family.
 
-    mode "n": degrees are the mixed-volume multidegrees, sum = d, each in
-    0..d-1.  mode "r": translative degrees, each in 1..d-1 with
-    sum >= (k-1)d; j = sum - (k-1)d is the intersection order.
+    The degrees follow util.check_degrees for the mode: mixed-volume
+    multidegrees for "n", translative degrees for "r", where
+    j = sum - (k-1)d is the intersection order.
     """
 
     d: int
@@ -53,27 +53,10 @@ class KernelSpec:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        degrees = tuple(int(x) for x in self.degrees)
-        object.__setattr__(self, "degrees", degrees)
-        k = len(degrees)
-        if self.d < 1:
-            raise InputError("dimension must be >= 1")
-        if k < 2:
-            raise InputError("need at least two bodies")
-        if self.mode not in ("n", "r"):
-            raise InputError('kernel mode must be "n" or "r"')
+        object.__setattr__(self, "degrees",
+                           check_degrees(self.d, self.degrees, self.mode))
         if self.epsilon < 0:
             raise InputError("epsilon must be >= 0")
-        if self.mode == "n":
-            if any(not 0 <= x <= self.d - 1 for x in degrees):
-                raise InputError("mode n degrees must lie in 0..d-1")
-            if sum(degrees) != self.d:
-                raise InputError(f"mode n degrees must sum to d={self.d}")
-        else:
-            if any(not 1 <= x <= self.d - 1 for x in degrees):
-                raise InputError("mode r degrees must lie in 1..d-1")
-            if sum(degrees) < (k - 1) * self.d:
-                raise InputError("mode r degrees must sum to at least (k-1)d")
 
     @property
     def k(self) -> int:
@@ -178,38 +161,10 @@ def _panel_grid(a: float, b: float, panels: int, order: int = 16):
     return x, w
 
 
-def _refine_rows(frows, count: int, a: float, b: float, rtol: float,
-                 max_level: int, order: int = 16):
-    """Panel-doubling quadrature for `count` integrands sharing a grid.
-
-    frows(idx, x) returns integrand values (len(idx), len(x)).  Returns
-    (values, error estimates); rows that never meet rtol keep their last
-    refinement delta as the error.
-    """
-    vals = np.zeros(count)
-    errs = np.zeros(count)
-    idx = np.arange(count)
-    panels = 4
-    x, w = _panel_grid(a, b, panels, order)
-    cur = frows(idx, x) @ w
-    for _ in range(max_level):
-        panels *= 2
-        x, w = _panel_grid(a, b, panels, order)
-        new = frows(idx, x) @ w
-        delta = np.abs(new - cur)
-        done = delta <= rtol * np.maximum(np.abs(new), 1e-12)
-        vals[idx[done]] = new[done]
-        errs[idx[done]] = delta[done]
-        cur = new[~done]
-        idx = idx[~done]
-        if idx.size == 0:
-            break
-    if idx.size:
-        x, w = _panel_grid(a, b, panels, order)
-        last = frows(idx, x) @ w
-        vals[idx] = last
-        errs[idx] = np.abs(last - cur)
-    return vals, errs
+def _arc_grid(panels: int, order: int = 16):
+    """Chart of S^1_+ : t = (cos th, sin th), th in [0, pi/2]."""
+    th, w = _panel_grid(0.0, math.pi / 2.0, panels, order)
+    return np.stack([np.cos(th), np.sin(th)], axis=1), w
 
 
 def _octant_grid(panels: int, order: int = 16):
@@ -225,30 +180,36 @@ def _octant_grid(panels: int, order: int = 16):
     return t, w
 
 
-def _refine_rows_k3(frows, count: int, rtol: float, max_level: int):
+# k: (chart of S^{k-1}_+, panels of the first pass)
+_CHARTS = {2: (_arc_grid, 4), 3: (_octant_grid, 2)}
+
+
+def _refine_rows(frows, count: int, k: int, rtol: float, max_level: int):
+    """Panel-doubling quadrature over S^{k-1}_+ (k = 2, 3) for `count`
+    integrands sharing a grid.
+
+    frows(idx, t) returns integrand values (len(idx), len(t)) at chart
+    nodes t.  Returns (values, error estimates); rows that never meet rtol
+    keep their last refinement delta as the error.
+    """
+    chart, panels = _CHARTS[k]
     vals = np.zeros(count)
     errs = np.zeros(count)
     idx = np.arange(count)
-    panels = 2
-    t, w = _octant_grid(panels)
+    t, w = chart(panels)
     cur = frows(idx, t) @ w
     for _ in range(max_level):
         panels *= 2
-        t, w = _octant_grid(panels)
+        t, w = chart(panels)
         new = frows(idx, t) @ w
         delta = np.abs(new - cur)
         done = delta <= rtol * np.maximum(np.abs(new), 1e-12)
-        vals[idx[done]] = new[done]
-        errs[idx[done]] = delta[done]
+        vals[idx] = new
+        errs[idx] = delta
         cur = new[~done]
         idx = idx[~done]
         if idx.size == 0:
             break
-    if idx.size:
-        t, w = _octant_grid(panels)
-        last = frows(idx, t) @ w
-        vals[idx] = last
-        errs[idx] = np.abs(last - cur)
     return vals, errs
 
 
@@ -263,18 +224,11 @@ def sphere_plus_integrate(f, k: int, rtol: float = 1e-10,
     """
     if k < 2:
         raise InputError("need k >= 2")
-    if k == 2:
-        def rows(idx, theta):
-            t = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-            return np.asarray(f(t), dtype=float)[None, :]
-
-        vals, errs = _refine_rows(rows, 1, 0.0, math.pi / 2.0, rtol, 14)
-        return MCEstimate(float(vals[0]), float(errs[0]), 0)
-    if k == 3:
-        def rows3(idx, t):
-            return np.asarray(f(t), dtype=float)[None, :]
-
-        vals, errs = _refine_rows_k3(rows3, 1, max(rtol, 1e-10), 6)
+    if k in _CHARTS:
+        rtol, levels = (rtol, 14) if k == 2 else (max(rtol, 1e-10), 6)
+        vals, errs = _refine_rows(
+            lambda idx, t: np.asarray(f(t), dtype=float)[None, :], 1, k,
+            rtol, levels)
         return MCEstimate(float(vals[0]), float(errs[0]), 0)
     rng = as_rng(rng)
     t = np.abs(rng.standard_normal((budget, k)))
@@ -320,28 +274,13 @@ def _core_batch(spec: KernelSpec, grams: np.ndarray, kind: str,
         tp = np.prod(t[None, :, :] ** exps[None, None, :], axis=2)
         return tp * base ** (-power)
 
-    if k == 2:
+    if k in _CHARTS:
+        chunk, rtol, levels = (8192, 1e-8, 12) if k == 2 else (512, 1e-6, 5)
         out = np.empty(n)
-        chunk = 8192
         for s in range(0, n, chunk):
             m = min(n, s + chunk) - s
-
-            def rows(idx, theta, _s=s):
-                t = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-                return integrand(idx + _s, t)
-
-            out[s:s + m], _ = _refine_rows(rows, m, 0.0, math.pi / 2.0, 1e-8, 12)
-        return pref * out
-    if k == 3:
-        out = np.empty(n)
-        chunk = 512
-        for s in range(0, n, chunk):
-            m = min(n, s + chunk) - s
-
-            def rows3(idx, t, _s=s):
-                return integrand(idx + _s, t)
-
-            out[s:s + m], _ = _refine_rows_k3(rows3, m, 1e-6, 5)
+            out[s:s + m], _ = _refine_rows(
+                lambda idx, t, _s=s: integrand(idx + _s, t), m, k, rtol, levels)
         return pref * out
     rng = as_rng(rng)
     budget = 200000

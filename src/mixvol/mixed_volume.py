@@ -29,7 +29,8 @@ from .estimates import MCEstimate, combine_product, combine_sum, from_indicator,
 from .exterior import subspace_determinant
 from .kernels import KernelSpec, kernel_values
 from .polytope import Polytope, sum_volume
-from .util import as_rng, multinomial, parallel_map, spawn_rngs
+from .util import (as_rng, check_bodies, check_count, multinomial,
+                   parallel_map, spawn_rngs)
 
 _BRACKET_TOL = 1e-12
 _PROBE_TOL = 1e-9
@@ -66,22 +67,6 @@ class MixedVolumeTable:
         return self.errors.get(tuple(int(n) for n in degrees), 0.0)
 
 
-def _check_bodies(polytopes, degrees):
-    if len(polytopes) < 2:
-        raise InputError("need at least two bodies")
-    d = polytopes[0].dim
-    if any(p.dim != d for p in polytopes):
-        raise InputError("ambient dimension mismatch")
-    degrees = tuple(int(n) for n in degrees)
-    if len(degrees) != len(polytopes):
-        raise InputError("one degree per body required")
-    if any(n < 0 or n > d for n in degrees):
-        raise InputError(f"degrees {degrees} out of range for d={d}")
-    if sum(degrees) != d:
-        raise InputError(f"degrees {degrees} must sum to d={d}")
-    return d, degrees
-
-
 def _compositions(total: int, k: int):
     if k == 1:
         yield (total,)
@@ -104,11 +89,7 @@ def oracle_mixed_volumes(polytopes, rtol: float = 1e-8) -> MixedVolumeTable:
     then stripped so entries are mixed volumes.  Max relative fit residual
     and the grid condition number are reported in `meta`.
     """
-    if not polytopes:
-        raise InputError("need at least one body")
-    d = polytopes[0].dim
-    if any(p.dim != d for p in polytopes):
-        raise InputError("ambient dimension mismatch")
+    d, _ = check_bodies(polytopes)
     k = len(polytopes)
     alphas = list(_compositions(d, k))
     grid = [np.array(t, dtype=float) / (d + 1)
@@ -139,7 +120,7 @@ def schneider_mixed_volume(polytopes, degrees, rng=None, shifts=None) -> float:
     is admissible and the sum does not depend on the draw; pass `shifts`
     to pin x.  Returns the mixed volume (multinomial divided out).
     """
-    d, degrees = _check_bodies(polytopes, degrees)
+    d, degrees = check_bodies(polytopes, degrees)
     k = len(polytopes)
     if shifts is None:
         shifts = random_admissible(polytopes, degrees, as_rng(rng))
@@ -167,6 +148,26 @@ def _finite_cone_combos(cones):
     return np.array(list(itertools.product(*pts)))
 
 
+def _cone_integral(spec: KernelSpec, cones, n_draws: int, rng) -> MCEstimate:
+    """Integral of the kernel over the product of normal-cone spheres.
+
+    Cones that are finite point sets (dimension <= 1) are enumerated
+    exactly; otherwise each cone is sampled uniformly and the kernel mean
+    is multiplied by the cone measures.  `rng` also drives the kernel's own
+    Monte Carlo for k >= 4, so a fixed seed fixes the whole estimate.
+    """
+    if all(c.dim <= 1 for c in cones):
+        vals = kernel_values(spec, _finite_cone_combos(cones), rng=rng)
+        return MCEstimate.exact(float(np.sum(vals)))
+    draws, measures = [], []
+    for c in cones:
+        us, m = cone_sphere_samples(c, n_draws, rng)
+        draws.append(us)
+        measures.append(m)
+    vals = kernel_values(spec, np.stack(draws, axis=1), rng=rng)
+    return combine_product([from_samples(vals)] + measures)
+
+
 def mixed_exterior_angle(faces, polytopes, degrees, rng=None,
                          route: str = "cone-quadrature",
                          samples: int | None = None) -> MCEstimate:
@@ -181,7 +182,9 @@ def mixed_exterior_angle(faces, polytopes, degrees, rng=None,
     routes estimate the same number (the sphere-section identity behind
     the selection rule); cross-checking them is the point of having two.
     """
-    d, degrees = _check_bodies(polytopes, degrees)
+    d, degrees = check_bodies(polytopes, degrees)
+    if samples is not None:
+        check_count(samples)
     k = len(polytopes)
     if len(faces) != k:
         raise InputError("one face per body required")
@@ -212,17 +215,7 @@ def mixed_exterior_angle(faces, polytopes, degrees, rng=None,
     if br <= _BRACKET_TOL:
         return MCEstimate.exact(0.0)
     spec = KernelSpec(d, degrees, "n")
-    if all(c.dim <= 1 for c in cones):
-        total = float(np.sum(kernel_values(spec, _finite_cone_combos(cones))))
-        return MCEstimate.exact(min(br * total, 1.0))
-    n_draws = samples or 20000
-    draws, measures = [], []
-    for c in cones:
-        us, m = cone_sphere_samples(c, n_draws, rng)
-        draws.append(us)
-        measures.append(m)
-    vals = kernel_values(spec, np.stack(draws, axis=1))
-    out = combine_product([from_samples(vals)] + measures).scaled(br)
+    out = _cone_integral(spec, cones, samples or 20000, rng).scaled(br)
     return MCEstimate(min(max(out.value, 0.0), 1.0), out.std_error, out.samples)
 
 
@@ -239,16 +232,18 @@ def _split_budget(weights: np.ndarray, per_tuple: int, floor: int = 32):
     return [max(floor, int(round(total * w / s))) for w in weights]
 
 
-def _corollary_sum(polytopes, degrees, rng, samples, eps, probe, threads) -> MCEstimate:
-    """Sum of br^2 * prod H^{n_i}(F_i) * int F_n over face tuples.
+def _corollary_sum(polytopes, degrees, rng, samples, eps, threads) -> MCEstimate:
+    """Mixed volume from the cone-quadrature expansion of binom(d; n) V.
 
-    This is the right-hand side of the cone-quadrature expansion of
-    binom(d; n) V; callers divide by the multinomial.  Per-tuple RNG
-    streams are spawned in fixed tuple order, so a fixed master seed gives
-    pointwise-coupled draws across different eps values (the cutoff only
-    masks samples, which makes the estimate monotone in eps).
+    Sums br^2 * prod H^{n_i}(F_i) * int F_n over face tuples and divides
+    by the multinomial.  With eps = 0 every tuple is probed for a shared
+    ray first.  Per-tuple RNG streams are spawned in fixed tuple order, so
+    a fixed master seed gives pointwise-coupled draws across different eps
+    values (the cutoff only masks samples, which makes the estimate
+    monotone in eps).
     """
-    d, degrees = _check_bodies(polytopes, degrees)
+    d, degrees = check_bodies(polytopes, degrees)
+    check_count(samples)
     pools = [p.faces(n) for p, n in zip(polytopes, degrees)]
     if any(not pool for pool in pools):
         return MCEstimate.exact(0.0)
@@ -266,24 +261,15 @@ def _corollary_sum(polytopes, degrees, rng, samples, eps, probe, threads) -> MCE
     def one(i: int) -> MCEstimate:
         tup, br = tuples[i]
         cones = [f.normal_cone for f in tup]
-        if probe and _probe_common_ray(cones, d, _PROBE_TOL):
+        if eps == 0.0 and _probe_common_ray(cones, d, _PROBE_TOL):
             raise DivergenceError(
                 "normal cones share a ray on a positive-weight face tuple; "
                 "the quadrature sum diverges (use the eps variant)")
         scale = br * br * math.prod(f.measure for f in tup)
-        if all(c.dim <= 1 for c in cones):
-            total = float(np.sum(kernel_values(spec, _finite_cone_combos(cones),
-                                               rng=rngs[i])))
-            return MCEstimate.exact(scale * total)
-        draws, measures = [], []
-        for c in cones:
-            us, m = cone_sphere_samples(c, budgets[i], rngs[i])
-            draws.append(us)
-            measures.append(m)
-        vals = kernel_values(spec, np.stack(draws, axis=1), rng=rngs[i])
-        return combine_product([from_samples(vals)] + measures).scaled(scale)
+        return _cone_integral(spec, cones, budgets[i], rngs[i]).scaled(scale)
 
-    return combine_sum(parallel_map(one, range(len(tuples)), threads=threads))
+    est = combine_sum(parallel_map(one, range(len(tuples)), threads=threads))
+    return est.scaled(1.0 / multinomial(d, degrees))
 
 
 def angle_mixed_volume(polytopes, degrees, rng=None, samples: int = 20000,
@@ -297,9 +283,7 @@ def angle_mixed_volume(polytopes, degrees, rng=None, samples: int = 20000,
     reallocation.  Raises DivergenceError when some tuple's cones share a
     ray (non-general position).
     """
-    d, degrees = _check_bodies(polytopes, degrees)
-    est = _corollary_sum(polytopes, degrees, rng, samples, 0.0, True, threads)
-    return est.scaled(1.0 / multinomial(d, degrees))
+    return _corollary_sum(polytopes, degrees, rng, samples, 0.0, threads)
 
 
 def epsilon_mixed_volume(polytopes, degrees, eps: float, rng=None,
@@ -312,6 +296,4 @@ def epsilon_mixed_volume(polytopes, degrees, eps: float, rng=None,
     """
     if eps <= 0.0:
         raise InputError("eps must be positive; use angle_mixed_volume for eps=0")
-    d, degrees = _check_bodies(polytopes, degrees)
-    est = _corollary_sum(polytopes, degrees, rng, samples, eps, False, threads)
-    return est.scaled(1.0 / multinomial(d, degrees))
+    return _corollary_sum(polytopes, degrees, rng, samples, eps, threads)

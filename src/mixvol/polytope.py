@@ -42,13 +42,12 @@ class NormalCone:
     `ineq` rows are the unit-normalized (v - c_F); the solution set of the
     inequalities equals the cone exactly (face vertices force equality).
     `span` is an orthonormal frame of lin(F)^perp, the linear span of the
-    cone.  `lineality_dim` > 0 happens only for lower-dimensional bodies.
+    cone.
     """
 
     ineq: np.ndarray
     span: np.ndarray
     generators: np.ndarray
-    lineality_dim: int
 
     @property
     def ambient_dim(self) -> int:
@@ -58,14 +57,6 @@ class NormalCone:
     def dim(self) -> int:
         """Linear dimension of the cone (= d - dim F)."""
         return self.span.shape[1]
-
-    @property
-    def sphere_dim(self) -> int:
-        return self.dim - 1
-
-    @property
-    def pointed(self) -> bool:
-        return self.lineality_dim == 0
 
     def contains(self, u, tol: float = 1e-9) -> bool:
         u = np.asarray(u, dtype=float)
@@ -107,8 +98,7 @@ def _build_cone(all_vertices: np.ndarray, face_vertices: np.ndarray,
         gens.append(q.reshape(1, -1))
         gens.append(-q.reshape(1, -1))
     generators = np.vstack(gens) if gens else np.zeros((0, all_vertices.shape[1]))
-    lin_dim = lineality_basis.shape[1]
-    return NormalCone(ineq=rows, span=span, generators=generators, lineality_dim=lin_dim)
+    return NormalCone(ineq=rows, span=span, generators=generators)
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +428,6 @@ class Polytope:
         if not self.is_full_dimensional():
             return 0.0
         return _pyramid_volume(self.vertices, self.facets, self._tol())
-
-    def face_measure(self, face: Face) -> float:
-        return face.measure
 
     def euler_check(self) -> bool:
         counts = {j: len(fs) for j, fs in self.face_lattice().items()

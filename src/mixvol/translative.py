@@ -24,7 +24,8 @@ from .exterior import subspace_determinant
 from .kernels import KernelSpec, hull_distance_batch, kernel_values
 from .mixed_volume import oracle_mixed_volumes
 from .polytope import Polytope
-from .util import as_rng, chunk_sizes, complete_basis
+from .util import (as_rng, check_bodies, check_count, chunk_sizes,
+                   complete_basis)
 
 _DET_TOL = 1e-9
 _FEAS_TOL = 1e-9
@@ -70,11 +71,7 @@ class TranslativeTable:
 
 
 def _check_translative(polytopes, j: int):
-    if len(polytopes) < 2:
-        raise InputError("need at least two bodies")
-    d = polytopes[0].dim
-    if any(p.dim != d for p in polytopes):
-        raise InputError("ambient dimension mismatch")
+    d, _ = check_bodies(polytopes)
     if d > 3:
         raise InputError("translation sampling is implemented for d <= 3")
     if not (0 <= j <= d - 1):
@@ -118,16 +115,25 @@ def _tensor_pass(spec: KernelSpec, cones, order: int) -> float:
     return float(w @ kernel_values(spec, us))
 
 
-def _gl_refine(f, a: float, b: float, rtol: float) -> float:
+def _order_doubling(value, rtol: float) -> float:
+    """value(order) for Gauss-Legendre orders 16, 32, .., 1024 until two
+    successive values agree to rtol."""
     order, prev = 16, None
     while order <= 1024:
-        x, w = np.polynomial.legendre.leggauss(order)
-        cur = 0.5 * (b - a) * float(w @ f(a + 0.5 * (x + 1.0) * (b - a)))
+        cur = value(order)
         if prev is not None and abs(cur - prev) <= rtol * max(1.0, abs(cur)):
             return cur
         prev, order = cur, order * 2
     raise EstimationError("cone quadrature did not stabilize; the integrand "
                           "is near-singular (try the eps variant)")
+
+
+def _gl_refine(f, a: float, b: float, rtol: float) -> float:
+    def value(order):
+        x, w = np.polynomial.legendre.leggauss(order)
+        return 0.5 * (b - a) * float(w @ f(a + 0.5 * (x + 1.0) * (b - a)))
+
+    return _order_doubling(value, rtol)
 
 
 def _sign_changes(gap, lo: float, hi: float, n: int = 512,
@@ -199,14 +205,7 @@ def _cone_product_integral(spec: KernelSpec, cones, rtol: float = 1e-9) -> float
         arcs = [i for i, c in enumerate(cones) if c.dim == 2]
         if len(arcs) == 1:
             return _cutoff_arc_integral(spec, cones, arcs[0], rtol)
-    order, prev = 16, None
-    while order <= 1024:
-        cur = _tensor_pass(spec, cones, order)
-        if prev is not None and abs(cur - prev) <= rtol * max(1.0, abs(cur)):
-            return cur
-        prev, order = cur, order * 2
-    raise EstimationError("cone quadrature did not stabilize; the integrand "
-                          "is near-singular (try the eps variant)")
+    return _order_doubling(lambda order: _tensor_pass(spec, cones, order), rtol)
 
 
 def curvature_mixed_functional(polytopes, r, eps: float = 0.0) -> float:
@@ -221,18 +220,7 @@ def curvature_mixed_functional(polytopes, r, eps: float = 0.0) -> float:
     probed first and reported as divergent; eps > 0 cuts the kernel off at
     hull distance eps and always converges.
     """
-    if len(polytopes) < 2:
-        raise InputError("need at least two bodies")
-    d = polytopes[0].dim
-    if any(p.dim != d for p in polytopes):
-        raise InputError("ambient dimension mismatch")
-    r = tuple(int(x) for x in r)
-    if len(r) != len(polytopes):
-        raise InputError("one degree per body required")
-    if any(not 1 <= ri <= d - 1 for ri in r):
-        raise InputError(f"degrees must lie in [1, {d - 1}]")
-    if sum(r) < (len(r) - 1) * d:
-        raise InputError("degree sum below (k-1)*d")
+    d, r = check_bodies(polytopes, r, "r")
     spec = KernelSpec(d, r, "r", epsilon=eps)
     total = 0.0
     for tup in itertools.product(*[p.faces(ri) for p, ri in zip(polytopes, r)]):
@@ -453,6 +441,7 @@ def translative_integral_mc(polytopes, j: int, rng=None,
     this equals the sum of V_r over all r with sum r = (k-1)d + j.
     """
     d = _check_translative(polytopes, j)
+    check_count(samples)
     k = len(polytopes)
     rng = as_rng(rng)
     unit = rng.random((samples, (k - 1) * d))
@@ -473,11 +462,15 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
     sigmas).
     """
     d = _check_translative(polytopes, j)
+    check_count(samples)
     k = len(polytopes)
     rng = as_rng(rng)
     r_list = _degree_tuples(d, k, j)
     if any(float(v) <= 0.0 for v in lambdas):
         raise InputError("scaling factors must be positive")
+    if len(lambdas) ** k < len(r_list):
+        raise InputError(f"{len(lambdas)} scaling factors give {len(lambdas) ** k} "
+                         f"grid values for {len(r_list)} unknowns")
     combos = list(itertools.product([float(v) for v in lambdas], repeat=k))
     design = np.array([[math.prod(lam ** ri for lam, ri in zip(combo, r))
                         for r in r_list] for combo in combos])
@@ -506,10 +499,6 @@ def duality_check(K: Polytope, L: Polytope, n: int):
     deterministic (curvature quadrature vs expansion oracle).
     """
     d = K.dim
-    if L.dim != d:
-        raise InputError("ambient dimension mismatch")
-    if not (1 <= n <= d - 1):
-        raise InputError(f"n={n} out of range for d={d}")
     lhs = curvature_mixed_functional([K, L], (n, d - n))
     table = oracle_mixed_volumes([K, L.negate()])
     rhs = float(math.comb(d, n)) * table.value((n, d - n))

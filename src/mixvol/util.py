@@ -1,4 +1,5 @@
-"""Small numeric helpers: sphere constants, combinatorics, orthonormalization, RNG plumbing."""
+"""Small helpers: the one input rule for bodies, degrees and counts, sphere
+constants, combinatorics, orthonormalization, RNG plumbing."""
 
 from __future__ import annotations
 
@@ -30,6 +31,60 @@ def multinomial(d: int, parts) -> int:
     for p in parts:
         out //= math.factorial(p)
     return out
+
+
+def check_degrees(d: int, degrees, mode: str = "n") -> tuple:
+    """The multidegree rule shared by every route; returns the degrees as ints.
+
+    mode "n" (mixed volumes V(K_1[n_1], .., K_k[n_k])): each n_i in 0..d-1
+    and the n_i sum to d.  mode "r" (translative functionals V_r): each r_i
+    in 1..d-1 and the r_i sum to at least (k-1)d.  Both need k >= 2.
+    """
+    try:
+        ints = tuple(int(x) for x in degrees)
+        integral = all(i == x for i, x in zip(ints, degrees))
+    except (TypeError, ValueError):
+        integral = False
+    if not integral:
+        raise InputError(f"degrees must be integers, got {degrees!r}")
+    degrees = ints
+    k = len(degrees)
+    if k < 2:
+        raise InputError("need at least two bodies")
+    if mode == "n":
+        lo, ok, rule = 0, sum(degrees) == d, f"sum to d={d}"
+    elif mode == "r":
+        lo, ok = 1, sum(degrees) >= (k - 1) * d
+        rule = f"sum to at least (k-1)d={(k - 1) * d}"
+    else:
+        raise InputError('degree mode must be "n" or "r"')
+    if any(not lo <= x <= d - 1 for x in degrees):
+        raise InputError(f"degrees {degrees} must lie in {lo}..{d - 1}")
+    if not ok:
+        raise InputError(f"degrees {degrees} must {rule}")
+    return degrees
+
+
+def check_bodies(polytopes, degrees=None, mode: str = "n"):
+    """(d, degrees) for at least two bodies of one ambient dimension; the
+    degrees (one per body) follow check_degrees, None skips them."""
+    if len(polytopes) < 2:
+        raise InputError("need at least two bodies")
+    d = polytopes[0].dim
+    if any(p.dim != d for p in polytopes):
+        raise InputError("ambient dimension mismatch")
+    if degrees is None:
+        return d, None
+    if len(degrees) != len(polytopes):
+        raise InputError("one degree per body required")
+    return d, check_degrees(d, degrees, mode)
+
+
+def check_count(n, name: str = "samples") -> int:
+    """A positive integer count (sample budgets, trial counts)."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InputError(f"{name} must be a positive integer, got {n!r}")
+    return int(n)
 
 
 def as_rng(rng_or_seed) -> np.random.Generator:

@@ -157,3 +157,21 @@ def test_verify_exit_tracks_suite_result(capsys, monkeypatch):
                         lambda suite, seed: {"passed": False})
     assert cli.main(["verify", "--suite", "quick", "--seed", "7"]) == 1
     assert "suite quick: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    # the oracle gives vol(cube) = 1 here; n_i = d is outside the rule
+    ["mixed-volume", "--gen", "cube,simplex", "--dim", "3", "--method",
+     "schneider", "--degrees", "3,0", "--seed", "1"],
+    ["translative", "--gen", "cube,diamond", "--dim", "2", "--j", "1",
+     "--seed", "1", "--samples", "0"],
+    ["translative", "--gen", "cube,diamond", "--dim", "2", "--j", "1",
+     "--seed", "1", "--samples", "0", "--decompose"],
+    ["translative", "--gen", "cube,diamond", "--dim", "2", "--j", "1",
+     "--seed", "1", "--samples", "-5"],
+], ids=["schneider-n_i=d", "samples-0", "decompose-samples-0", "samples-neg"])
+def test_invalid_degrees_and_samples_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error:")

@@ -153,6 +153,17 @@ def test_sphere_plus_integrate_constant():
         assert got.value == pytest.approx(omega(k) / 2.0 ** k, rel=1e-6)
 
 
+
+def test_sphere_plus_integrate_flags_non_convergence():
+    # a kink the panel doubling cannot resolve to 1e-10 within its levels:
+    # the value is the finest level's and the error its last delta, not 0
+    got = sphere_plus_integrate(
+        lambda t: 1.0 / np.maximum(np.abs(t[:, 0] - 0.7), 1e-3), 2)
+    assert got.std_error > 1e-10 * got.value
+    smooth = sphere_plus_integrate(lambda t: t[:, 0] ** 2, 2)
+    assert smooth.value == pytest.approx(math.pi / 4.0, rel=1e-12)
+    assert smooth.std_error <= 1e-10 * smooth.value
+
 def test_projection_selftest_anchor():
     est, target = sphere_projection_selftest(4, 2, 1.0, rng=12,
                                              samples=20000)

@@ -169,6 +169,16 @@ def test_mixed_exterior_angle_validates_faces():
         mixed_exterior_angle((Q.faces(1)[0],), [Q, D], (1, 1), rng=0)
 
 
+
+def test_exterior_angle_k4_is_seed_reproducible():
+    # k >= 4 kernels are Monte Carlo in t; the seed must drive them too
+    segs = [segment(4, i) for i in range(4)]
+    faces = [s.faces(1)[0] for s in segs]
+    a = mixed_exterior_angle(faces, segs, (1, 1, 1, 1), rng=3, samples=4)
+    b = mixed_exterior_angle(faces, segs, (1, 1, 1, 1), rng=3, samples=4)
+    assert a == b
+    assert 0.0 < a.value <= 1.0
+
 def test_angle_route_3d_within_error(rng):
     bodies = [cube(3), diamond(3)]
     want = oracle_mixed_volumes(bodies).value((1, 2))

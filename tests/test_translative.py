@@ -150,6 +150,12 @@ def test_translative_validation():
     with pytest.raises(InputError):
         decompose_homogeneous([cube(2), diamond(2)], 0, rng=0, samples=100,
                               lambdas=(1.0, -1.0, 2.0))
+    # one factor gives one grid value for the three unknowns V_(3,1),
+    # V_(2,2), V_(1,3); that 1x3 design has condition number 1 and would
+    # pass the conditioning check
+    with pytest.raises(InputError):
+        decompose_homogeneous([cube(3), diamond(3)], 1, rng=0, samples=10,
+                              lambdas=(1.0,))
 
 
 def test_translative_seed_reproducible():
