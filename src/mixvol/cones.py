@@ -4,6 +4,12 @@ Measures and sampling for n(P,F) = N(P,F) cap S^{d-1}, external angles,
 LP-based cone feasibility, admissible direction tuples, and the two
 general-position tests used by the mixed-volume and translative routes.
 
+The general-position probes ("the cones share a ray", "0 lies in the hull
+of unit normals") need no LP: each is one test of whether a cone
+{u : a u <= 0} holds a nonzero vector, decided from its candidate extreme
+rays.  The LP remains for cones_intersect, intersection_status and the
+zero-in-hull probe on three or more cones.
+
 Sphere measures are exact for cones of linear dimension <= 2 (point counts
 and arc lengths) and rejection Monte Carlo above that; all MC is chunked
 over spawned RNG streams so results do not depend on thread count.
@@ -21,7 +27,7 @@ import numpy as np
 from .errors import EstimationError, InputError
 from .estimates import MCEstimate
 from .lp import lp_feasible
-from .polytope import Face, NormalCone, Polytope
+from .polytope import Face, NormalCone, Polytope, _batched_normals
 from .util import as_rng, check_bodies, omega
 
 _TOL = 1e-9
@@ -279,31 +285,50 @@ def random_admissible(polytopes, degrees, rng, verify: bool = False,
 # general position
 
 
-def _probe_common_ray(cones, d: int, tol: float) -> bool:
-    """True iff some u != 0 lies in every cone (probed per coordinate sign)."""
-    rows = [c.ineq for c in cones if c.ineq.shape[0]]
-    if not rows:
+def _cone_has_ray(a: np.ndarray, tol: float) -> bool:
+    """True iff the cone {u : a u <= 0} holds some u != 0.
+
+    A cone with a line holds one (fewer rows than dimensions, or a
+    singular value <= tol).  A pointed cone other than {0} has an extreme
+    ray, the null vector of some dim - 1 independent rows (Minkowski-Weyl),
+    so trying every such null vector with both signs decides it.  Each
+    candidate is scaled to max-norm 1, the normalization of a pinned-
+    coordinate LP, so tol means the same as in lp_feasible.
+    """
+    m, dim = a.shape
+    if m < dim or np.linalg.svd(a, compute_uv=False)[-1] <= tol:
         return True
-    a_ub = np.vstack(rows)
-    b_ub = np.zeros(a_ub.shape[0])
-    for c in range(d):
-        e = np.zeros((1, d))
-        e[0, c] = 1.0
-        for s in (1.0, -1.0):
-            feasible, _ = lp_feasible(a_ub, b_ub, A_eq=s * e, b_eq=np.ones(1), tol=tol)
-            if feasible:
-                return True
+    # chunked, so that cones with hundreds of rows stay within memory
+    combos = itertools.combinations(range(m), dim - 1)
+    while len(idx := np.array(list(itertools.islice(combos, 1 << 13)),
+                              dtype=int)):
+        subsets = a[idx]
+        rays = _batched_normals(subsets) if dim <= 4 else \
+            np.linalg.svd(subsets)[2][:, -1]
+        size = np.abs(rays).max(axis=1)
+        keep = size > 1e-12
+        vals = a @ (rays[keep] / size[keep, None]).T
+        if ((vals.max(axis=0) <= tol) | (vals.min(axis=0) >= -tol)).any():
+            return True
     return False
 
 
-def _probe_zero_in_hull(cones, d: int, tol: float) -> bool:
+def _probe_common_ray(cones, tol: float) -> bool:
+    """True iff some u != 0 lies in every cone."""
+    return _cone_has_ray(np.vstack([c.ineq for c in cones]), tol)
+
+
+def _probe_zero_in_hull(cones, tol: float) -> bool:
     """True iff unit vectors u_i in the cones can capture 0 in their hull.
 
-    Equivalent LP form: w_i in N_i, sum_i w_i = 0, not all w_i zero; the
+    Two cones: u_1 = -u_2, so N_1 and -N_2 share a ray.  From three cones
+    on it is the LP w_i in N_i, sum_i w_i = 0, not all w_i zero, where the
     "not all zero" is probed by pinning one coordinate of one block to +-1.
     Correct for cones with lineality (no pointedness assumed).
     """
-    k = len(cones)
+    if len(cones) == 2:
+        return _cone_has_ray(np.vstack([cones[0].ineq, -cones[1].ineq]), tol)
+    k, d = len(cones), cones[0].ambient_dim
     blocks = []
     for i, c in enumerate(cones):
         if c.ineq.shape[0] == 0:
@@ -352,9 +377,9 @@ def general_position(polytopes, degrees, mode: str, tol: float = _TOL) -> bool:
             if stacked.shape[1] and \
                     np.linalg.matrix_rank(stacked, tol=1e-9) == d:
                 continue
-            if _probe_common_ray(cones, d, tol):
+            if _probe_common_ray(cones, tol):
                 return False
         else:
-            if _probe_zero_in_hull(cones, d, tol):
+            if _probe_zero_in_hull(cones, tol):
                 return False
     return True

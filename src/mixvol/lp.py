@@ -76,12 +76,9 @@ def lp_feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None, tol: float = 1e-9):
 
     # reduced cost row for phase 1
     z = cost.copy()
-    obj = 0.0
     for i in range(m):
         if cost[basis[i]]:
             z -= T[i]
-            obj -= bb[i]
-    # obj tracks -(sum of artificial basics); objective value = -obj
 
     it_cap = 200 * (m + ncols)
     for _ in range(it_cap):
@@ -111,17 +108,24 @@ def lp_feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None, tol: float = 1e-9):
                 f = T[i, enter]
                 T[i] -= f * T[leave]
                 bb[i] -= f * bb[leave]
-        f = z[enter]
-        z -= f * T[leave]
-        obj -= f * bb[leave]
+        z -= z[enter] * T[leave]
         basis[leave] = enter
 
-    value = -obj
-    feasible = value <= tol * scale
-    if not feasible:
+    # After ill-conditioned pivots neither an incrementally tracked phase-1
+    # objective nor the tableau itself can be trusted: the tracked sum can
+    # go negative while the basic artificials are far from 0, and a zero
+    # artificial sum can sit on a point that misses the rows.  So sum the
+    # artificials afresh and check the point against the original system.
+    if float(np.abs(bb[cost[basis] > 0.0]).sum()) > tol * scale:
         return False, None
     x = np.zeros(2 * n)
     for i in range(m):
         if basis[i] < 2 * n:
             x[basis[i]] = bb[i]
-    return True, x[:n] - x[n:2 * n]
+    x = x[:n] - x[n:2 * n]
+    resid = A @ x - b
+    eq = np.array(kinds) == "eq"
+    resid[eq] = np.abs(resid[eq])
+    if float(resid.max()) > tol * scale:
+        return False, None
+    return True, x

@@ -28,7 +28,7 @@ from .errors import DivergenceError, InputError
 from .estimates import MCEstimate, combine_product, combine_sum, from_indicator, from_samples
 from .exterior import subspace_determinant
 from .kernels import KernelSpec, kernel_values
-from .polytope import Polytope, sum_volume
+from .polytope import sum_volume
 from .util import (as_rng, check_bodies, check_count, multinomial,
                    parallel_map, spawn_rngs)
 
@@ -208,7 +208,7 @@ def mixed_exterior_angle(faces, polytopes, degrees, rng=None,
     cones = [f.normal_cone for f in faces]
     # probe before the bracket shortcut: a shared ray forces bracket 0 when
     # the degrees sum to d, but the kernel integral itself still diverges
-    if _probe_common_ray(cones, d, _PROBE_TOL):
+    if _probe_common_ray(cones, _PROBE_TOL):
         raise DivergenceError("normal cones share a ray; the spread kernel "
                               "is not integrable on this face tuple")
     br = subspace_determinant([f.frame for f in faces])
@@ -261,7 +261,7 @@ def _corollary_sum(polytopes, degrees, rng, samples, eps, threads) -> MCEstimate
     def one(i: int) -> MCEstimate:
         tup, br = tuples[i]
         cones = [f.normal_cone for f in tup]
-        if eps == 0.0 and _probe_common_ray(cones, d, _PROBE_TOL):
+        if eps == 0.0 and _probe_common_ray(cones, _PROBE_TOL):
             raise DivergenceError(
                 "normal cones share a ray on a positive-weight face tuple; "
                 "the quadrature sum diverges (use the eps variant)")

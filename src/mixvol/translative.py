@@ -21,10 +21,10 @@ from .cones import _arc_interval, _probe_zero_in_hull, _ray_points
 from .errors import DivergenceError, EstimationError, InputError
 from .estimates import MCEstimate, from_samples
 from .exterior import subspace_determinant
-from .kernels import KernelSpec, hull_distance_batch, kernel_values
+from .kernels import KernelSpec, _gl, hull_distance_batch, kernel_values
 from .mixed_volume import oracle_mixed_volumes
 from .polytope import Polytope
-from .util import (as_rng, check_bodies, check_count, chunk_sizes,
+from .util import (as_integer, as_rng, check_bodies, check_count, chunk_sizes,
                    complete_basis)
 
 _DET_TOL = 1e-9
@@ -74,8 +74,8 @@ def _check_translative(polytopes, j: int):
     d, _ = check_bodies(polytopes)
     if d > 3:
         raise InputError("translation sampling is implemented for d <= 3")
-    if not (0 <= j <= d - 1):
-        raise InputError(f"j={j} out of range for d={d}")
+    if as_integer(j) is None or not 0 <= j <= d - 1:
+        raise InputError(f"j={j!r} must be an integer in 0..{d - 1}")
     return d
 
 
@@ -96,7 +96,7 @@ def _cone_nodes(cone, order: int):
         return pts, np.ones(len(pts))
     if cone.dim == 2:
         start, length, q = _arc_interval(cone)
-        x, w = np.polynomial.legendre.leggauss(order)
+        x, w = _gl(order)
         theta = start + 0.5 * (x + 1.0) * length
         us = np.stack([np.cos(theta), np.sin(theta)], axis=1) @ q.T
         return us, w * 0.5 * length
@@ -130,7 +130,7 @@ def _order_doubling(value, rtol: float) -> float:
 
 def _gl_refine(f, a: float, b: float, rtol: float) -> float:
     def value(order):
-        x, w = np.polynomial.legendre.leggauss(order)
+        x, w = _gl(order)
         return 0.5 * (b - a) * float(w @ f(a + 0.5 * (x + 1.0) * (b - a)))
 
     return _order_doubling(value, rtol)
@@ -229,7 +229,7 @@ def curvature_mixed_functional(polytopes, r, eps: float = 0.0) -> float:
             continue
         cones = [f.normal_cone for f in tup]
         if eps == 0.0 and any(c.dim >= 2 for c in cones) and \
-                _probe_zero_in_hull(cones, d, _DET_TOL):
+                _probe_zero_in_hull(cones, _DET_TOL):
             raise DivergenceError(
                 "0 lies in the convex hull of normal picks on a "
                 "positive-weight face tuple; V_r quadrature diverges "

@@ -33,6 +33,17 @@ def multinomial(d: int, parts) -> int:
     return out
 
 
+def as_integer(x):
+    """int(x) when x is an integral number other than a bool, else None."""
+    if isinstance(x, (bool, np.bool_)):
+        return None
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == x else None
+
+
 def check_degrees(d: int, degrees, mode: str = "n") -> tuple:
     """The multidegree rule shared by every route; returns the degrees as ints.
 
@@ -40,12 +51,8 @@ def check_degrees(d: int, degrees, mode: str = "n") -> tuple:
     and the n_i sum to d.  mode "r" (translative functionals V_r): each r_i
     in 1..d-1 and the r_i sum to at least (k-1)d.  Both need k >= 2.
     """
-    try:
-        ints = tuple(int(x) for x in degrees)
-        integral = all(i == x for i, x in zip(ints, degrees))
-    except (TypeError, ValueError):
-        integral = False
-    if not integral:
+    ints = tuple(map(as_integer, degrees)) if np.iterable(degrees) else (None,)
+    if None in ints:
         raise InputError(f"degrees must be integers, got {degrees!r}")
     degrees = ints
     k = len(degrees)

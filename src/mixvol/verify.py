@@ -17,9 +17,7 @@ import time
 
 import numpy as np
 
-from .cones import cones_intersect
 from .errors import DivergenceError
-from .estimates import combine_sum
 from .exterior import Subspace, graded_scalar_product, wedge_norm_sq
 from .flag_calculus import (closed_d_matrix, estimate_d_matrix,
                             flag_mixed_functional, flag_mixed_volume,
@@ -27,9 +25,8 @@ from .flag_calculus import (closed_d_matrix, estimate_d_matrix,
 from .generators import cube, diamond, rotated_cube, segment, simplex
 from .kernels import (KernelSpec, in_star_region, kernel_values, perp_spread,
                       perp_spread_batch, sphere_projection_selftest)
-from .mixed_volume import (angle_mixed_volume, epsilon_mixed_volume,
-                           mixed_exterior_angle, oracle_mixed_volumes,
-                           schneider_mixed_volume)
+from .mixed_volume import (angle_mixed_volume, mixed_exterior_angle,
+                           oracle_mixed_volumes, schneider_mixed_volume)
 from .translative import (curvature_mixed_functional, decompose_homogeneous,
                           duality_check, translative_integral_mc)
 from .util import as_rng, multinomial, random_rotation, random_unit_vectors

@@ -1,16 +1,23 @@
 """Normal cones on the sphere: measures, sampling, intersection probes."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from mixvol.cones import (ShiftedCone, cone_sphere_samples, cones_intersect,
+import mixvol.cones
+from mixvol.cones import (ShiftedCone, _probe_common_ray, _probe_zero_in_hull,
+                          cone_sphere_samples, cones_intersect,
                           external_angle, general_position,
                           random_admissible, random_direction_tuple,
                           spherical_measure)
 from mixvol.errors import InputError
-from mixvol.generators import cube, diamond, simplex
+from mixvol.generators import cube, diamond, rotated_cube, segment, simplex
+from mixvol.lp import lp_feasible
+from mixvol.mixed_volume import angle_mixed_volume
+from mixvol.translative import curvature_mixed_functional
+from mixvol.util import random_rotation
 
 
 def test_square_vertex_angle_is_quarter():
@@ -88,3 +95,130 @@ def test_general_position_translative_mode():
     assert general_position([Q, diamond(2)], (1, 1), "translative")
     with pytest.raises(InputError):
         general_position([Q, Q], (1, 1), "bogus")
+
+
+# ---------------------------------------------------------------------------
+# general-position probes against their pinned-LP form
+
+
+def _lp_common_ray(cones, tol=1e-9):
+    """Some u != 0 in every cone: one LP per pinned coordinate and sign."""
+    a = np.vstack([c.ineq for c in cones])
+    d = a.shape[1]
+    for c, s in itertools.product(range(d), (1.0, -1.0)):
+        e = np.zeros((1, d))
+        e[0, c] = s
+        if lp_feasible(a, np.zeros(len(a)), A_eq=e, b_eq=np.ones(1), tol=tol)[0]:
+            return True
+    return False
+
+
+def _lp_zero_in_hull(cones, tol=1e-9):
+    """w_i in N_i summing to 0, one coordinate of one block pinned to +-1."""
+    k, d = len(cones), cones[0].ambient_dim
+    a_ub = np.zeros((0, k * d))
+    for i, c in enumerate(cones):
+        block = np.zeros((len(c.ineq), k * d))
+        block[:, i * d:(i + 1) * d] = c.ineq
+        a_ub = np.vstack([a_ub, block])
+    for c, s in itertools.product(range(k * d), (1.0, -1.0)):
+        pin = np.zeros((1, k * d))
+        pin[0, c] = s
+        a_eq = np.vstack([np.tile(np.eye(d), (1, k)), pin])
+        b_eq = np.concatenate([np.zeros(d), [1.0]])
+        if lp_feasible(a_ub, np.zeros(len(a_ub)), A_eq=a_eq, b_eq=b_eq,
+                       tol=tol)[0]:
+            return True
+    return False
+
+
+def _probe_tuples(d, per_pair):
+    """Seeded face pairs (all face dimensions mixed) over cube, simplex,
+    diamond, segment and rotated-cube bodies; identical bodies under a
+    common rotation share rays, segment cones have lineality."""
+    rot = random_rotation(d, np.random.default_rng(d))
+    bodies = [cube(d), simplex(d), diamond(d), segment(d), rotated_cube(d, 3)]
+    pairs = list(itertools.combinations_with_replacement(bodies, 2))
+    pairs += [(b.transform(rot), b.transform(rot)) for b in bodies[:3]]
+    rng = np.random.default_rng(100 + d)
+    out = []
+    for p, q in pairs:
+        fp = [f for j in range(d) for f in p.faces(j)]
+        fq = [f for j in range(d) for f in q.faces(j)]
+        for _ in range(per_pair):
+            out.append([fp[rng.integers(len(fp))].normal_cone,
+                        fq[rng.integers(len(fq))].normal_cone])
+    return out
+
+
+@pytest.mark.parametrize("d,per_pair", [(2, 30), (3, 30), (4, 15)])
+def test_probes_match_pinned_lp(d, per_pair):
+    tuples = _probe_tuples(d, per_pair)
+    ray = [_probe_common_ray(c, 1e-9) for c in tuples]
+    hull = [_probe_zero_in_hull(c, 1e-9) for c in tuples]
+    assert ray == [_lp_common_ray(c) for c in tuples]
+    assert hull == [_lp_zero_in_hull(c) for c in tuples]
+    # both answers occur, so the comparison decides something
+    assert 0 < sum(ray) < len(ray) and 0 < sum(hull) < len(hull)
+
+
+def test_common_ray_probe_three_cones():
+    Q, rot = cube(3), random_rotation(3, np.random.default_rng(5))
+    bodies = [Q, Q.transform(rot), diamond(3)]
+    for tup in itertools.islice(itertools.product(
+            *[b.faces(1)[:4] for b in bodies]), 40):
+        cones = [f.normal_cone for f in tup]
+        assert _probe_common_ray(cones, 1e-9) == _lp_common_ray(cones)
+
+
+def test_probes_on_shared_and_opposite_rays():
+    Q = rotated_cube(3, 8)
+    v = Q.faces(0)[0]
+    e = next(f for f in Q.faces(1) if v.vertex_ids[0] in f.vertex_ids)
+    # a vertex cone holds the cone of an edge through it
+    assert _probe_common_ray([v.normal_cone, e.normal_cone], 1e-9)
+    # a cone and its antipodal face cone capture 0 between them
+    far = max(Q.faces(0), key=lambda f: np.linalg.norm(f.centroid - v.centroid))
+    assert _probe_zero_in_hull([v.normal_cone, far.normal_cone], 1e-9)
+    assert not _probe_common_ray([v.normal_cone, far.normal_cone], 1e-9)
+    assert not _probe_zero_in_hull([v.normal_cone, v.normal_cone], 1e-9)
+    # a segment's own normal cone is a hyperplane: it holds lines
+    s = segment(3).faces(1)[0].normal_cone
+    assert _probe_common_ray([s, s], 1e-9) and _probe_zero_in_hull([s, s], 1e-9)
+
+
+def test_two_cone_probes_make_no_lp_call(monkeypatch):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("k = 2 probe called the LP")
+
+    calls = []
+    has_ray = mixvol.cones._cone_has_ray
+    monkeypatch.setattr(mixvol.cones, "lp_feasible", no_lp)
+    monkeypatch.setattr(mixvol.cones, "_cone_has_ray",
+                        lambda a, tol: calls.append(a.shape) or has_ray(a, tol))
+    curvature_mixed_functional([cube(3), diamond(3)], (1, 2))
+    n_curvature = len(calls)
+    angle_mixed_volume([cube(2), diamond(2)], (1, 1), rng=0, samples=200)
+    assert n_curvature > 0 and len(calls) > n_curvature
+
+
+@pytest.mark.parametrize("first,second,pin", [
+    (lambda: rotated_cube(4, 6).faces(0)[14], lambda: diamond(4).faces(3)[0],
+     (1, -1.0)),
+    (lambda: rotated_cube(4, 1).faces(1)[28], lambda: simplex(4).faces(1)[6],
+     (0, 1.0)),
+], ids=["negative-objective", "drifted-tableau"])
+def test_lp_rejects_infeasible_block_system(first, second, pin):
+    """d = 4 zero-in-hull block systems, pinned at block 0, that the LP once
+    called feasible with a point missing its own rows by 2.7 to 1.9e11:
+    once through a tracked phase-1 objective that went negative, once
+    through a zero artificial sum on a drifted tableau."""
+    n1, n2 = first().normal_cone.ineq, second().normal_cone.ineq
+    a_ub = np.zeros((len(n1) + len(n2), 8))
+    a_ub[:len(n1), :4] = n1
+    a_ub[len(n1):, 4:] = n2
+    e = np.zeros((1, 8))
+    e[0, pin[0]] = pin[1]
+    a_eq = np.vstack([np.tile(np.eye(4), (1, 2)), e])
+    b_eq = np.concatenate([np.zeros(4), [1.0]])
+    assert not lp_feasible(a_ub, np.zeros(len(a_ub)), A_eq=a_eq, b_eq=b_eq)[0]

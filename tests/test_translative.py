@@ -147,6 +147,9 @@ def test_translative_validation():
         translative_integral_mc([cube(2), diamond(2)], 2, rng=0)
     with pytest.raises(InputError):
         translative_integral_mc([cube(2), diamond(3)], 0, rng=0)
+    # j = 0.5 once ran as j = 1
+    with pytest.raises(InputError):
+        translative_integral_mc([cube(3), diamond(3)], 0.5, rng=0, samples=200)
     with pytest.raises(InputError):
         decompose_homogeneous([cube(2), diamond(2)], 0, rng=0, samples=100,
                               lambdas=(1.0, -1.0, 2.0))

@@ -68,6 +68,7 @@ N_CASES = [
     ("negative degree", [Q2, D2], (-1, 3), 10, False, False),
     ("wrong sum", [Q2, D2], (1, 0), 10, False, False),
     ("fractional degrees", [Q2, D2], (1.5, 0.5), 10, False, False),
+    ("boolean degrees", [Q2, D2], (True, 1), 10, False, False),
     ("samples = 0", [Q2, D2], (1, 1), 0, False, True),
     ("samples < 0", [Q2, D2], (1, 1), -5, False, True),
 ]
@@ -79,6 +80,7 @@ R_CASES = [
     ("r_i = d", [Q3, D3], (3, 2), 10, False, False),
     ("r_i = 0", [Q3, D3], (0, 2), 10, False, False),
     ("sum below (k-1)d", [Q3, D3], (1, 1), 10, False, False),
+    ("boolean degrees", [Q3, D3], (True, 2), 10, False, False),
     ("samples = 0", [Q3, D3], (2, 2), 0, False, True),
     ("samples < 0", [Q3, D3], (2, 2), -5, False, True),
 ]
@@ -121,9 +123,10 @@ def test_translative_routes_reject(call, bodies, degrees, samples):
 ], ids=["translative-mc", "decompose"])
 @pytest.mark.parametrize("bodies,j,samples", [
     ([Q2], 0, 10), ([Q2, Q3], 0, 10), ([Q2, D2], 2, 10), ([Q2, D2], -1, 10),
-    ([Q2, D2], 0, 0), ([Q2, D2], 1, -5),
+    ([Q2, D2], 0, 0), ([Q2, D2], 1, -5), ([Q3, D3], 0.5, 10),
+    ([Q3, D3], True, 10),
 ], ids=["too few bodies", "dimension mismatch", "j = d", "j < 0",
-        "samples = 0", "samples < 0"])
+        "samples = 0", "samples < 0", "fractional j", "boolean j"])
 def test_translation_integral_routes_reject(call, bodies, j, samples):
     with pytest.raises(InputError):
         call(bodies, j, samples)
