@@ -1,7 +1,8 @@
 """Command line front end.
 
 Every subcommand prints a single JSON report ("schema": 1) with sorted
-keys, so a fixed configuration gives byte-identical output.  Monte Carlo
+keys, so a fixed configuration gives byte-identical output; a non-finite
+number (a standard error from one draw) prints as null.  Monte Carlo
 subcommands require --seed.  Exit codes: 0 success, 1 failed acceptance
 suite, 2 input error, 3 divergence, 4 estimation failure.
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -82,14 +84,28 @@ def _json_default(o):
         return int(o)
     if isinstance(o, np.bool_):
         return bool(o)
-    if isinstance(o, np.ndarray):
-        return o.tolist()
     raise TypeError(f"not JSON serializable: {type(o).__name__}")
 
 
+def _finite(o):
+    """o with every non-finite float replaced by None, since JSON has no
+    Infinity or NaN."""
+    if isinstance(o, float):
+        return o if math.isfinite(o) else None
+    if isinstance(o, dict):
+        return {k: _finite(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple, np.ndarray)):
+        return [_finite(v) for v in o]
+    return o
+
+
+def _dumps(report: dict) -> str:
+    return json.dumps(_finite(report), sort_keys=True, indent=2,
+                      default=_json_default, allow_nan=False) + "\n"
+
+
 def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2,
-                      default=_json_default) + "\n"
+    text = _dumps(report)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)
@@ -223,9 +239,7 @@ def _cmd_verify(args) -> int:
     print(f"suite {args.suite}: {'PASS' if result['passed'] else 'FAIL'}")
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(result, fh, sort_keys=True, indent=2,
-                      default=_json_default)
-            fh.write("\n")
+            fh.write(_dumps(result))
     return 0 if result["passed"] else 1
 
 

@@ -2,9 +2,12 @@
 
 Two independent evaluations are kept side by side: curvature_mixed_functional
 sums the hull-distance kernel G_r over products of normal-cone spheres
-(deterministic quadrature for d <= 3), and translative_integral_mc samples the
-defining translation integral int V_j of the intersection body, which
+(deterministic quadrature for d <= 3), and translative_integral_mc evaluates
+the defining translation integral int V_j of the intersection body, which
 decompose_homogeneous then splits into the individual V_r by a scaling fit.
+For j = 0 and two bodies that integral is the volume of the difference body
+and is computed exactly; otherwise it is sampled, and the fit propagates the
+errors draw by draw through the common random numbers it shares.
 Unlike mixed volumes, no multinomial factor is divided out anywhere here; the
 two conventions meet in duality_check.
 """
@@ -65,9 +68,12 @@ class TranslativeTable:
         return self.errors.get(tuple(int(x) for x in r), 0.0)
 
     def total(self) -> MCEstimate:
-        value = sum(self.entries.values())
-        se = math.sqrt(sum(e * e for e in self.errors.values()))
-        return MCEstimate(value, se, self.meta.get("samples", 0))
+        """Sum of the entries.  The entries of one fit share their draws, so
+        their errors do not add in quadrature; the fit stores the total's
+        own error as meta["total_std_error"] (0 when absent)."""
+        return MCEstimate(sum(self.entries.values()),
+                          self.meta.get("total_std_error", 0.0),
+                          self.meta.get("samples", 0))
 
 
 def _check_translative(polytopes, j: int):
@@ -398,21 +404,26 @@ def _sample_boxes(verts):
     return np.concatenate(lows), np.concatenate(highs)
 
 
-def _translative_value(polytopes, lambdas, j: int, unit: np.ndarray) -> MCEstimate:
-    """Translation integral of V_j over the bodies lambdas[i] * K_i."""
+def _translative_value(polytopes, lambdas, j: int, unit: np.ndarray):
+    """Translation integral of V_j over the bodies lambdas[i] * K_i.
+
+    Returns (estimate, draws).  For j = 0 and two bodies the integrand is
+    the indicator of the difference body, so the estimate is its exact
+    volume and draws is None.  Otherwise draws holds one unbiased value per
+    row of unit, the box volume times V_j of that translate's intersection,
+    and the estimate is their mean.
+    """
     d = polytopes[0].dim
     k = len(polytopes)
     verts = [lam * p.vertices for p, lam in zip(polytopes, lambdas)]
+    if j == 0 and k == 2:
+        diffs = (verts[0][:, None, :] - verts[1][None, :, :]).reshape(-1, d)
+        body = Polytope.hull(diffs, allow_degenerate=True)
+        return MCEstimate.exact(body.volume(), unit.shape[0]), None
+
     lo, hi = _sample_boxes(verts)
     z = lo[None] + unit * (hi - lo)[None]
     box_volume = float(np.prod(hi - lo))
-
-    if j == 0 and k == 2:
-        diffs = (verts[0][:, None, :] - verts[1][None, :, :]).reshape(-1, d)
-        a, b = Polytope.hull(diffs, allow_degenerate=True).halfspaces()
-        ind = (z @ a.T <= b[None] + _FEAS_TOL).all(axis=1)
-        return from_samples(ind.astype(float)).scaled(box_volume)
-
     engine = _VertexEngine(polytopes, lambdas)
     tol = 1e-7 * engine.scale
     vals = np.empty(unit.shape[0])
@@ -427,25 +438,29 @@ def _translative_value(polytopes, lambdas, j: int, unit: np.ndarray) -> MCEstima
             vals[ofs:ofs + size] = _poly3d_values(x, feas, engine.A, bz,
                                                   engine.frames, j, tol)
         ofs += size
-    return from_samples(vals).scaled(box_volume)
+    return from_samples(vals).scaled(box_volume), box_volume * vals
 
 
 def translative_integral_mc(polytopes, j: int, rng=None,
                             samples: int = 100000) -> MCEstimate:
-    """Monte Carlo value of int V_j(K_1 cap (K_2+z_2) cap ...) dz_2..dz_k.
+    """Value of int V_j(K_1 cap (K_2+z_2) cap ...) dz_2..dz_k.
 
-    Translations are uniform over the Minkowski-difference bounding boxes
-    (the integrand vanishes outside).  The intersection is evaluated per
-    sample by stacked-halfspace vertex enumeration; empty and lower-
-    dimensional intersections contribute 0.  By the translative expansion
-    this equals the sum of V_r over all r with sum r = (k-1)d + j.
+    For j = 0 and two bodies the integral is vol(K_1 - K_2), returned exact
+    (std_error 0).  Otherwise translations are uniform over the
+    Minkowski-difference bounding boxes (the integrand vanishes outside),
+    and the intersection is evaluated per sample by stacked-halfspace
+    vertex enumeration; empty and lower-dimensional intersections
+    contribute 0.  By the translative expansion this equals the sum of V_r
+    over all r with sum r = (k-1)d + j.
     """
     d = _check_translative(polytopes, j)
     check_count(samples)
     k = len(polytopes)
     rng = as_rng(rng)
+    # drawn for the exact case too, so how far a generator shared across
+    # calls advances does not depend on j
     unit = rng.random((samples, (k - 1) * d))
-    return _translative_value(polytopes, [1.0] * k, j, unit)
+    return _translative_value(polytopes, [1.0] * k, j, unit)[0]
 
 
 def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
@@ -456,10 +471,14 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
     shared uniform draws (common random numbers), then least-squares fits
     int = sum_r (prod_i lambda_i^{r_i}) V_r.  The scaled bodies are not
     re-hulled: their vertices and facet offsets are multiplied by lambda,
-    so lambdas must be positive.  Errors are propagated through
-    the fit conservatively (CRN correlates the grid values, so per-entry
-    sigmas are the absolute row sums of the pseudoinverse times the grid
-    sigmas).
+    so lambdas must be positive.  For j = 0 and two bodies every grid value
+    is an exact difference-body volume, so the entries are exact.
+    Otherwise the fit is linear in the grid values, so each draw gives its
+    own coefficients (the pseudoinverse times that draw's grid row); their
+    standard errors are the entries' errors, and those of their per-draw
+    sums the total's.  This propagation is exact under the common random
+    numbers, which correlate the grid values.  One draw gives infinite
+    errors.
     """
     d = _check_translative(polytopes, j)
     check_count(samples)
@@ -479,17 +498,22 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
         raise EstimationError(f"homogeneous fit ill-conditioned (cond={cond:.3e})")
     unit = rng.random((samples, (k - 1) * d))
     grid = [_translative_value(polytopes, combo, j, unit) for combo in combos]
-    y = np.array([g.value for g in grid])
-    sig = np.array([g.std_error for g in grid])
+    y = np.array([est.value for est, _ in grid])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    pinv = np.linalg.pinv(design)
-    err = np.abs(pinv) @ sig
+    if grid[0][1] is None:
+        err, total_err = [0.0] * len(r_list), 0.0
+    else:
+        per_draw = np.stack([draws for _, draws in grid], axis=1) \
+            @ np.linalg.pinv(design).T
+        err = [from_samples(c).std_error for c in per_draw.T]
+        total_err = from_samples(per_draw.sum(axis=1)).std_error
     resid = float(np.max(np.abs(design @ coef - y)))
     entries = {r: float(c) for r, c in zip(r_list, coef)}
     errors = {r: float(e) for r, e in zip(r_list, err)}
     return TranslativeTable(d, j, entries, "mc-decomposition", errors,
                             meta={"cond": cond, "fit_residual": resid,
-                                  "samples": samples, "lambdas": tuple(lambdas)})
+                                  "samples": samples, "lambdas": tuple(lambdas),
+                                  "total_std_error": total_err})
 
 
 def duality_check(K: Polytope, L: Polytope, n: int):

@@ -126,7 +126,32 @@ def test_translative_report(capsys):
                            "--samples", "4000")
     assert code == 0
     report = json.loads(out)
-    assert report["value"] == pytest.approx(7.0, abs=4.0 * report["std_error"])
+    # the j = 0 pair integral is vol(Q + (-D)) = 7, computed exactly
+    assert report["value"] == pytest.approx(7.0, rel=1e-12)
+    assert report["std_error"] == 0.0
+
+
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("extra", [[], ["--decompose"]], ids=["mc", "decompose"])
+def test_one_draw_report_is_valid_json(capsys, extra):
+    # one draw has no sample spread: the API keeps std_error = inf, the
+    # report prints null
+    code, out, _ = run_cli(capsys, "translative", "--gen", "cube,diamond",
+                           "--dim", "2", "--j", "1", "--seed", "2",
+                           "--samples", "1", *extra)
+    assert code == 0
+    report = _strict_json(out)
+    if extra:
+        assert report["total"]["std_error"] is None
+        assert all(e["std_error"] is None for e in report["entries"].values())
+    else:
+        assert report["std_error"] is None
+        assert report["value"] > 0.0
 
 
 def test_estimation_error_maps_to_4(capsys, monkeypatch):

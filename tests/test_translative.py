@@ -8,6 +8,7 @@ functional V_{1,1}(Q,D) = 4 pairs each Q edge with the two non-parallel
 D normals.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -15,13 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixvol.errors import DivergenceError, EstimationError, InputError
-from mixvol.generators import cube, diamond, rotated_cube, segment
-from mixvol.translative import (TranslativeTable, _poly3d_values,
-                                _sample_boxes, _translative_value,
-                                _VertexEngine, curvature_mixed_functional,
+from mixvol.generators import cube, diamond, rotated_cube, segment, simplex
+from mixvol.mixed_volume import oracle_mixed_volumes
+from mixvol.translative import (TranslativeTable, _degree_tuples,
+                                _poly3d_values, _sample_boxes,
+                                _translative_value, _VertexEngine,
+                                curvature_mixed_functional,
                                 decompose_homogeneous, duality_check,
                                 translative_integral_mc)
-from mixvol.util import complete_basis
+from mixvol.util import complete_basis, random_rotation
 
 
 def test_curvature_square_diamond():
@@ -98,10 +101,11 @@ def test_duality_pairs():
 
 
 def test_translation_integral_j0_anchor():
+    # the j = 0 pair integral is the difference-body volume, computed exactly
     est = translative_integral_mc([cube(2), diamond(2)], 0, rng=3,
                                   samples=60000)
-    assert abs(est.value - 7.0) <= 3.0 * est.std_error
-    assert est.std_error <= 0.05
+    assert est.value == pytest.approx(7.0, rel=1e-12)
+    assert est.std_error == 0.0 and est.samples == 60000
 
 
 def test_translation_integral_j0_is_difference_body_volume():
@@ -332,8 +336,105 @@ def test_scaled_bodies_match_rehulled(d, j):
     bodies = [cube(d), rotated_cube(d, 5)]
     unit = np.random.default_rng(31).random((300 if d == 3 else 2000, d))
     lams = (1.5, 2.0)
-    got = _translative_value(bodies, lams, j, unit)
+    got, got_draws = _translative_value(bodies, lams, j, unit)
     rehulled = [p.transform(lam * np.eye(d)) for p, lam in zip(bodies, lams)]
-    want = _translative_value(rehulled, (1.0, 1.0), j, unit)
+    want, want_draws = _translative_value(rehulled, (1.0, 1.0), j, unit)
     assert got.value == pytest.approx(want.value, rel=1e-12)
+    if j == 0:
+        assert got_draws is None and want_draws is None
+        assert got.std_error == want.std_error == 0.0
+        return
     assert got.std_error == pytest.approx(want.std_error, rel=1e-12)
+    np.testing.assert_allclose(got_draws, want_draws, rtol=1e-12,
+                               atol=1e-12 * np.max(np.abs(want_draws)))
+    assert got.value == pytest.approx(np.mean(got_draws), rel=1e-12)
+
+
+@pytest.mark.parametrize("K,L", [
+    (cube(2), rotated_cube(2, 41)),
+    (simplex(2), rotated_cube(2, 42)),
+    (diamond(2), simplex(2).transform(random_rotation(2, np.random.default_rng(43)))),
+    (cube(3), rotated_cube(3, 44)),
+    (diamond(3), rotated_cube(3, 45)),
+    # the curvature route raises EstimationError on this pair
+    (simplex(3), rotated_cube(3, 1403036832)),
+], ids=["Q2-R", "S2-R", "D2-rotS", "Q3-R", "D3-R", "S3-R1403036832"])
+def test_exact_j0_decomposition_matches_oracle(K, L):
+    # V_(r, d-r)(K, L) = C(d, r) V(K[r], -L[d-r]); every grid value of the
+    # j = 0 fit is an exact difference-body volume, so the entries are exact
+    d = K.dim
+    table = decompose_homogeneous([K, L], 0, rng=7, samples=50)
+    oracle = oracle_mixed_volumes([K, L.negate()])
+    assert set(table.entries) == {(r, d - r) for r in range(d + 1)}
+    for r in range(d + 1):
+        want = math.comb(d, r) * oracle.value((r, d - r))
+        assert table.value((r, d - r)) == pytest.approx(want, rel=1e-10)
+        assert table.std_error((r, d - r)) == 0.0
+    assert table.total().std_error == 0.0
+
+
+def test_exact_j0_decomposition_where_curvature_fails():
+    K, L = simplex(3), rotated_cube(3, 1403036832)
+    table = decompose_homogeneous([K, L], 0, rng=7, samples=50)
+    assert table.value((1, 2)) == pytest.approx(3.3710258671, rel=1e-9)
+    with pytest.raises(EstimationError):
+        curvature_mixed_functional([K, L], (1, 2))
+
+
+def _fit_inputs(bodies, j, seed, samples, lambdas=(1.0, 1.5, 2.0)):
+    """Design matrix, grid estimates and per-draw grid values of one
+    decompose_homogeneous call, rebuilt from the same draws."""
+    d, k = bodies[0].dim, len(bodies)
+    r_list = _degree_tuples(d, k, j)
+    combos = list(itertools.product(lambdas, repeat=k))
+    design = np.array([[math.prod(lam ** ri for lam, ri in zip(c, r))
+                        for r in r_list] for c in combos])
+    unit = np.random.default_rng(seed).random((samples, (k - 1) * d))
+    grid = [_translative_value(bodies, c, j, unit) for c in combos]
+    return r_list, design, grid
+
+
+@pytest.mark.parametrize("d,samples,runs", [(2, 200, 400), (3, 100, 50)])
+def test_per_draw_errors_are_calibrated(d, samples, runs):
+    # a fixed batch of seeded cube/diamond decompositions at j = 1, sized to
+    # take a few seconds: z-scores of the entries and totals against exact
+    # values have unit spread, and the per-draw errors sit below the
+    # conservative |pinv| sigma bound
+    K, L = cube(d), diamond(d)
+    # V_(d,1) = vol(K) V_1(L) and V_(1,d) = V_1(K) vol(L), with vol(K) = 1,
+    # V_1(K) = d, vol(L) = 2^d / d! and V_1(L) the edge-length sum weighted by
+    # exterior angles; the middle entry of d = 3 comes from the curvature route
+    v1_diamond = 2.0 * math.sqrt(2.0) if d == 2 else \
+        12.0 * math.sqrt(2.0) * (math.pi - math.acos(-1.0 / 3.0)) / (2.0 * math.pi)
+    ref = {(d, 1): v1_diamond, (1, d): d * 2.0 ** d / math.factorial(d)}
+    if d == 3:
+        ref[(2, 2)] = curvature_mixed_functional([K, L], (2, 2))
+    zs = []
+    for seed in range(runs):
+        table = decompose_homogeneous([K, L], 1, rng=seed, samples=samples)
+        zs += [(table.value(r) - v) / table.std_error(r) for r, v in ref.items()]
+        tot = table.total()
+        zs.append((tot.value - sum(ref.values())) / tot.std_error)
+        if seed >= 5:
+            continue
+        r_list, design, grid = _fit_inputs([K, L], 1, seed, samples)
+        coef, *_ = np.linalg.lstsq(design, [est.value for est, _ in grid],
+                                   rcond=None)
+        old = np.abs(np.linalg.pinv(design)) @ [est.std_error for est, _ in grid]
+        for r, c, bound in zip(r_list, coef, old):
+            assert table.value(r) == pytest.approx(c, rel=1e-12)
+            assert table.std_error(r) <= bound * (1.0 + 1e-12)
+        assert tot.std_error <= old.sum()
+    zs = np.array(zs)
+    assert 0.85 <= zs.std() <= 1.15, zs.std()
+    assert np.max(np.abs(zs)) <= 5.0
+
+
+def test_one_draw_errors_are_infinite():
+    table = decompose_homogeneous([cube(2), diamond(2)], 1, rng=1, samples=1)
+    assert all(math.isinf(table.std_error(r)) for r in table.entries)
+    assert math.isinf(table.total().std_error)
+    est = translative_integral_mc([cube(2), diamond(2)], 1, rng=1, samples=1)
+    assert math.isinf(est.std_error)
+    exact = decompose_homogeneous([cube(2), diamond(2)], 0, rng=1, samples=1)
+    assert all(exact.std_error(r) == 0.0 for r in exact.entries)
