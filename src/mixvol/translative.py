@@ -7,13 +7,17 @@ the defining translation integral int V_j of the intersection body, which
 decompose_homogeneous then splits into the individual V_r by a scaling fit.
 For j = 0 and two bodies that integral is the volume of the difference body
 and is computed exactly; otherwise it is sampled, and the fit propagates the
-errors draw by draw through the common random numbers it shares.
+errors draw by draw through the common random numbers it shares.  Each
+sampling call builds one vertex engine for all its scaled grid bodies, and
+draws outside a difference body lambda_1 K_1 - lambda_i K_i, where the
+integrand is 0, are screened out before the engine enumerates vertices.
 Unlike mixed volumes, no multinomial factor is divided out anywhere here; the
 two conventions meet in duality_check.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -27,11 +31,13 @@ from .exterior import subspace_determinant
 from .kernels import KernelSpec, _gl, hull_distance_batch, kernel_values
 from .mixed_volume import oracle_mixed_volumes
 from .polytope import Polytope
-from .util import (as_integer, as_rng, check_bodies, check_count, chunk_sizes,
-                   complete_basis)
+from .util import as_integer, as_rng, check_bodies, check_count, complete_basis
 
 _DET_TOL = 1e-9
 _FEAS_TOL = 1e-9
+# draws this far outside a difference body (times the engine scale) are
+# dropped before the engine; a thousand times _FEAS_TOL
+_SCREEN_TOL = 1e-6
 # frame bases carry O(1e-8) rounding after the Gram-determinant square root,
 # so brackets below this are exactly dependent configurations; they enter
 # squared, hence dropping them changes nothing above 1e-14
@@ -252,20 +258,24 @@ def curvature_mixed_functional(polytopes, r, eps: float = 0.0) -> float:
 class _VertexEngine:
     """Batched vertex enumeration for K_1 cap (K_2+z_2) cap ... over many z.
 
-    Body i enters scaled by lambdas[i] as (A_i, lambdas[i] b_i), so scaled
-    bodies are never re-hulled.  The stacked H-representation has right-hand
-    side affine in z, so each d-subset of rows yields a candidate vertex that
-    is affine in z as well; candidates and feasibility masks come out
-    vectorized over samples.  In R^3 the in-plane frame of every row is made
-    once here for the face rings of _poly3d_values.
+    One engine serves a whole public call.  It is built from the unscaled
+    bodies: the stacked H-representation, whose right-hand side is affine
+    in z, the non-singular d-subsets of its rows with their inverses and
+    the candidate vertex's slope in z, the in-plane frame of every row in
+    R^3 (for the face rings of _poly3d_values), and the screening normals
+    of each pair's difference body.  None of these depends on the scaling
+    factors; scaled(lambdas) adds the parts that do, so scaled bodies are
+    never re-hulled.  Candidates and feasibility masks come out vectorized
+    over samples.
     """
 
-    def __init__(self, polytopes, lambdas):
+    def __init__(self, polytopes):
         d = polytopes[0].dim
         k = len(polytopes)
         systems = [p.halfspaces() for p in polytopes]
+        self.verts = [p.vertices for p in polytopes]
+        self.offsets = [b for _, b in systems]
         self.A = np.vstack([a for a, _ in systems])
-        self.b = np.concatenate([lam * b for (_, b), lam in zip(systems, lambdas)])
         m = self.A.shape[0]
         self.C = np.zeros((m, (k - 1) * d))
         ofs = systems[0][0].shape[0]
@@ -276,22 +286,96 @@ class _VertexEngine:
         idx = np.array(list(itertools.combinations(range(m), d)))
         mats = self.A[idx]
         keep = np.abs(np.linalg.det(mats)) > _DET_TOL
-        idx = idx[keep]
-        inv = np.linalg.inv(mats[keep])
-        self.base = np.einsum("sij,sj->si", inv, self.b[idx])
-        self.slope = np.einsum("sij,sjm->sim", inv, self.C[idx])
-        self.scale = max(1.0, float(np.max(np.abs(self.b))))
+        self.idx = idx[keep]
+        self.inv = np.linalg.inv(mats[keep])
+        # candidate s moves with z by the columns s*d..s*d+d-1, laid out so
+        # that candidates multiplies on BLAS
+        self.slope = np.einsum("sij,sjm->msi", self.inv,
+                               self.C[self.idx]).reshape(self.C.shape[1], -1)
         self.frames = np.stack([complete_basis(n.reshape(-1, 1)) for n in self.A]) \
             if d == 3 else None
+        self.screens = []
+        for p in polytopes[1:]:
+            u = _screen_normals(polytopes[0], p)
+            self.screens.append((u, np.max(polytopes[0].vertices @ u.T, axis=0),
+                                 np.max(-p.vertices @ u.T, axis=0)))
+
+    def scaled(self, lambdas) -> "_VertexEngine":
+        """This engine for the bodies lambdas[i] * K_i; the lambda-free
+        arrays are shared, not copied."""
+        out = copy.copy(self)
+        out.lambdas = tuple(lambdas)
+        out.b = np.concatenate([lam * b for b, lam in zip(self.offsets, lambdas)])
+        out.base = np.einsum("sij,sj->si", self.inv, out.b[self.idx])
+        out.scale = max(1.0, float(np.max(np.abs(out.b))))
+        return out
+
+    def may_meet(self, z: np.ndarray) -> np.ndarray:
+        """False for the rows of z that certainly give an empty intersection.
+
+        K_1 cap (K_i + z_i) is empty when z_i lies outside the difference
+        body lambda_1 K_1 - lambda_i K_i, and every screening normal u gives
+        one of its supporting halfspaces u.z_i <= lambda_1 h_{K_1}(u) +
+        lambda_i h_{K_i}(-u).  A row is dropped only when it violates one by
+        more than _SCREEN_TOL * scale, a thousand times the feasibility
+        tolerance of candidates, so the engine would find no feasible
+        vertex for it either.
+        """
+        d = self.A.shape[1]
+        live = np.ones(z.shape[0], dtype=bool)
+        for i, (u, h_first, h_other) in enumerate(self.screens):
+            reach = self.lambdas[0] * h_first + self.lambdas[i + 1] * h_other \
+                + _SCREEN_TOL * self.scale
+            live &= (z[:, i * d:(i + 1) * d] @ u.T <= reach).all(axis=1)
+        return live
 
     def candidates(self, z: np.ndarray):
         """(vertices (N, S, d), feasibility (N, S), right-hand sides (N, m))
         for z of shape (N, (k-1)d)."""
-        x = self.base[None] + np.einsum("sdm,nm->nsd", self.slope, z)
+        x = self.base[None] + (z @ self.slope).reshape(z.shape[0], -1, self.A.shape[1])
         bz = self.b[None] + z @ self.C.T
-        lhs = np.einsum("md,nsd->nsm", self.A, x)
-        feas = (lhs <= bz[:, None, :] + _FEAS_TOL * self.scale).all(axis=2)
+        # rows second, so that the reduction runs over whole (N, S) planes
+        lhs = self.A @ x.transpose(0, 2, 1)
+        feas = (lhs <= bz[:, :, None] + _FEAS_TOL * self.scale).all(axis=1)
         return x, feas, bz
+
+
+def _line_directions(v: np.ndarray) -> np.ndarray:
+    """Unit rows of v, one per line through the origin: the sign is fixed
+    by the first clearly nonzero coordinate, then rounded copies go."""
+    v = v / np.linalg.norm(v, axis=1, keepdims=True)
+    lead = v[np.arange(v.shape[0]), np.argmax(np.abs(v) > 1e-9, axis=1)]
+    v = v * np.where(lead < 0.0, -1.0, 1.0)[:, None]
+    _, first = np.unique(np.round(v, 9) + 0.0, axis=0, return_index=True)
+    return v[np.sort(first)]
+
+
+def _edge_directions(p: Polytope) -> np.ndarray:
+    """Edge directions of a full-dimensional body in R^2 or R^3: two
+    vertices bound an edge when they share d - 1 facets."""
+    inc = np.zeros((len(p.facets), p.n_vertices), dtype=int)
+    for row, (_, _, ids) in enumerate(p.facets):
+        inc[row, list(ids)] = 1
+    a, b = np.nonzero(np.triu(inc.T @ inc >= p.dim - 1, 1))
+    return p.vertices[b] - p.vertices[a]
+
+
+def _screen_normals(K: Polytope, L: Polytope) -> np.ndarray:
+    """Unit normals u, with both signs, orthogonal to d - 1 edge directions
+    of K or L.
+
+    F(K - L, u) = F(K, u) + F(-L, u), so every edge of K - L is parallel to
+    an edge of K or of L, and every facet normal of K - L is among these u.
+    The halfspaces u.z <= h_K(u) + h_L(-u) therefore cut out exactly K - L.
+    """
+    e = _line_directions(np.vstack([_edge_directions(K), _edge_directions(L)]))
+    if K.dim == 2:
+        u = e[:, ::-1] * [1.0, -1.0]
+    else:
+        a, b = np.triu_indices(e.shape[0], 1)
+        u = np.cross(e[a], e[b])
+        u = _line_directions(u[np.linalg.norm(u, axis=1) > 1e-9])
+    return np.vstack([u, -u])
 
 
 def _poly2d_values(x: np.ndarray, feas: np.ndarray, j: int) -> np.ndarray:
@@ -362,19 +446,24 @@ def _poly3d_values(x: np.ndarray, feas: np.ndarray, A: np.ndarray,
     ring_cnt = on.sum(axis=2)
     face = ring_cnt >= 3
     cen = (on @ P) / np.maximum(ring_cnt, 1)[..., None]
-    uv = np.einsum("nmvd,mde->nmve", P[:, None] - cen[:, :, None], frames)
+    uv = (P[:, None] - cen[:, :, None]) @ frames
     ang = np.where(on, np.arctan2(uv[..., 1], uv[..., 0]), np.inf)
+    # gathers along the slot axis go through flat row numbers, which numpy
+    # indexes faster than take_along_axis or paired index arrays
+    plane_rows = nv * np.arange(on.shape[0] * on.shape[1]).reshape(on.shape[:2] + (1,))
     srt = np.argsort(ang, axis=2)
-    srt = np.where(np.take_along_axis(on, srt, axis=2), srt, srt[..., :1])
+    srt = np.where(on.reshape(-1)[srt + plane_rows], srt, srt[..., :1])
     if j == 2:
-        u = np.take_along_axis(uv, srt[..., None], axis=2)
+        u = uv.reshape(-1, 2)[srt + plane_rows]
         nxt = np.roll(u, -1, axis=2)
         area = 0.5 * np.abs((u[..., 0] * nxt[..., 1] - u[..., 1] * nxt[..., 0]).sum(axis=2))
         vals = 0.5 * np.where(face, area, 0.0).sum(axis=1)
     else:
         nxt = np.roll(srt, -1, axis=2)
-        rows = np.arange(n_samples)[:, None, None]
-        length = np.linalg.norm(P[rows, nxt] - P[rows, srt], axis=3)
+        rows = nv * np.arange(n_samples)[:, None, None]
+        flat = P.reshape(-1, 3)
+        step = np.take(flat, nxt + rows, axis=0) - np.take(flat, srt + rows, axis=0)
+        length = np.sqrt((step * step).sum(axis=3))
         live = face[..., None] & (length > tol)
         es, ei, _ = np.nonzero(live)
         lo = np.minimum(srt, nxt)[live]
@@ -404,40 +493,41 @@ def _sample_boxes(verts):
     return np.concatenate(lows), np.concatenate(highs)
 
 
-def _translative_value(polytopes, lambdas, j: int, unit: np.ndarray):
-    """Translation integral of V_j over the bodies lambdas[i] * K_i.
+def _difference_volume(K: Polytope, L: Polytope, ratio: float = 1.0) -> float:
+    """vol(K - ratio * L), hulled from the pairwise vertex differences."""
+    diffs = (K.vertices[:, None, :] - ratio * L.vertices[None, :, :]).reshape(-1, K.dim)
+    return Polytope.hull(diffs, allow_degenerate=True).volume()
 
-    Returns (estimate, draws).  For j = 0 and two bodies the integrand is
-    the indicator of the difference body, so the estimate is its exact
-    volume and draws is None.  Otherwise draws holds one unbiased value per
-    row of unit, the box volume times V_j of that translate's intersection,
-    and the estimate is their mean.
+
+def _translative_value(engine: _VertexEngine, lambdas, j: int, unit: np.ndarray):
+    """Sampled translation integral of V_j over the bodies lambdas[i] * K_i.
+
+    Returns (estimate, draws): draws holds one unbiased value per row of
+    unit, the box volume times V_j of that translate's intersection, and the
+    estimate is their mean.  Draws that engine.may_meet rules out keep the
+    value 0 the vertex engine would give them; only the others are
+    enumerated, in chunks.
     """
-    d = polytopes[0].dim
-    k = len(polytopes)
-    verts = [lam * p.vertices for p, lam in zip(polytopes, lambdas)]
-    if j == 0 and k == 2:
-        diffs = (verts[0][:, None, :] - verts[1][None, :, :]).reshape(-1, d)
-        body = Polytope.hull(diffs, allow_degenerate=True)
-        return MCEstimate.exact(body.volume(), unit.shape[0]), None
-
-    lo, hi = _sample_boxes(verts)
+    d = engine.A.shape[1]
+    lo, hi = _sample_boxes([lam * v for v, lam in zip(engine.verts, lambdas)])
     z = lo[None] + unit * (hi - lo)[None]
     box_volume = float(np.prod(hi - lo))
-    engine = _VertexEngine(polytopes, lambdas)
+    engine = engine.scaled(lambdas)
     tol = 1e-7 * engine.scale
-    vals = np.empty(unit.shape[0])
-    ofs = 0
-    for size in chunk_sizes(unit.shape[0], 4096 if d == 2 else 512):
-        x, feas, bz = engine.candidates(z[ofs:ofs + size])
+    chunk = 4096 if d == 2 else 512
+    n = unit.shape[0]
+    live = np.flatnonzero(np.concatenate([engine.may_meet(z[s:s + chunk])
+                                          for s in range(0, n, chunk)]))
+    vals = np.zeros(n)
+    for s in range(0, live.size, chunk):
+        rows = live[s:s + chunk]
+        x, feas, bz = engine.candidates(z[rows])
         if j == 0:
-            vals[ofs:ofs + size] = feas.any(axis=1).astype(float)
+            vals[rows] = feas.any(axis=1).astype(float)
         elif d == 2:
-            vals[ofs:ofs + size] = _poly2d_values(x, feas, j)
+            vals[rows] = _poly2d_values(x, feas, j)
         else:
-            vals[ofs:ofs + size] = _poly3d_values(x, feas, engine.A, bz,
-                                                  engine.frames, j, tol)
-        ofs += size
+            vals[rows] = _poly3d_values(x, feas, engine.A, bz, engine.frames, j, tol)
     return from_samples(vals).scaled(box_volume), box_volume * vals
 
 
@@ -460,25 +550,29 @@ def translative_integral_mc(polytopes, j: int, rng=None,
     # drawn for the exact case too, so how far a generator shared across
     # calls advances does not depend on j
     unit = rng.random((samples, (k - 1) * d))
-    return _translative_value(polytopes, [1.0] * k, j, unit)[0]
+    if j == 0 and k == 2:
+        return MCEstimate.exact(_difference_volume(*polytopes), samples)
+    return _translative_value(_VertexEngine(polytopes), [1.0] * k, j, unit)[0]
 
 
 def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
                           lambdas=(1.0, 1.5, 2.0)) -> TranslativeTable:
     """Split the translation integral into its multihomogeneous pieces.
 
-    Runs _translative_value on every lambda-scaled body combination with
+    Evaluates the integral on every lambda-scaled body combination with
     shared uniform draws (common random numbers), then least-squares fits
     int = sum_r (prod_i lambda_i^{r_i}) V_r.  The scaled bodies are not
-    re-hulled: their vertices and facet offsets are multiplied by lambda,
-    so lambdas must be positive.  For j = 0 and two bodies every grid value
-    is an exact difference-body volume, so the entries are exact.
-    Otherwise the fit is linear in the grid values, so each draw gives its
-    own coefficients (the pseudoinverse times that draw's grid row); their
-    standard errors are the entries' errors, and those of their per-draw
-    sums the total's.  This propagation is exact under the common random
-    numbers, which correlate the grid values.  One draw gives infinite
-    errors.
+    re-hulled: one vertex engine serves every combination, with its facet
+    offsets multiplied by lambda, so lambdas must be positive.  For j = 0
+    and two bodies every grid value is an exact difference-body volume,
+    vol(l_1 K_1 - l_2 K_2) = l_1^d vol(K_1 - (l_2 / l_1) K_2), hulled once
+    per ratio; the entries are exact and the route is
+    "exact-decomposition".  Otherwise the fit is linear in the grid values,
+    so each draw gives its own coefficients (the pseudoinverse times that
+    draw's grid row); their standard errors are the entries' errors, and
+    those of their per-draw sums the total's.  This propagation is exact
+    under the common random numbers, which correlate the grid values.  One
+    draw gives infinite errors.
     """
     d = _check_translative(polytopes, j)
     check_count(samples)
@@ -497,20 +591,25 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
     if cond > 1e8:
         raise EstimationError(f"homogeneous fit ill-conditioned (cond={cond:.3e})")
     unit = rng.random((samples, (k - 1) * d))
-    grid = [_translative_value(polytopes, combo, j, unit) for combo in combos]
-    y = np.array([est.value for est, _ in grid])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    if grid[0][1] is None:
-        err, total_err = [0.0] * len(r_list), 0.0
+    if j == 0 and k == 2:
+        vols = {ratio: _difference_volume(*polytopes, ratio)
+                for ratio in {lam2 / lam1 for lam1, lam2 in combos}}
+        y = np.array([lam1 ** d * vols[lam2 / lam1] for lam1, lam2 in combos])
+        err, total_err, route = [0.0] * len(r_list), 0.0, "exact-decomposition"
     else:
+        engine = _VertexEngine(polytopes)
+        grid = [_translative_value(engine, combo, j, unit) for combo in combos]
+        y = np.array([est.value for est, _ in grid])
         per_draw = np.stack([draws for _, draws in grid], axis=1) \
             @ np.linalg.pinv(design).T
         err = [from_samples(c).std_error for c in per_draw.T]
         total_err = from_samples(per_draw.sum(axis=1)).std_error
+        route = "mc-decomposition"
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     resid = float(np.max(np.abs(design @ coef - y)))
     entries = {r: float(c) for r, c in zip(r_list, coef)}
     errors = {r: float(e) for r, e in zip(r_list, err)}
-    return TranslativeTable(d, j, entries, "mc-decomposition", errors,
+    return TranslativeTable(d, j, entries, route, errors,
                             meta={"cond": cond, "fit_residual": resid,
                                   "samples": samples, "lambdas": tuple(lambdas),
                                   "total_std_error": total_err})

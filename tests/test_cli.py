@@ -131,6 +131,20 @@ def test_translative_report(capsys):
     assert report["std_error"] == 0.0
 
 
+@pytest.mark.parametrize("j,route", [(0, "exact-decomposition"),
+                                     (1, "mc-decomposition")])
+def test_decompose_route_label(capsys, j, route):
+    # every j = 0 pair entry is exact, and the report says so
+    code, out, _ = run_cli(capsys, "translative", "--gen", "cube,diamond",
+                           "--dim", "2", "--j", str(j), "--seed", "2",
+                           "--samples", "200", "--decompose")
+    assert code == 0
+    report = json.loads(out)
+    assert report["route"] == route
+    assert all((e["std_error"] == 0.0) == (j == 0)
+               for e in report["entries"].values())
+
+
 def _strict_json(text):
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")

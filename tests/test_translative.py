@@ -18,10 +18,13 @@ from hypothesis import given, settings, strategies as st
 from mixvol.errors import DivergenceError, EstimationError, InputError
 from mixvol.generators import cube, diamond, rotated_cube, segment, simplex
 from mixvol.mixed_volume import oracle_mixed_volumes
-from mixvol.translative import (TranslativeTable, _degree_tuples,
-                                _poly3d_values, _sample_boxes,
-                                _translative_value, _VertexEngine,
-                                curvature_mixed_functional,
+from mixvol import translative
+from mixvol.polytope import Polytope
+from mixvol.translative import (_SCREEN_TOL, TranslativeTable,
+                                _degree_tuples, _difference_volume,
+                                _poly2d_values, _poly3d_values,
+                                _sample_boxes, _translative_value,
+                                _VertexEngine, curvature_mixed_functional,
                                 decompose_homogeneous, duality_check,
                                 translative_integral_mc)
 from mixvol.util import complete_basis, random_rotation
@@ -290,7 +293,7 @@ def test_batched_3d_valuation_matches_loop(other):
     grid = np.stack(np.meshgrid(*[np.arange(-2.0, 2.5, 0.5)] * 3,
                                 indexing="ij"), axis=-1).reshape(-1, 3)
     for lams in ((1.0, 1.0), (1.5, 2.0), (2.0, 1.5)):
-        engine = _VertexEngine([K, L], lams)
+        engine = _VertexEngine([K, L]).scaled(lams)
         frames = [complete_basis(n.reshape(-1, 1)) for n in engine.A]
         np.testing.assert_array_equal(engine.frames, np.stack(frames))
         lo, hi = _sample_boxes([lam * p.vertices for p, lam in zip((K, L), lams)])
@@ -336,18 +339,113 @@ def test_scaled_bodies_match_rehulled(d, j):
     bodies = [cube(d), rotated_cube(d, 5)]
     unit = np.random.default_rng(31).random((300 if d == 3 else 2000, d))
     lams = (1.5, 2.0)
-    got, got_draws = _translative_value(bodies, lams, j, unit)
     rehulled = [p.transform(lam * np.eye(d)) for p, lam in zip(bodies, lams)]
-    want, want_draws = _translative_value(rehulled, (1.0, 1.0), j, unit)
-    assert got.value == pytest.approx(want.value, rel=1e-12)
     if j == 0:
-        assert got_draws is None and want_draws is None
-        assert got.std_error == want.std_error == 0.0
+        # the exact pair path hulls the dilate K_1 - (l_2 / l_1) K_2
+        got = lams[0] ** d * _difference_volume(*bodies, lams[1] / lams[0])
+        assert got == pytest.approx(_difference_volume(*rehulled), rel=1e-12)
         return
+    got, got_draws = _translative_value(_VertexEngine(bodies), lams, j, unit)
+    want, want_draws = _translative_value(_VertexEngine(rehulled), (1.0, 1.0),
+                                          j, unit)
+    assert got.value == pytest.approx(want.value, rel=1e-12)
     assert got.std_error == pytest.approx(want.std_error, rel=1e-12)
     np.testing.assert_allclose(got_draws, want_draws, rtol=1e-12,
                                atol=1e-12 * np.max(np.abs(want_draws)))
     assert got.value == pytest.approx(np.mean(got_draws), rel=1e-12)
+
+
+def _unscreened_draws(bodies, lams, j, unit):
+    """Per-draw values of _translative_value with every draw sent through
+    the vertex engine in one chunk."""
+    d = bodies[0].dim
+    engine = _VertexEngine(bodies).scaled(lams)
+    lo, hi = _sample_boxes([lam * p.vertices for p, lam in zip(bodies, lams)])
+    x, feas, bz = engine.candidates(lo + unit * (hi - lo))
+    if j == 0:
+        vals = feas.any(axis=1).astype(float)
+    elif d == 2:
+        vals = _poly2d_values(x, feas, j)
+    else:
+        vals = _poly3d_values(x, feas, engine.A, bz, engine.frames, j,
+                              1e-7 * engine.scale)
+    return float(np.prod(hi - lo)) * vals
+
+
+@pytest.mark.parametrize("bodies,j", [
+    ((cube(2), diamond(2)), 1),
+    ((simplex(2), rotated_cube(2, 3)), 1),
+    ((cube(2), diamond(2), rotated_cube(2, 4)), 0),
+    ((cube(3), diamond(3)), 1),
+    ((cube(3), rotated_cube(3, 5)), 2),
+], ids=["Q2-D2", "S2-R", "Q2-D2-R-k3", "Q3-D3", "Q3-R"])
+def test_screened_draws_match_engine(bodies, j):
+    # the difference-body screen only skips draws the engine values at 0
+    d, k = bodies[0].dim, len(bodies)
+    unit = np.random.default_rng(37).random((300 if d == 3 else 3000,
+                                             (k - 1) * d))
+    for lams in ([1.0] * k, [2.0] + [1.5] * (k - 1)):
+        got = _translative_value(_VertexEngine(bodies), lams, j, unit)[1]
+        want = _unscreened_draws(bodies, lams, j, unit)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
+
+
+def _near_boundary(K, L, lams, rng, n):
+    """Translations z_2 on random boundary points of l_1 K - l_2 L, each
+    moved along the facet normal by up to 10 screen margins either way,
+    with the signed distance of the move."""
+    body = Polytope.hull((lams[0] * K.vertices[:, None]
+                          - lams[1] * L.vertices[None]).reshape(-1, K.dim))
+    margin = _SCREEN_TOL * _VertexEngine([K, L]).scaled(lams).scale
+    facets = rng.integers(len(body.facets), size=n)
+    z = np.empty((n, K.dim))
+    for i, f in enumerate(facets):
+        ids = list(body.facets[f][2])
+        w = rng.dirichlet(np.full(len(ids), 0.3))
+        z[i] = w @ body.vertices[ids]
+    shift = rng.uniform(-10.0, 10.0, n) * margin
+    normals = np.array([body.facets[f][0] for f in facets])
+    return z + shift[:, None] * normals, shift, margin
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_screen_drops_only_empty_draws(d):
+    # a dropped draw has no feasible candidate vertex, on random draws over
+    # the sampling box and on draws within 10 margins of the difference
+    # body's boundary, on both sides of it
+    rng = np.random.default_rng(41)
+    gens = [cube(d), diamond(d), simplex(d), rotated_cube(d, 6),
+            rotated_cube(d, 7)]
+    dropped = 0
+    for K, L in itertools.permutations(gens, 2):
+        for lams in ((1.0, 1.0), (1.5, 2.0), (2.0, 1.0)):
+            engine = _VertexEngine([K, L]).scaled(lams)
+            lo, hi = _sample_boxes([lam * p.vertices
+                                    for p, lam in zip((K, L), lams)])
+            near, shift, margin = _near_boundary(K, L, lams, rng, 200)
+            z = np.vstack([lo + rng.random((200, d)) * (hi - lo), near])
+            live = engine.may_meet(z)
+            feas = engine.candidates(z)[1].any(axis=1)
+            assert not np.any(feas & ~live)
+            # no draw inside the body or within the margin outside it drops
+            assert np.all(live[200:][shift <= 0.99 * margin])
+            dropped += int(np.count_nonzero(~live))
+    assert dropped > 1000
+
+
+def test_screen_three_bodies():
+    # each pair's screen is a necessary condition, so k = 3 drops stay empty
+    bodies = [cube(3), diamond(3), rotated_cube(3, 8)]
+    engine = _VertexEngine(bodies)
+    rng = np.random.default_rng(43)
+    for lams in ((1.0, 1.0, 1.0), (2.0, 1.5, 1.0)):
+        placed = engine.scaled(lams)
+        lo, hi = _sample_boxes([lam * p.vertices for p, lam in zip(bodies, lams)])
+        z = lo + rng.random((400, 6)) * (hi - lo)
+        live = placed.may_meet(z)
+        assert 0 < np.count_nonzero(~live) < z.shape[0]
+        assert not np.any(placed.candidates(z)[1].any(axis=1) & ~live)
 
 
 @pytest.mark.parametrize("K,L", [
@@ -383,14 +481,15 @@ def test_exact_j0_decomposition_where_curvature_fails():
 
 def _fit_inputs(bodies, j, seed, samples, lambdas=(1.0, 1.5, 2.0)):
     """Design matrix, grid estimates and per-draw grid values of one
-    decompose_homogeneous call, rebuilt from the same draws."""
+    decompose_homogeneous call, rebuilt from the same draws with one vertex
+    engine per grid combination."""
     d, k = bodies[0].dim, len(bodies)
     r_list = _degree_tuples(d, k, j)
     combos = list(itertools.product(lambdas, repeat=k))
     design = np.array([[math.prod(lam ** ri for lam, ri in zip(c, r))
                         for r in r_list] for c in combos])
     unit = np.random.default_rng(seed).random((samples, (k - 1) * d))
-    grid = [_translative_value(bodies, c, j, unit) for c in combos]
+    grid = [_translative_value(_VertexEngine(bodies), c, j, unit) for c in combos]
     return r_list, design, grid
 
 
@@ -438,3 +537,53 @@ def test_one_draw_errors_are_infinite():
     assert math.isinf(est.std_error)
     exact = decompose_homogeneous([cube(2), diamond(2)], 0, rng=1, samples=1)
     assert all(exact.std_error(r) == 0.0 for r in exact.entries)
+
+
+@pytest.mark.parametrize("bodies,j", [
+    ((cube(3), diamond(3)), 2),
+    ((cube(2), diamond(2), rotated_cube(2, 9)), 1),
+], ids=["Q3-D3", "Q2-D2-R-k3"])
+def test_one_engine_per_decomposition(monkeypatch, bodies, j):
+    # one vertex engine serves the whole grid (27 combinations when k = 3),
+    # with the entries of one engine per combination
+    r_list, design, grid = _fit_inputs(list(bodies), j, 47, 150)
+    coef, *_ = np.linalg.lstsq(design, [est.value for est, _ in grid],
+                               rcond=None)
+    built = []
+
+    class Counted(_VertexEngine):
+        def __init__(self, polytopes):
+            built.append(len(polytopes))
+            super().__init__(polytopes)
+
+    monkeypatch.setattr(translative, "_VertexEngine", Counted)
+    table = decompose_homogeneous(list(bodies), j, rng=47, samples=150)
+    assert built == [len(bodies)]
+    for r, c in zip(r_list, coef):
+        assert table.value(r) == pytest.approx(c, rel=1e-12, abs=1e-12)
+
+
+def test_exact_j0_grid_hulls_one_dilate_per_ratio(monkeypatch):
+    # vol(l_1 K - l_2 L) = l_1^d vol(K - (l_2 / l_1) L): the default grid
+    # has 7 distinct ratios for its 9 combinations
+    K, L = cube(3), diamond(3)
+    combos = list(itertools.product((1.0, 1.5, 2.0), repeat=2))
+    r_list = _degree_tuples(3, 2, 0)
+    design = np.array([[l1 ** r1 * l2 ** r2 for r1, r2 in r_list]
+                       for l1, l2 in combos])
+    y = [_difference_volume(K.transform(l1 * np.eye(3)),
+                            L.transform(l2 * np.eye(3))) for l1, l2 in combos]
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    calls = []
+    hull = Polytope.hull
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return hull(*args, **kwargs)
+
+    monkeypatch.setattr(Polytope, "hull", staticmethod(counted))
+    table = decompose_homogeneous([K, L], 0, rng=3, samples=10)
+    assert len(calls) == 7
+    assert table.route == "exact-decomposition"
+    for r, c in zip(r_list, coef):
+        assert table.value(r) == pytest.approx(c, rel=1e-12)
