@@ -5,14 +5,16 @@ sums the hull-distance kernel G_r over products of normal-cone spheres
 (deterministic quadrature for d <= 3), and translative_integral_mc evaluates
 the defining translation integral int V_j of the intersection body, which
 decompose_homogeneous then splits into the individual V_r by a scaling fit.
-For j = 0 and two bodies that integral is the volume of the difference body
-and is computed exactly; otherwise it is sampled, and the fit propagates the
-errors draw by draw through the common random numbers it shares.  Each
-sampling call builds one vertex engine for all its scaled grid bodies, and
-draws outside a difference body lambda_1 K_1 - lambda_i K_i, where the
-integrand is 0, are screened out before the engine enumerates vertices.
-Unlike mixed volumes, no multinomial factor is divided out anywhere here; the
-two conventions meet in duality_check.
+Two cases are closed-form: for j = 0 and two bodies the integral is the
+volume of the difference body, and for j = d - 1 every V_r factors into
+V_{d-1} of one body times the volumes of the others.  Otherwise the integral
+is sampled, and the fit propagates the errors draw by draw through the
+common random numbers it shares.  Each sampling call builds one vertex
+engine for all its scaled grid bodies, and draws outside a difference body
+lambda_1 K_1 - lambda_i K_i, where the integrand is 0, are screened out
+before the engine enumerates vertices.  Unlike mixed volumes, no multinomial
+factor is divided out anywhere here; the two conventions meet in
+duality_check.
 """
 
 from __future__ import annotations
@@ -258,6 +260,8 @@ def curvature_mixed_functional(polytopes, r, eps: float = 0.0) -> float:
 class _VertexEngine:
     """Batched vertex enumeration for K_1 cap (K_2+z_2) cap ... over many z.
 
+    It serves the two sampled cases: the j = 0 indicator of a nonempty
+    intersection for k >= 3 bodies, and V_1 in R^3.
     One engine serves a whole public call.  It is built from the unscaled
     bodies: the stacked H-representation, whose right-hand side is affine
     in z, the non-singular d-subsets of its rows with their inverses and
@@ -378,46 +382,19 @@ def _screen_normals(K: Polytope, L: Polytope) -> np.ndarray:
     return np.vstack([u, -u])
 
 
-def _poly2d_values(x: np.ndarray, feas: np.ndarray, j: int) -> np.ndarray:
-    """V_j (j=1 semiperimeter, j=2 area) per sample from candidate vertices.
-
-    Vertices are angle-sorted around the valid-point centroid; invalid slots
-    are replaced by the first sorted vertex, which adds zero-length edges
-    and leaves both the shoelace sum and the perimeter unchanged.
-    """
-    cnt = feas.sum(axis=1)
-    safe = np.maximum(cnt, 1)[:, None]
-    cen = np.where(feas[..., None], x, 0.0).sum(axis=1) / safe
-    ang = np.arctan2(x[..., 1] - cen[:, 1:2], x[..., 0] - cen[:, 0:1])
-    ang = np.where(feas, ang, np.inf)
-    order = np.argsort(ang, axis=1)
-    xs = np.take_along_axis(x, order[..., None], axis=1)
-    ok = np.take_along_axis(feas, order, axis=1)
-    xs = np.where(ok[..., None], xs, xs[:, :1])
-    nxt = np.roll(xs, -1, axis=1)
-    if j == 2:
-        cross = xs[..., 0] * nxt[..., 1] - xs[..., 1] * nxt[..., 0]
-        vals = 0.5 * np.abs(cross.sum(axis=1))
-    else:
-        vals = 0.5 * np.linalg.norm(nxt - xs, axis=2).sum(axis=1)
-    vals[cnt < 3] = 0.0
-    return vals
-
-
 def _poly3d_values(x: np.ndarray, feas: np.ndarray, A: np.ndarray,
-                   bz: np.ndarray, frames: np.ndarray, j: int,
+                   bz: np.ndarray, frames: np.ndarray,
                    tol: float) -> np.ndarray:
-    """V_1 or V_2 per sample of 3-D intersection polytopes, one chunk at once.
+    """V_1 per sample of 3-D intersection polytopes, one chunk at once.
 
     Feasible candidates are deduped per sample on their tol-rounded keys
     (the first occurrence stays, in candidate order) and compacted to the
     chunk's largest vertex count V, so the face work is (N, m, V).  Fewer
     than 4 vertices give 0.  Each plane carrying at least 3 vertices is a
     face ring, angle-sorted in the plane's frame; padding slots repeat the
-    first sorted vertex, which adds zero-length edges and leaves the
-    shoelace sum unchanged.  V_2 is half the summed face areas.  For V_1 a
-    ring edge longer than tol is keyed by (sample, vertex-slot pair), and an
-    edge met on exactly two faces adds length * angle(a_i, a_l) / (2 pi).
+    first sorted vertex, which adds zero-length edges.  A ring edge longer
+    than tol is keyed by (sample, vertex-slot pair), and an edge met on
+    exactly two faces adds length * angle(a_i, a_l) / (2 pi).
     """
     n_samples = x.shape[0]
     vals = np.zeros(n_samples)
@@ -453,32 +430,26 @@ def _poly3d_values(x: np.ndarray, feas: np.ndarray, A: np.ndarray,
     plane_rows = nv * np.arange(on.shape[0] * on.shape[1]).reshape(on.shape[:2] + (1,))
     srt = np.argsort(ang, axis=2)
     srt = np.where(on.reshape(-1)[srt + plane_rows], srt, srt[..., :1])
-    if j == 2:
-        u = uv.reshape(-1, 2)[srt + plane_rows]
-        nxt = np.roll(u, -1, axis=2)
-        area = 0.5 * np.abs((u[..., 0] * nxt[..., 1] - u[..., 1] * nxt[..., 0]).sum(axis=2))
-        vals = 0.5 * np.where(face, area, 0.0).sum(axis=1)
-    else:
-        nxt = np.roll(srt, -1, axis=2)
-        rows = nv * np.arange(n_samples)[:, None, None]
-        flat = P.reshape(-1, 3)
-        step = np.take(flat, nxt + rows, axis=0) - np.take(flat, srt + rows, axis=0)
-        length = np.sqrt((step * step).sum(axis=3))
-        live = face[..., None] & (length > tol)
-        es, ei, _ = np.nonzero(live)
-        lo = np.minimum(srt, nxt)[live]
-        hi = np.maximum(srt, nxt)[live]
-        ekey = (es * nv + lo) * nv + hi
-        # stable: the hits of one edge stay in plane order
-        eo = np.argsort(ekey, kind="stable")
-        ekey = ekey[eo]
-        start = np.flatnonzero(np.r_[True, ekey[1:] != ekey[:-1]])
-        size = np.diff(np.r_[start, ekey.size])
-        first = eo[start[size == 2]]
-        second = eo[start[size == 2] + 1]
-        angle = np.arccos(np.clip(A @ A.T, -1.0, 1.0))
-        contrib = length[live][first] * angle[ei[first], ei[second]] / (2.0 * math.pi)
-        vals = np.bincount(es[first], weights=contrib, minlength=n_samples)
+    nxt = np.roll(srt, -1, axis=2)
+    rows = nv * np.arange(n_samples)[:, None, None]
+    flat = P.reshape(-1, 3)
+    step = np.take(flat, nxt + rows, axis=0) - np.take(flat, srt + rows, axis=0)
+    length = np.sqrt((step * step).sum(axis=3))
+    live = face[..., None] & (length > tol)
+    es, ei, _ = np.nonzero(live)
+    lo = np.minimum(srt, nxt)[live]
+    hi = np.maximum(srt, nxt)[live]
+    ekey = (es * nv + lo) * nv + hi
+    # stable: the hits of one edge stay in plane order
+    eo = np.argsort(ekey, kind="stable")
+    ekey = ekey[eo]
+    start = np.flatnonzero(np.r_[True, ekey[1:] != ekey[:-1]])
+    size = np.diff(np.r_[start, ekey.size])
+    first = eo[start[size == 2]]
+    second = eo[start[size == 2] + 1]
+    angle = np.arccos(np.clip(A @ A.T, -1.0, 1.0))
+    contrib = length[live][first] * angle[ei[first], ei[second]] / (2.0 * math.pi)
+    vals = np.bincount(es[first], weights=contrib, minlength=n_samples)
     vals[cnt < 4] = 0.0
     return vals
 
@@ -499,8 +470,27 @@ def _difference_volume(K: Polytope, L: Polytope, ratio: float = 1.0) -> float:
     return Polytope.hull(diffs, allow_degenerate=True).volume()
 
 
+def _boundary_entries(polytopes) -> dict:
+    """{r: V_r} for j = d - 1, in closed form.
+
+    Every such r has one slot r_i = d - 1 and all others d, and then
+    V_r = V_{d-1}(K_i) prod_{l != i} vol K_l (Schneider and Weil, Stochastic
+    and Integral Geometry, 2008, sec. 6.4).  Both factors are exact for
+    d <= 3.  The keys come in _degree_tuples order.
+    """
+    d, k = polytopes[0].dim, len(polytopes)
+    vols = [p.volume() for p in polytopes]
+    out = {}
+    for r in _degree_tuples(d, k, d - 1):
+        i = r.index(d - 1)
+        out[r] = float(polytopes[i].intrinsic_volume(d - 1)
+                       * math.prod(vols[:i] + vols[i + 1:]))
+    return out
+
+
 def _translative_value(engine: _VertexEngine, lambdas, j: int, unit: np.ndarray):
-    """Sampled translation integral of V_j over the bodies lambdas[i] * K_i.
+    """Sampled translation integral of V_j over the bodies lambdas[i] * K_i,
+    for j = 0 or (in R^3) j = 1.
 
     Returns (estimate, draws): draws holds one unbiased value per row of
     unit, the box volume times V_j of that translate's intersection, and the
@@ -524,10 +514,8 @@ def _translative_value(engine: _VertexEngine, lambdas, j: int, unit: np.ndarray)
         x, feas, bz = engine.candidates(z[rows])
         if j == 0:
             vals[rows] = feas.any(axis=1).astype(float)
-        elif d == 2:
-            vals[rows] = _poly2d_values(x, feas, j)
         else:
-            vals[rows] = _poly3d_values(x, feas, engine.A, bz, engine.frames, j, tol)
+            vals[rows] = _poly3d_values(x, feas, engine.A, bz, engine.frames, tol)
     return from_samples(vals).scaled(box_volume), box_volume * vals
 
 
@@ -535,12 +523,14 @@ def translative_integral_mc(polytopes, j: int, rng=None,
                             samples: int = 100000) -> MCEstimate:
     """Value of int V_j(K_1 cap (K_2+z_2) cap ...) dz_2..dz_k.
 
-    For j = 0 and two bodies the integral is vol(K_1 - K_2), returned exact
-    (std_error 0).  Otherwise translations are uniform over the
-    Minkowski-difference bounding boxes (the integrand vanishes outside),
-    and the intersection is evaluated per sample by stacked-halfspace
-    vertex enumeration; empty and lower-dimensional intersections
-    contribute 0.  By the translative expansion this equals the sum of V_r
+    Two cases are returned exact (std_error 0): for j = 0 and two bodies
+    the integral is vol(K_1 - K_2), and for j = d - 1 it is
+    sum_i V_{d-1}(K_i) prod_{l != i} vol K_l, for any number of bodies.
+    Otherwise (j = 0 with k >= 3 bodies, or j = 1 in R^3) translations are
+    uniform over the Minkowski-difference bounding boxes (the integrand
+    vanishes outside), and the intersection is evaluated per sample by
+    stacked-halfspace vertex enumeration; empty and lower-dimensional
+    intersections contribute 0.  By the translative expansion this equals the sum of V_r
     over all r with sum r = (k-1)d + j.
     """
     d = _check_translative(polytopes, j)
@@ -552,6 +542,9 @@ def translative_integral_mc(polytopes, j: int, rng=None,
     unit = rng.random((samples, (k - 1) * d))
     if j == 0 and k == 2:
         return MCEstimate.exact(_difference_volume(*polytopes), samples)
+    if j == d - 1:
+        return MCEstimate.exact(sum(_boundary_entries(polytopes).values()),
+                                samples)
     return _translative_value(_VertexEngine(polytopes), [1.0] * k, j, unit)[0]
 
 
@@ -567,12 +560,15 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
     and two bodies every grid value is an exact difference-body volume,
     vol(l_1 K_1 - l_2 K_2) = l_1^d vol(K_1 - (l_2 / l_1) K_2), hulled once
     per ratio; the entries are exact and the route is
-    "exact-decomposition".  Otherwise the fit is linear in the grid values,
-    so each draw gives its own coefficients (the pseudoinverse times that
-    draw's grid row); their standard errors are the entries' errors, and
-    those of their per-draw sums the total's.  This propagation is exact
-    under the common random numbers, which correlate the grid values.  One
-    draw gives infinite errors.
+    "exact-decomposition".  For j = d - 1 the entries are set from their
+    closed form (_boundary_entries) without a fit, on the same route and
+    with a fit residual of 0; the input checks and the draws stay as for
+    any j.  Otherwise the fit is linear in the grid values, so each draw
+    gives its own coefficients (the pseudoinverse times that draw's grid
+    row); their standard errors are the entries' errors, and those of
+    their per-draw sums the total's.  This propagation is exact under the
+    common random numbers, which correlate the grid values.  One draw
+    gives infinite errors.
     """
     d = _check_translative(polytopes, j)
     check_count(samples)
@@ -590,12 +586,18 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
     cond = float(np.linalg.cond(design))
     if cond > 1e8:
         raise EstimationError(f"homogeneous fit ill-conditioned (cond={cond:.3e})")
+    meta = {"cond": cond, "fit_residual": 0.0, "samples": samples,
+            "lambdas": tuple(lambdas), "total_std_error": 0.0}
     unit = rng.random((samples, (k - 1) * d))
+    if j == d - 1:
+        entries = _boundary_entries(polytopes)
+        return TranslativeTable(d, j, entries, "exact-decomposition",
+                                dict.fromkeys(entries, 0.0), meta)
     if j == 0 and k == 2:
         vols = {ratio: _difference_volume(*polytopes, ratio)
                 for ratio in {lam2 / lam1 for lam1, lam2 in combos}}
         y = np.array([lam1 ** d * vols[lam2 / lam1] for lam1, lam2 in combos])
-        err, total_err, route = [0.0] * len(r_list), 0.0, "exact-decomposition"
+        err, route = [0.0] * len(r_list), "exact-decomposition"
     else:
         engine = _VertexEngine(polytopes)
         grid = [_translative_value(engine, combo, j, unit) for combo in combos]
@@ -603,16 +605,13 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
         per_draw = np.stack([draws for _, draws in grid], axis=1) \
             @ np.linalg.pinv(design).T
         err = [from_samples(c).std_error for c in per_draw.T]
-        total_err = from_samples(per_draw.sum(axis=1)).std_error
+        meta["total_std_error"] = from_samples(per_draw.sum(axis=1)).std_error
         route = "mc-decomposition"
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = float(np.max(np.abs(design @ coef - y)))
+    meta["fit_residual"] = float(np.max(np.abs(design @ coef - y)))
     entries = {r: float(c) for r, c in zip(r_list, coef)}
     errors = {r: float(e) for r, e in zip(r_list, err)}
-    return TranslativeTable(d, j, entries, route, errors,
-                            meta={"cond": cond, "fit_residual": resid,
-                                  "samples": samples, "lambdas": tuple(lambdas),
-                                  "total_std_error": total_err})
+    return TranslativeTable(d, j, entries, route, errors, meta)
 
 
 def duality_check(K: Polytope, L: Polytope, n: int):

@@ -109,11 +109,6 @@ def spawn_rngs(rng_or_seed, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(ss) for ss in root.spawn(n)]
 
 
-def chunk_sizes(total: int, chunk: int) -> list[int]:
-    full, rem = divmod(int(total), int(chunk))
-    return [chunk] * full + ([rem] if rem else [])
-
-
 def parallel_map(fn, items, threads: int = 1):
     """Ordered map; results do not depend on thread count."""
     if threads <= 1 or len(items) <= 1:

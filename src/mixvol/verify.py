@@ -34,12 +34,12 @@ from .util import as_rng, multinomial, random_rotation, random_unit_vectors
 _BUDGETS = {
     "quick": dict(c3_samples=20000, c4_tuples=8, c4_samples=5000,
                   c5_samples=10 ** 5, c6_trials=2, c6_samples=20000,
-                  c7_seeds=3, c7_samples=2000, c9_samples_2d=30000,
-                  c9_samples_3d=1200, c9_anchor=2 * 10 ** 5, c11_cases=200),
+                  c7_seeds=3, c7_samples=2000, c9_samples_3d=1200,
+                  c11_cases=200),
     "full": dict(c3_samples=10 ** 5, c4_tuples=20, c4_samples=20000,
                  c5_samples=10 ** 5, c6_trials=5, c6_samples=40000,
-                 c7_seeds=10, c7_samples=4000, c9_samples_2d=60000,
-                 c9_samples_3d=2500, c9_anchor=10 ** 6, c11_cases=1000),
+                 c7_seeds=10, c7_samples=4000, c9_samples_3d=2500,
+                 c11_cases=1000),
 }
 
 _FAMILIES = (cube, simplex, diamond)
@@ -266,14 +266,15 @@ def check_flag_functional(budget, seed) -> dict:
 
 def check_translative_closure(budget, seed) -> dict:
     """9: scaling decomposition sums match the direct translation integral;
-    exact anchors at high sample count."""
+    hand-computed anchors.  Only (3, 1) is sampled: j = 0 pairs and
+    j = d - 1 are exact on both sides, so they draw a fixed count."""
     rng = as_rng(seed)
     combos = (
-        (2, 0, budget["c9_samples_2d"]),
-        (2, 1, budget["c9_samples_2d"]),
+        (2, 0, 20000),
+        (2, 1, 20000),
         (3, 0, 20000),
         (3, 1, budget["c9_samples_3d"]),
-        (3, 2, budget["c9_samples_3d"]),
+        (3, 2, 20000),
     )
     worst = 0.0
     for d, j, n in combos:
@@ -285,11 +286,8 @@ def check_translative_closure(budget, seed) -> dict:
                                          if d == 2 else max(2 * n, 6000))
         sig = math.hypot(tot.std_error, direct.std_error)
         worst = max(worst, abs(tot.value - direct.value) / max(sig, 1e-12))
-    anchor = budget["c9_anchor"]
-    a1 = translative_integral_mc([cube(2), diamond(2)], 0, rng=rng,
-                                 samples=anchor)
-    a2 = translative_integral_mc([cube(2), cube(2)], 1, rng=rng,
-                                 samples=anchor)
+    a1 = translative_integral_mc([cube(2), diamond(2)], 0, rng=rng)
+    a2 = translative_integral_mc([cube(2), cube(2)], 1, rng=rng)
     rel1 = abs(a1.value - 7.0) / 7.0
     rel2 = abs(a2.value - 4.0) / 4.0
     passed = worst <= 3.0 and rel1 <= 0.01 and rel2 <= 0.01

@@ -131,17 +131,21 @@ def test_translative_report(capsys):
     assert report["std_error"] == 0.0
 
 
-@pytest.mark.parametrize("j,route", [(0, "exact-decomposition"),
-                                     (1, "mc-decomposition")])
-def test_decompose_route_label(capsys, j, route):
-    # every j = 0 pair entry is exact, and the report says so
+@pytest.mark.parametrize("dim,j,route", [(2, 0, "exact-decomposition"),
+                                         (2, 1, "exact-decomposition"),
+                                         (3, 1, "mc-decomposition")],
+                         ids=["0-exact-decomposition", "1-exact-decomposition",
+                              "1-mc-decomposition"])
+def test_decompose_route_label(capsys, dim, j, route):
+    # every j = 0 pair entry and every j = d - 1 entry is exact, and the
+    # report says so
     code, out, _ = run_cli(capsys, "translative", "--gen", "cube,diamond",
-                           "--dim", "2", "--j", str(j), "--seed", "2",
+                           "--dim", str(dim), "--j", str(j), "--seed", "2",
                            "--samples", "200", "--decompose")
     assert code == 0
     report = json.loads(out)
     assert report["route"] == route
-    assert all((e["std_error"] == 0.0) == (j == 0)
+    assert all((e["std_error"] == 0.0) == (route == "exact-decomposition")
                for e in report["entries"].values())
 
 
@@ -156,7 +160,7 @@ def test_one_draw_report_is_valid_json(capsys, extra):
     # one draw has no sample spread: the API keeps std_error = inf, the
     # report prints null
     code, out, _ = run_cli(capsys, "translative", "--gen", "cube,diamond",
-                           "--dim", "2", "--j", "1", "--seed", "2",
+                           "--dim", "3", "--j", "1", "--seed", "2",
                            "--samples", "1", *extra)
     assert code == 0
     report = _strict_json(out)

@@ -22,8 +22,8 @@ from mixvol import translative
 from mixvol.polytope import Polytope
 from mixvol.translative import (_SCREEN_TOL, TranslativeTable,
                                 _degree_tuples, _difference_volume,
-                                _poly2d_values, _poly3d_values,
-                                _sample_boxes, _translative_value,
+                                _poly3d_values, _sample_boxes,
+                                _translative_value,
                                 _VertexEngine, curvature_mixed_functional,
                                 decompose_homogeneous, duality_check,
                                 translative_integral_mc)
@@ -120,17 +120,19 @@ def test_translation_integral_j0_is_difference_body_volume():
 
 
 def test_translation_integral_j1_square_pair():
+    # j = d - 1 is exact: V_1(Q) vol(Q) + vol(Q) V_1(Q) = 4
     est = translative_integral_mc([cube(2), cube(2)], 1, rng=5,
                                   samples=60000)
-    assert abs(est.value - 4.0) <= 3.0 * est.std_error
+    assert est.value == pytest.approx(4.0, rel=1e-12)
+    assert est.std_error == 0.0 and est.samples == 60000
 
 
 def test_translation_integral_j1_square_diamond():
     # boundary-length term: integral = 2 sqrt(2) + 4
     est = translative_integral_mc([cube(2), diamond(2)], 1, rng=5,
                                   samples=60000)
-    assert abs(est.value - (2.0 * math.sqrt(2.0) + 4.0)) <= \
-        3.0 * est.std_error
+    assert est.value == pytest.approx(2.0 * math.sqrt(2.0) + 4.0, rel=1e-12)
+    assert est.std_error == 0.0
 
 
 def test_translation_integral_three_bodies():
@@ -141,10 +143,13 @@ def test_translation_integral_three_bodies():
 
 
 def test_translation_integral_3d_cube_pair():
-    for j, want in ((0, 8.0), (1, 12.0), (2, 6.0)):
+    for j, want in ((0, 8.0), (1, 12.0)):
         est = translative_integral_mc([cube(3), cube(3)], j, rng=11,
                                       samples=3000 if j else 30000)
         assert abs(est.value - want) <= 3.0 * est.std_error + 1e-6, (j, est)
+    est = translative_integral_mc([cube(3), cube(3)], 2, rng=11, samples=3000)
+    assert est.value == pytest.approx(6.0, rel=1e-12)
+    assert est.std_error == 0.0
 
 
 def test_translative_validation():
@@ -169,10 +174,11 @@ def test_translative_validation():
 
 
 def test_translative_seed_reproducible():
-    a = translative_integral_mc([cube(2), diamond(2)], 1, rng=9,
-                                samples=5000)
-    b = translative_integral_mc([cube(2), diamond(2)], 1, rng=9,
-                                samples=5000)
+    a = translative_integral_mc([cube(3), diamond(3)], 1, rng=9,
+                                samples=500)
+    b = translative_integral_mc([cube(3), diamond(3)], 1, rng=9,
+                                samples=500)
+    assert a.std_error > 0.0
     assert a.value == b.value and a.std_error == b.std_error
 
 
@@ -180,12 +186,14 @@ def test_decompose_square_pair_j1():
     table = decompose_homogeneous([cube(2), cube(2)], 1, rng=13,
                                   samples=8000)
     assert set(table.entries) == {(1, 2), (2, 1)}
+    assert table.route == "exact-decomposition"
     # V_{1,2}(Q,Q) = V_{2,1}(Q,Q) = 2 by the polarized perimeter formula
     for r in table.entries:
-        err = table.std_error(r)
-        assert abs(table.value(r) - 2.0) <= 3.0 * err + 0.02
+        assert table.value(r) == pytest.approx(2.0, rel=1e-12)
+        assert table.std_error(r) == 0.0
     tot = table.total()
-    assert abs(tot.value - 4.0) <= 3.0 * tot.std_error + 0.02
+    assert tot.value == pytest.approx(4.0, rel=1e-12)
+    assert tot.std_error == 0.0
 
 
 def test_decompose_j0_recovers_volumes():
@@ -226,28 +234,83 @@ def test_duality_input_validation():
 
 
 def test_translation_integral_lower_dimensional_body():
-    # the j = 0 pair path needs no H-representation of a segment:
+    # neither exact path needs an H-representation of a segment:
     # vol(Q + (-S)) = 2, and the decomposition splits it into vol(Q) = 1,
-    # the mixed term 1 and vol(S) = 0
+    # the mixed term 1 and vol(S) = 0; for j = 1 only vol(Q) V_1(S) = 1
+    # survives
     K, S = cube(2), segment(2, 0)
     est = translative_integral_mc([K, S], 0, rng=23, samples=20000)
     assert abs(est.value - 2.0) <= 1e-6
     table = decompose_homogeneous([K, S], 0, rng=23, samples=4000)
     for r, want in (((2, 0), 1.0), ((1, 1), 1.0), ((0, 2), 0.0)):
         assert abs(table.value(r) - want) <= 1e-6, (r, table.entries)
-    with pytest.raises(InputError):
-        translative_integral_mc([K, S], 1, rng=23, samples=100)
+    est = translative_integral_mc([K, S], 1, rng=23, samples=100)
+    assert est.value == pytest.approx(1.0, rel=1e-12)
+    assert est.std_error == 0.0
 
 
-def _poly3d_value_loop(pts, planes_a, planes_b, frames, j, tol):
-    """Per-sample reference valuation: V_1 or V_2 of one intersection
-    polytope from its feasible candidate vertices and the stacked planes."""
+def _sampled_boundary_integral(bodies, rng, n):
+    """(mean, std_error) of int V_{d-1}(K_1 cap (K_2 + z_2) cap ...) dz by
+    uniform translations over the difference-body bounding boxes, with each
+    intersection built by scipy's halfspace intersection and V_{d-1} taken
+    as half its hull's boundary measure (the perimeter when d = 2)."""
+    from scipy.optimize import linprog
+    from scipy.spatial import ConvexHull, HalfspaceIntersection
+
+    d, k = bodies[0].dim, len(bodies)
+    lo = np.concatenate([bodies[0].vertices.min(axis=0) - p.vertices.max(axis=0)
+                         for p in bodies[1:]])
+    hi = np.concatenate([bodies[0].vertices.max(axis=0) - p.vertices.min(axis=0)
+                         for p in bodies[1:]])
+    systems = [p.halfspaces() for p in bodies]
+    A = np.vstack([a for a, _ in systems])
+    # Chebyshev centre (x, t): maximise t subject to A x + |a_i| t <= b
+    cheb = np.column_stack([A, np.linalg.norm(A, axis=1)])
+    vals = np.zeros(n)
+    for s in range(n):
+        z = lo + rng.random(lo.size) * (hi - lo)
+        shifts = [np.zeros(d)] + np.split(z, k - 1)
+        b = np.concatenate([off + a @ t for (a, off), t in zip(systems, shifts)])
+        lp = linprog(np.r_[np.zeros(d), -1.0], A_ub=cheb, b_ub=b,
+                     bounds=[(None, None)] * d + [(0.0, None)])
+        if lp.status != 0 or lp.x[-1] <= 1e-9:
+            continue
+        cut = HalfspaceIntersection(np.column_stack([A, -b]), lp.x[:d])
+        vals[s] = ConvexHull(cut.intersections).area / 2.0
+    box = float(np.prod(hi - lo))
+    return box * vals.mean(), box * vals.std(ddof=1) / math.sqrt(n)
+
+
+@pytest.mark.parametrize("bodies", [
+    (cube(2), diamond(2)),
+    (cube(2), diamond(2), rotated_cube(2, 3)),
+    (cube(3), rotated_cube(3, 5)),
+], ids=["Q2-D2", "Q2-D2-R-k3", "Q3-R"])
+def test_boundary_integral_matches_independent_sampler(bodies):
+    # the closed form sum_i V_{d-1}(K_i) prod_{l != i} vol K_l against a
+    # sampler that shares no code with mixvol's, and the decomposition
+    # total against the direct value
+    d = bodies[0].dim
+    est = translative_integral_mc(list(bodies), d - 1, rng=53, samples=10)
+    assert est.std_error == 0.0
+    mean, err = _sampled_boundary_integral(bodies, np.random.default_rng(59),
+                                           1000 if d == 2 else 600)
+    assert abs(mean - est.value) <= 5.0 * err, (mean, err, est.value)
+    table = decompose_homogeneous(list(bodies), d - 1, rng=53, samples=10)
+    assert table.route == "exact-decomposition"
+    assert table.total().value == pytest.approx(est.value, rel=1e-12)
+    assert table.total().std_error == 0.0
+    assert all(table.std_error(r) == 0.0 for r in table.entries)
+
+
+def _poly3d_value_loop(pts, planes_a, planes_b, frames, tol):
+    """Per-sample reference valuation: V_1 of one intersection polytope
+    from its feasible candidate vertices and the stacked planes."""
     key = np.round(pts / tol).astype(np.int64)
     _, first = np.unique(key, axis=0, return_index=True)
     pts = pts[np.sort(first)]
     if pts.shape[0] < 4:
         return 0.0
-    area_total = 0.0
     edges = {}
     for i in range(planes_a.shape[0]):
         on = np.abs(pts @ planes_a[i] - planes_b[i]) <= tol
@@ -255,23 +318,15 @@ def _poly3d_value_loop(pts, planes_a, planes_b, frames, j, tol):
             continue
         ring = pts[on]
         uv = (ring - ring.mean(axis=0)) @ frames[i]
-        order = np.argsort(np.arctan2(uv[:, 1], uv[:, 0]))
-        ring = ring[order]
-        uv = uv[order]
-        nxt = np.roll(uv, -1, axis=0)
-        area_total += 0.5 * abs(float(np.sum(uv[:, 0] * nxt[:, 1]
-                                             - uv[:, 1] * nxt[:, 0])))
-        if j == 1:
-            rk = np.round(ring / tol).astype(np.int64)
-            for a in range(ring.shape[0]):
-                b = (a + 1) % ring.shape[0]
-                kk = (tuple(rk[a]), tuple(rk[b]))
-                kk = kk if kk[0] <= kk[1] else (kk[1], kk[0])
-                length = float(np.linalg.norm(ring[b] - ring[a]))
-                if length > tol:
-                    edges.setdefault(kk, []).append((i, length))
-    if j == 2:
-        return 0.5 * area_total
+        ring = ring[np.argsort(np.arctan2(uv[:, 1], uv[:, 0]))]
+        rk = np.round(ring / tol).astype(np.int64)
+        for a in range(ring.shape[0]):
+            b = (a + 1) % ring.shape[0]
+            kk = (tuple(rk[a]), tuple(rk[b]))
+            kk = kk if kk[0] <= kk[1] else (kk[1], kk[0])
+            length = float(np.linalg.norm(ring[b] - ring[a]))
+            if length > tol:
+                edges.setdefault(kk, []).append((i, length))
     v1 = 0.0
     for hits in edges.values():
         if len(hits) != 2:
@@ -322,17 +377,16 @@ def test_batched_3d_valuation_matches_loop(other):
         x = np.concatenate([x, x[s][None], split_x[None]])
         feas = np.concatenate([feas, few[None], split_feas[None]])
         bz = np.concatenate([bz, bz[[s, s]]])
-        for j in (1, 2):
-            got = _poly3d_values(x, feas, engine.A, bz, engine.frames, j, tol)
-            want = np.array([_poly3d_value_loop(x[s][feas[s]], engine.A, bz[s],
-                                                frames, j, tol)
-                             for s in range(x.shape[0])])
-            assert np.count_nonzero(want) > 100 and want[-2] == 0.0
-            np.testing.assert_allclose(got, want, rtol=1e-12,
-                                       atol=1e-12 * np.max(want))
+        got = _poly3d_values(x, feas, engine.A, bz, engine.frames, tol)
+        want = np.array([_poly3d_value_loop(x[s][feas[s]], engine.A, bz[s],
+                                            frames, tol)
+                         for s in range(x.shape[0])])
+        assert np.count_nonzero(want) > 100 and want[-2] == 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(want))
 
 
-@pytest.mark.parametrize("d,j", [(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+@pytest.mark.parametrize("d,j", [(2, 0), (3, 0), (3, 1)])
 def test_scaled_bodies_match_rehulled(d, j):
     # scaling vertices and facet offsets in place gives the translation
     # integral of the re-hulled scaled bodies
@@ -358,26 +412,23 @@ def test_scaled_bodies_match_rehulled(d, j):
 def _unscreened_draws(bodies, lams, j, unit):
     """Per-draw values of _translative_value with every draw sent through
     the vertex engine in one chunk."""
-    d = bodies[0].dim
     engine = _VertexEngine(bodies).scaled(lams)
     lo, hi = _sample_boxes([lam * p.vertices for p, lam in zip(bodies, lams)])
     x, feas, bz = engine.candidates(lo + unit * (hi - lo))
     if j == 0:
         vals = feas.any(axis=1).astype(float)
-    elif d == 2:
-        vals = _poly2d_values(x, feas, j)
     else:
-        vals = _poly3d_values(x, feas, engine.A, bz, engine.frames, j,
+        vals = _poly3d_values(x, feas, engine.A, bz, engine.frames,
                               1e-7 * engine.scale)
     return float(np.prod(hi - lo)) * vals
 
 
 @pytest.mark.parametrize("bodies,j", [
-    ((cube(2), diamond(2)), 1),
-    ((simplex(2), rotated_cube(2, 3)), 1),
+    ((cube(2), diamond(2)), 0),
+    ((simplex(2), rotated_cube(2, 3)), 0),
     ((cube(2), diamond(2), rotated_cube(2, 4)), 0),
     ((cube(3), diamond(3)), 1),
-    ((cube(3), rotated_cube(3, 5)), 2),
+    ((cube(3), rotated_cube(3, 5)), 1),
 ], ids=["Q2-D2", "S2-R", "Q2-D2-R-k3", "Q3-D3", "Q3-R"])
 def test_screened_draws_match_engine(bodies, j):
     # the difference-body screen only skips draws the engine values at 0
@@ -493,21 +544,20 @@ def _fit_inputs(bodies, j, seed, samples, lambdas=(1.0, 1.5, 2.0)):
     return r_list, design, grid
 
 
-@pytest.mark.parametrize("d,samples,runs", [(2, 200, 400), (3, 100, 50)])
+@pytest.mark.parametrize("d,samples,runs", [(3, 100, 50)])
 def test_per_draw_errors_are_calibrated(d, samples, runs):
     # a fixed batch of seeded cube/diamond decompositions at j = 1, sized to
     # take a few seconds: z-scores of the entries and totals against exact
     # values have unit spread, and the per-draw errors sit below the
     # conservative |pinv| sigma bound
     K, L = cube(d), diamond(d)
-    # V_(d,1) = vol(K) V_1(L) and V_(1,d) = V_1(K) vol(L), with vol(K) = 1,
-    # V_1(K) = d, vol(L) = 2^d / d! and V_1(L) the edge-length sum weighted by
-    # exterior angles; the middle entry of d = 3 comes from the curvature route
-    v1_diamond = 2.0 * math.sqrt(2.0) if d == 2 else \
-        12.0 * math.sqrt(2.0) * (math.pi - math.acos(-1.0 / 3.0)) / (2.0 * math.pi)
-    ref = {(d, 1): v1_diamond, (1, d): d * 2.0 ** d / math.factorial(d)}
-    if d == 3:
-        ref[(2, 2)] = curvature_mixed_functional([K, L], (2, 2))
+    # V_(3,1) = vol(K) V_1(L) and V_(1,3) = V_1(K) vol(L), with vol(K) = 1,
+    # V_1(K) = 3, vol(L) = 4 / 3 and V_1(L) the edge-length sum weighted by
+    # exterior angles; the middle entry comes from the curvature route
+    v1_diamond = 12.0 * math.sqrt(2.0) * (math.pi - math.acos(-1.0 / 3.0)) \
+        / (2.0 * math.pi)
+    ref = {(3, 1): v1_diamond, (1, 3): 4.0,
+           (2, 2): curvature_mixed_functional([K, L], (2, 2))}
     zs = []
     for seed in range(runs):
         table = decompose_homogeneous([K, L], 1, rng=seed, samples=samples)
@@ -530,18 +580,18 @@ def test_per_draw_errors_are_calibrated(d, samples, runs):
 
 
 def test_one_draw_errors_are_infinite():
-    table = decompose_homogeneous([cube(2), diamond(2)], 1, rng=1, samples=1)
+    table = decompose_homogeneous([cube(3), diamond(3)], 1, rng=1, samples=1)
     assert all(math.isinf(table.std_error(r)) for r in table.entries)
     assert math.isinf(table.total().std_error)
-    est = translative_integral_mc([cube(2), diamond(2)], 1, rng=1, samples=1)
+    est = translative_integral_mc([cube(3), diamond(3)], 1, rng=1, samples=1)
     assert math.isinf(est.std_error)
     exact = decompose_homogeneous([cube(2), diamond(2)], 0, rng=1, samples=1)
     assert all(exact.std_error(r) == 0.0 for r in exact.entries)
 
 
 @pytest.mark.parametrize("bodies,j", [
-    ((cube(3), diamond(3)), 2),
-    ((cube(2), diamond(2), rotated_cube(2, 9)), 1),
+    ((cube(3), diamond(3)), 1),
+    ((cube(2), diamond(2), rotated_cube(2, 9)), 0),
 ], ids=["Q3-D3", "Q2-D2-R-k3"])
 def test_one_engine_per_decomposition(monkeypatch, bodies, j):
     # one vertex engine serves the whole grid (27 combinations when k = 3),

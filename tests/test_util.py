@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from mixvol.errors import InputError
 from mixvol.estimates import (MCEstimate, combine_product, combine_sum,
                               from_indicator, from_samples)
-from mixvol.util import (as_rng, chunk_sizes, complete_basis, gram_det,
-                         kappa, multinomial, omega, orthonormal_columns,
+from mixvol.util import (as_rng, complete_basis, gram_det, kappa,
+                         multinomial, omega, orthonormal_columns,
                          parallel_map, random_rotation, random_unit_vectors,
                          spawn_rngs)
 
@@ -40,13 +40,6 @@ def test_multinomial_permutation_symmetric(parts):
     d = sum(parts)
     base = multinomial(d, tuple(parts))
     assert base == multinomial(d, tuple(reversed(parts)))
-
-
-@given(st.integers(1, 10 ** 6), st.integers(1, 64))
-def test_chunk_sizes_partition(total, chunk):
-    sizes = chunk_sizes(total, chunk)
-    assert sum(sizes) == total
-    assert all(1 <= s <= chunk for s in sizes)
 
 
 def test_spawn_rngs_reproducible():
