@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DegenerateInputError, InputError
 from .estimates import MCEstimate
 from .exterior import Subspace
-from .util import multinomial, kappa, omega, orthonormal_columns
+from .util import complete_basis, multinomial, kappa, omega, orthonormal_columns
 
 _TOL = 1e-9
 
@@ -258,6 +258,27 @@ def _pyramid_volume(verts: np.ndarray, facets, tol: float) -> float:
     return total / d
 
 
+def _surface_measure(p: Polytope):
+    """S_{d-1}(P) as (unit normals (m, d), weights (m,)), without the face
+    lattice.  A full-dimensional body gives its facet normals and facet
+    areas (each facet measured as in _pyramid_volume); a body of dimension
+    d - 1 gives +-n, n normal to its affine hull, each weighted with its own
+    (d-1)-volume; lower-dimensional bodies give an empty measure."""
+    d, tol = p.dim, p._tol()
+    if p.intrinsic_dim == d:
+        areas = []
+        for n, _, ids in p.facets:
+            k = int(np.argmax(np.abs(n)))
+            areas.append(_face_volume(np.delete(p.vertices[list(ids)], k, axis=1), tol)
+                         / abs(n[k]))
+        return np.array([n for n, _, _ in p.facets]), np.array(areas)
+    if p.intrinsic_dim == d - 1:
+        n = complete_basis(p._frame, d)[:, 0]
+        area = _face_volume((p.vertices - p._origin) @ p._frame, tol)
+        return np.array([n, -n]), np.array([area, area])
+    return np.zeros((0, d)), np.zeros(0)
+
+
 # ---------------------------------------------------------------------------
 # the polytope type
 
@@ -372,8 +393,6 @@ class Polytope:
             if s not in all_sets:
                 # vertex of a body with no facets through it (e.g. a point body)
                 all_sets.add(s)
-        from .util import complete_basis
-
         lin_basis = complete_basis(self._frame, d) \
             if self.intrinsic_dim < d else np.zeros((d, 0))
 

@@ -5,16 +5,18 @@ sums the hull-distance kernel G_r over products of normal-cone spheres
 (deterministic quadrature for d <= 3), and translative_integral_mc evaluates
 the defining translation integral int V_j of the intersection body, which
 decompose_homogeneous then splits into the individual V_r by a scaling fit.
-Two cases are closed-form: for j = 0 and two bodies the integral is the
-volume of the difference body, and for j = d - 1 every V_r factors into
-V_{d-1} of one body times the volumes of the others.  Otherwise the integral
-is sampled, and the fit propagates the errors draw by draw through the
-common random numbers it shares.  Each sampling call builds one vertex
-engine for all its scaled grid bodies, and draws outside a difference body
-lambda_1 K_1 - lambda_i K_i, where the integrand is 0, are screened out
-before the engine enumerates vertices.  Unlike mixed volumes, no multinomial
-factor is divided out anywhere here; the two conventions meet in
-duality_check.
+Two cases are closed-form: for j = 0 and two bodies the integral is
+vol(K_1 - K_2), a polynomial in the scale of K_2 whose coefficients are
+volumes and facet-area sums of support values (no difference-body hull),
+and for j = d - 1 every V_r factors into V_{d-1} of one body times the
+volumes of the others.  Otherwise the integral is sampled, and the fit
+propagates the errors draw by draw through the common random numbers it
+shares.  Each sampling call builds one vertex engine for all its scaled
+grid bodies and evaluates each ratio lambda_i / lambda_1 of the grid once,
+and draws outside a difference body lambda_1 K_1 - lambda_i K_i, where the
+integrand is 0, are screened out before the engine enumerates vertices.
+Unlike mixed volumes, no multinomial factor is divided out anywhere here;
+the two conventions meet in duality_check.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .estimates import MCEstimate, from_samples
 from .exterior import subspace_determinant
 from .kernels import KernelSpec, _gl, hull_distance_batch, kernel_values
 from .mixed_volume import oracle_mixed_volumes
-from .polytope import Polytope
+from .polytope import Polytope, _surface_measure
 from .util import as_integer, as_rng, check_bodies, check_count, complete_basis
 
 _DET_TOL = 1e-9
@@ -261,10 +263,11 @@ class _VertexEngine:
     """Batched vertex enumeration for K_1 cap (K_2+z_2) cap ... over many z.
 
     It serves the two sampled cases: the j = 0 indicator of a nonempty
-    intersection for k >= 3 bodies, and V_1 in R^3.
-    One engine serves a whole public call.  It is built from the unscaled
-    bodies: the stacked H-representation, whose right-hand side is affine
-    in z, the non-singular d-subsets of its rows with their inverses and
+    intersection for k >= 3 bodies, and V_1 in R^3; the exact cases (j = 0
+    with two bodies, j = d - 1) never build one.  One engine serves a whole
+    public call.  It is built from the unscaled bodies: the stacked
+    H-representation, whose right-hand side is affine in z, the
+    non-singular d-subsets of its rows with their inverses and
     the candidate vertex's slope in z, the in-plane frame of every row in
     R^3 (for the face rings of _poly3d_values), and the screening normals
     of each pair's difference body.  None of these depends on the scaling
@@ -464,10 +467,27 @@ def _sample_boxes(verts):
     return np.concatenate(lows), np.concatenate(highs)
 
 
-def _difference_volume(K: Polytope, L: Polytope, ratio: float = 1.0) -> float:
-    """vol(K - ratio * L), hulled from the pairwise vertex differences."""
-    diffs = (K.vertices[:, None, :] - ratio * L.vertices[None, :, :]).reshape(-1, K.dim)
-    return Polytope.hull(diffs, allow_degenerate=True).volume()
+def _difference_terms(K: Polytope, L: Polytope) -> list:
+    """Coefficients c_0..c_d of vol(K - rho L) = sum_i c_i rho^i, d <= 3.
+
+    c_0 = vol K and c_d = vol L.  In between, the mixed volumes
+    d V(K[d-1], -L) and d V(K, (-L)[d-1]) are sphere integrals of a support
+    function against a surface area measure (Schneider, Convex Bodies,
+    sec. 5.1): c_1 = sum_F |F| h_L(-u_F) over the facets F of K for d >= 2,
+    and c_2 = sum_G |G| h_K(-u_G) over the facets G of L for d = 3.  The
+    support values are taken on vertex arrays centred at their means: the
+    sums do not depend on translations (sum_F |F| u_F = 0), and centring
+    keeps far-translated bodies from cancelling digits.
+    """
+    vk = K.vertices - K.vertices.mean(axis=0)
+    vl = L.vertices - L.vertices.mean(axis=0)
+
+    def mixed(body, other):
+        u, w = _surface_measure(body)
+        return float(w @ np.max(-u @ other.T, axis=1))
+
+    return [float(K.volume()), *[mixed(K, vl), mixed(L, vk)][:K.dim - 1],
+            float(L.volume())]
 
 
 def _boundary_entries(polytopes) -> dict:
@@ -475,17 +495,33 @@ def _boundary_entries(polytopes) -> dict:
 
     Every such r has one slot r_i = d - 1 and all others d, and then
     V_r = V_{d-1}(K_i) prod_{l != i} vol K_l (Schneider and Weil, Stochastic
-    and Integral Geometry, 2008, sec. 6.4).  Both factors are exact for
-    d <= 3.  The keys come in _degree_tuples order.
+    and Integral Geometry, 2008, sec. 6.4), with V_{d-1}(K_i) half the total
+    mass of S_{d-1}(K_i).  Both factors are exact for d <= 3.  The keys come
+    in _degree_tuples order.
     """
     d, k = polytopes[0].dim, len(polytopes)
     vols = [p.volume() for p in polytopes]
     out = {}
     for r in _degree_tuples(d, k, d - 1):
         i = r.index(d - 1)
-        out[r] = float(polytopes[i].intrinsic_volume(d - 1)
+        out[r] = float(0.5 * _surface_measure(polytopes[i])[1].sum()
                        * math.prod(vols[:i] + vols[i + 1:]))
     return out
+
+
+def _exact_entries(polytopes, j: int):
+    """{r: V_r} in _degree_tuples order for the closed-form cases, else None.
+
+    For j = 0 and two bodies the integral is vol(K_1 - K_2), whose
+    coefficients (_difference_terms) are the entries V_(d-i, i); for j = d - 1
+    see _boundary_entries.
+    """
+    d, k = polytopes[0].dim, len(polytopes)
+    if j == 0 and k == 2:
+        return dict(zip(_degree_tuples(d, 2, 0), _difference_terms(*polytopes)))
+    if j == d - 1:
+        return _boundary_entries(polytopes)
+    return None
 
 
 def _translative_value(engine: _VertexEngine, lambdas, j: int, unit: np.ndarray):
@@ -524,27 +560,26 @@ def translative_integral_mc(polytopes, j: int, rng=None,
     """Value of int V_j(K_1 cap (K_2+z_2) cap ...) dz_2..dz_k.
 
     Two cases are returned exact (std_error 0): for j = 0 and two bodies
-    the integral is vol(K_1 - K_2), and for j = d - 1 it is
-    sum_i V_{d-1}(K_i) prod_{l != i} vol K_l, for any number of bodies.
-    Otherwise (j = 0 with k >= 3 bodies, or j = 1 in R^3) translations are
-    uniform over the Minkowski-difference bounding boxes (the integrand
-    vanishes outside), and the intersection is evaluated per sample by
-    stacked-halfspace vertex enumeration; empty and lower-dimensional
-    intersections contribute 0.  By the translative expansion this equals the sum of V_r
-    over all r with sum r = (k-1)d + j.
+    the integral is vol(K_1 - K_2), summed from its coefficients in the
+    scaling of K_2 (facet areas times support values, no difference-body
+    hull), and for j = d - 1 it is sum_i V_{d-1}(K_i) prod_{l != i} vol K_l,
+    for any number of bodies.  Otherwise (j = 0 with k >= 3 bodies, or
+    j = 1 in R^3) translations are uniform over the Minkowski-difference
+    bounding boxes (the integrand vanishes outside), and the intersection
+    is evaluated per sample by stacked-halfspace vertex enumeration; empty
+    and lower-dimensional intersections contribute 0.  By the translative
+    expansion this equals the sum of V_r over all r with sum r = (k-1)d + j.
     """
     d = _check_translative(polytopes, j)
     check_count(samples)
     k = len(polytopes)
     rng = as_rng(rng)
-    # drawn for the exact case too, so how far a generator shared across
+    # drawn for the exact cases too, so how far a generator shared across
     # calls advances does not depend on j
     unit = rng.random((samples, (k - 1) * d))
-    if j == 0 and k == 2:
-        return MCEstimate.exact(_difference_volume(*polytopes), samples)
-    if j == d - 1:
-        return MCEstimate.exact(sum(_boundary_entries(polytopes).values()),
-                                samples)
+    entries = _exact_entries(polytopes, j)
+    if entries is not None:
+        return MCEstimate.exact(sum(entries.values()), samples)
     return _translative_value(_VertexEngine(polytopes), [1.0] * k, j, unit)[0]
 
 
@@ -552,23 +587,25 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
                           lambdas=(1.0, 1.5, 2.0)) -> TranslativeTable:
     """Split the translation integral into its multihomogeneous pieces.
 
-    Evaluates the integral on every lambda-scaled body combination with
-    shared uniform draws (common random numbers), then least-squares fits
-    int = sum_r (prod_i lambda_i^{r_i}) V_r.  The scaled bodies are not
-    re-hulled: one vertex engine serves every combination, with its facet
-    offsets multiplied by lambda, so lambdas must be positive.  For j = 0
-    and two bodies every grid value is an exact difference-body volume,
-    vol(l_1 K_1 - l_2 K_2) = l_1^d vol(K_1 - (l_2 / l_1) K_2), hulled once
-    per ratio; the entries are exact and the route is
-    "exact-decomposition".  For j = d - 1 the entries are set from their
-    closed form (_boundary_entries) without a fit, on the same route and
-    with a fit residual of 0; the input checks and the draws stay as for
-    any j.  Otherwise the fit is linear in the grid values, so each draw
-    gives its own coefficients (the pseudoinverse times that draw's grid
-    row); their standard errors are the entries' errors, and those of
-    their per-draw sums the total's.  This propagation is exact under the
-    common random numbers, which correlate the grid values.  One draw
-    gives infinite errors.
+    Where the integral has a closed form (j = 0 with two bodies, and
+    j = d - 1) the entries are set from it (_exact_entries) without a fit,
+    on route "exact-decomposition" with errors and a fit residual of 0;
+    the input checks and the draws stay as for any j.  Otherwise the
+    integral is evaluated on every lambda-scaled body combination with
+    shared uniform draws (common random numbers), then least-squares fitted
+    as int = sum_r (prod_i lambda_i^{r_i}) V_r.  The value at (l_1, .., l_k)
+    is l_1^{(k-1)d+j} times the value at (1, l_2/l_1, .., l_k/l_1), so the
+    combinations with equal ratios share one evaluation at l_1 = 1 (7
+    evaluations for the 9 combinations of the default grid with k = 2,
+    25 for 27 with k = 3), whose per-draw values are scaled.  The scaled
+    bodies are not re-hulled: one vertex engine serves every evaluation,
+    with its facet offsets multiplied by lambda, so lambdas must be
+    positive.  The fit is linear in the grid values, so each draw gives its
+    own coefficients (the pseudoinverse times that draw's grid row); their
+    standard errors are the entries' errors, and those of their per-draw
+    sums the total's.  This propagation is exact under the common random
+    numbers, which correlate the grid values.  One draw gives infinite
+    errors.
     """
     d = _check_translative(polytopes, j)
     check_count(samples)
@@ -589,29 +626,27 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
     meta = {"cond": cond, "fit_residual": 0.0, "samples": samples,
             "lambdas": tuple(lambdas), "total_std_error": 0.0}
     unit = rng.random((samples, (k - 1) * d))
-    if j == d - 1:
-        entries = _boundary_entries(polytopes)
+    entries = _exact_entries(polytopes, j)
+    if entries is not None:
         return TranslativeTable(d, j, entries, "exact-decomposition",
                                 dict.fromkeys(entries, 0.0), meta)
-    if j == 0 and k == 2:
-        vols = {ratio: _difference_volume(*polytopes, ratio)
-                for ratio in {lam2 / lam1 for lam1, lam2 in combos}}
-        y = np.array([lam1 ** d * vols[lam2 / lam1] for lam1, lam2 in combos])
-        err, route = [0.0] * len(r_list), "exact-decomposition"
-    else:
-        engine = _VertexEngine(polytopes)
-        grid = [_translative_value(engine, combo, j, unit) for combo in combos]
-        y = np.array([est.value for est, _ in grid])
-        per_draw = np.stack([draws for _, draws in grid], axis=1) \
-            @ np.linalg.pinv(design).T
-        err = [from_samples(c).std_error for c in per_draw.T]
-        meta["total_std_error"] = from_samples(per_draw.sum(axis=1)).std_error
-        route = "mc-decomposition"
+    engine = _VertexEngine(polytopes)
+    runs, y, draws = {}, [], []
+    for lam1, *rest in combos:
+        ratios = tuple(lam / lam1 for lam in rest)
+        if ratios not in runs:
+            runs[ratios] = _translative_value(engine, (1.0, *ratios), j, unit)
+        est, vals = runs[ratios]
+        scale = lam1 ** ((k - 1) * d + j)
+        y.append(scale * est.value)
+        draws.append(scale * vals)
+    per_draw = np.stack(draws, axis=1) @ np.linalg.pinv(design).T
+    meta["total_std_error"] = from_samples(per_draw.sum(axis=1)).std_error
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     meta["fit_residual"] = float(np.max(np.abs(design @ coef - y)))
     entries = {r: float(c) for r, c in zip(r_list, coef)}
-    errors = {r: float(e) for r, e in zip(r_list, err)}
-    return TranslativeTable(d, j, entries, route, errors, meta)
+    errors = {r: from_samples(c).std_error for r, c in zip(r_list, per_draw.T)}
+    return TranslativeTable(d, j, entries, "mc-decomposition", errors, meta)
 
 
 def duality_check(K: Polytope, L: Polytope, n: int):

@@ -21,7 +21,7 @@ from mixvol.mixed_volume import oracle_mixed_volumes
 from mixvol import translative
 from mixvol.polytope import Polytope
 from mixvol.translative import (_SCREEN_TOL, TranslativeTable,
-                                _degree_tuples, _difference_volume,
+                                _degree_tuples, _difference_terms,
                                 _poly3d_values, _sample_boxes,
                                 _translative_value,
                                 _VertexEngine, curvature_mixed_functional,
@@ -114,9 +114,9 @@ def test_translation_integral_j0_anchor():
 def test_translation_integral_j0_is_difference_body_volume():
     est = translative_integral_mc([cube(2), cube(2)], 0, rng=3,
                                   samples=40000)
-    # the sampling box equals the difference body, so every draw hits and
-    # only hull-volume rounding remains
-    assert abs(est.value - 4.0) <= 3.0 * est.std_error + 1e-6
+    # Q - Q is the square [-1, 1]^2
+    assert est.value == pytest.approx(4.0, rel=1e-12)
+    assert est.std_error == 0.0
 
 
 def test_translation_integral_j1_square_pair():
@@ -395,9 +395,14 @@ def test_scaled_bodies_match_rehulled(d, j):
     lams = (1.5, 2.0)
     rehulled = [p.transform(lam * np.eye(d)) for p, lam in zip(bodies, lams)]
     if j == 0:
-        # the exact pair path hulls the dilate K_1 - (l_2 / l_1) K_2
-        got = lams[0] ** d * _difference_volume(*bodies, lams[1] / lams[0])
-        assert got == pytest.approx(_difference_volume(*rehulled), rel=1e-12)
+        # the closed form of vol(l_1 K - l_2 L), from the unscaled pair and
+        # from the re-hulled scaled pair, against a hull of the scaled
+        # pair's differences
+        want = _hull_difference_volume(*rehulled)
+        terms = _difference_terms(*bodies)
+        got = sum(lams[0] ** (d - i) * lams[1] ** i * c for i, c in enumerate(terms))
+        assert got == pytest.approx(want, rel=1e-12)
+        assert sum(_difference_terms(*rehulled)) == pytest.approx(want, rel=1e-12)
         return
     got, got_draws = _translative_value(_VertexEngine(bodies), lams, j, unit)
     want, want_draws = _translative_value(_VertexEngine(rehulled), (1.0, 1.0),
@@ -499,18 +504,38 @@ def test_screen_three_bodies():
         assert not np.any(placed.candidates(z)[1].any(axis=1) & ~live)
 
 
+def _closed_form_bodies(d):
+    """Generator bodies, two segments, two seeded random point-cloud hulls
+    and, in R^3, a turned and shifted flat square."""
+    rng = np.random.default_rng(60 + d)
+    turn = random_rotation(d, rng)
+    bodies = [cube(d), diamond(d), simplex(d), rotated_cube(d, 5), segment(d, 0),
+              segment(d, 1).transform(turn),
+              Polytope.hull(rng.standard_normal((8, d)), name=f"cloud{d}a"),
+              Polytope.hull(rng.uniform(-1.0, 2.0, (7 if d == 3 else 10, d)),
+                            name=f"cloud{d}b")]
+    if d == 3:
+        square = np.c_[cube(2).vertices, np.zeros(4)] @ turn.T + [0.3, -0.2, 0.5]
+        bodies.append(Polytope.hull(square, name="square3", allow_degenerate=True))
+    return bodies
+
+
 @pytest.mark.parametrize("K,L", [
-    (cube(2), rotated_cube(2, 41)),
-    (simplex(2), rotated_cube(2, 42)),
-    (diamond(2), simplex(2).transform(random_rotation(2, np.random.default_rng(43)))),
-    (cube(3), rotated_cube(3, 44)),
-    (diamond(3), rotated_cube(3, 45)),
+    pytest.param(cube(2), rotated_cube(2, 41), id="Q2-R"),
+    pytest.param(simplex(2), rotated_cube(2, 42), id="S2-R"),
+    pytest.param(diamond(2), simplex(2).transform(
+        random_rotation(2, np.random.default_rng(43))), id="D2-rotS"),
+    pytest.param(cube(3), rotated_cube(3, 44), id="Q3-R"),
+    pytest.param(diamond(3), rotated_cube(3, 45), id="D3-R"),
     # the curvature route raises EstimationError on this pair
-    (simplex(3), rotated_cube(3, 1403036832)),
-], ids=["Q2-R", "S2-R", "D2-rotS", "Q3-R", "D3-R", "S3-R1403036832"])
+    pytest.param(simplex(3), rotated_cube(3, 1403036832), id="S3-R1403036832"),
+    # segments, random clouds and a flat square
+    *[pytest.param(K, L, id=f"{K.name}-{L.name}") for d in (2, 3)
+      for K, L in itertools.combinations(_closed_form_bodies(d)[4:], 2)],
+])
 def test_exact_j0_decomposition_matches_oracle(K, L):
-    # V_(r, d-r)(K, L) = C(d, r) V(K[r], -L[d-r]); every grid value of the
-    # j = 0 fit is an exact difference-body volume, so the entries are exact
+    # V_(r, d-r)(K, L) = C(d, r) V(K[r], -L[d-r]); the entries are the
+    # coefficients of vol(K - rho L), so they are exact
     d = K.dim
     table = decompose_homogeneous([K, L], 0, rng=7, samples=50)
     oracle = oracle_mixed_volumes([K, L.negate()])
@@ -530,17 +555,71 @@ def test_exact_j0_decomposition_where_curvature_fails():
         curvature_mixed_functional([K, L], (1, 2))
 
 
+def _hull_difference_volume(K, L, rho=1.0):
+    """vol(K - rho L) from a hull of the pairwise vertex differences."""
+    diffs = (K.vertices[:, None] - rho * L.vertices[None]).reshape(-1, K.dim)
+    return Polytope.hull(diffs, allow_degenerate=True).volume()
+
+
+def _scipy_difference_volume(K, L, rho):
+    """vol(K - rho L) from scipy's Qhull; 0 for a flat difference body."""
+    from scipy.spatial import ConvexHull
+
+    diffs = (K.vertices[:, None] - rho * L.vertices[None]).reshape(-1, K.dim)
+    if np.linalg.matrix_rank(diffs - diffs.mean(axis=0), tol=1e-9) < K.dim:
+        return 0.0
+    return ConvexHull(diffs).volume
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_difference_terms_match_hulls(d):
+    # sum_i c_i rho^i against two independent hulls of the differences
+    bodies = _closed_form_bodies(d)
+    for K, L in itertools.product(bodies, repeat=2):
+        terms = _difference_terms(K, L)
+        assert len(terms) == d + 1
+        for rho in (0.5, 1.0, 1.5):
+            got = sum(c * rho ** i for i, c in enumerate(terms))
+            for want in (_hull_difference_volume(K, L, rho),
+                         _scipy_difference_volume(K, L, rho)):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-12), \
+                    (K.name, L.name, rho)
+
+
+@pytest.mark.parametrize("shift", [1e4, 1e6])
+def test_exact_integrals_survive_far_translation(shift):
+    # the 1e6-translated rotated cube has no face lattice (face_lattice
+    # raises DegenerateInputError), and neither exact path needs one
+    K, L = rotated_cube(3, 5), diamond(3)
+    far = K.translate((-shift, 2.0 * shift, shift))
+    for j in (0, 2):
+        want = translative_integral_mc([K, L], j, rng=1, samples=10).value
+        for bodies in ([far, L], [L, far]):
+            got = translative_integral_mc(bodies, j, rng=1, samples=10)
+            assert got.value == pytest.approx(want, rel=1e-10)
+            assert got.std_error == 0.0
+    table = decompose_homogeneous([far, L], 0, rng=1, samples=10)
+    for r, want in decompose_homogeneous([K, L], 0, rng=1, samples=10).entries.items():
+        assert table.value(r) == pytest.approx(want, rel=1e-10)
+
+
 def _fit_inputs(bodies, j, seed, samples, lambdas=(1.0, 1.5, 2.0)):
     """Design matrix, grid estimates and per-draw grid values of one
     decompose_homogeneous call, rebuilt from the same draws with one vertex
-    engine per grid combination."""
+    engine per grid combination: the draws at (l_1, .., l_k) are
+    l_1^{(k-1)d+j} times those at (1, l_2/l_1, .., l_k/l_1)."""
     d, k = bodies[0].dim, len(bodies)
     r_list = _degree_tuples(d, k, j)
     combos = list(itertools.product(lambdas, repeat=k))
     design = np.array([[math.prod(lam ** ri for lam, ri in zip(c, r))
                         for r in r_list] for c in combos])
     unit = np.random.default_rng(seed).random((samples, (k - 1) * d))
-    grid = [_translative_value(_VertexEngine(bodies), c, j, unit) for c in combos]
+    grid = []
+    for lam1, *rest in combos:
+        est, draws = _translative_value(_VertexEngine(bodies),
+                                        (1.0, *[lam / lam1 for lam in rest]), j, unit)
+        scale = lam1 ** ((k - 1) * d + j)
+        grid.append((est.scaled(scale), scale * draws))
     return r_list, design, grid
 
 
@@ -589,51 +668,57 @@ def test_one_draw_errors_are_infinite():
     assert all(exact.std_error(r) == 0.0 for r in exact.entries)
 
 
-@pytest.mark.parametrize("bodies,j", [
-    ((cube(3), diamond(3)), 1),
-    ((cube(2), diamond(2), rotated_cube(2, 9)), 0),
+@pytest.mark.parametrize("bodies,j,evaluations", [
+    ((cube(3), diamond(3)), 1, 7),
+    ((cube(2), diamond(2), rotated_cube(2, 9)), 0, 25),
 ], ids=["Q3-D3", "Q2-D2-R-k3"])
-def test_one_engine_per_decomposition(monkeypatch, bodies, j):
-    # one vertex engine serves the whole grid (27 combinations when k = 3),
-    # with the entries of one engine per combination
+def test_one_engine_per_decomposition(monkeypatch, bodies, j, evaluations):
+    # one vertex engine serves the whole grid, and it is evaluated once per
+    # ratio tuple (l_2/l_1, .., l_k/l_1): 7 times for the 9 combinations of
+    # a pair, 25 times for the 27 of three bodies; the entries equal those
+    # of one engine per combination, and those of a fit that evaluates every
+    # combination directly up to the absolute box margin of _sample_boxes
     r_list, design, grid = _fit_inputs(list(bodies), j, 47, 150)
     coef, *_ = np.linalg.lstsq(design, [est.value for est, _ in grid],
                                rcond=None)
-    built = []
+    k, d = len(bodies), bodies[0].dim
+    unit = np.random.default_rng(47).random((150, (k - 1) * d))
+    direct = [_translative_value(_VertexEngine(list(bodies)), c, j, unit)[0].value
+              for c in itertools.product((1.0, 1.5, 2.0), repeat=k)]
+    direct, *_ = np.linalg.lstsq(design, direct, rcond=None)
+    built, evaluated = [], []
 
     class Counted(_VertexEngine):
         def __init__(self, polytopes):
             built.append(len(polytopes))
             super().__init__(polytopes)
 
+    def counted(*args):
+        evaluated.append(args[1])
+        return _translative_value(*args)
+
     monkeypatch.setattr(translative, "_VertexEngine", Counted)
+    monkeypatch.setattr(translative, "_translative_value", counted)
     table = decompose_homogeneous(list(bodies), j, rng=47, samples=150)
     assert built == [len(bodies)]
-    for r, c in zip(r_list, coef):
+    assert len(evaluated) == evaluations
+    assert all(lams[0] == 1.0 for lams in evaluated)
+    for r, c, e in zip(r_list, coef, direct):
         assert table.value(r) == pytest.approx(c, rel=1e-12, abs=1e-12)
+        assert table.value(r) == pytest.approx(e, rel=1e-6, abs=1e-6)
 
 
-def test_exact_j0_grid_hulls_one_dilate_per_ratio(monkeypatch):
-    # vol(l_1 K - l_2 L) = l_1^d vol(K - (l_2 / l_1) L): the default grid
-    # has 7 distinct ratios for its 9 combinations
-    K, L = cube(3), diamond(3)
-    combos = list(itertools.product((1.0, 1.5, 2.0), repeat=2))
-    r_list = _degree_tuples(3, 2, 0)
-    design = np.array([[l1 ** r1 * l2 ** r2 for r1, r2 in r_list]
-                       for l1, l2 in combos])
-    y = [_difference_volume(K.transform(l1 * np.eye(3)),
-                            L.transform(l2 * np.eye(3))) for l1, l2 in combos]
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    calls = []
-    hull = Polytope.hull
+def test_exact_j0_builds_no_hull_or_lattice(monkeypatch):
+    # the closed form reads facets, volumes and vertices only
+    def no_hull(*args, **kwargs):
+        raise AssertionError("Polytope.hull called")
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return hull(*args, **kwargs)
-
-    monkeypatch.setattr(Polytope, "hull", staticmethod(counted))
-    table = decompose_homogeneous([K, L], 0, rng=3, samples=10)
-    assert len(calls) == 7
-    assert table.route == "exact-decomposition"
-    for r, c in zip(r_list, coef):
-        assert table.value(r) == pytest.approx(c, rel=1e-12)
+    pairs = [(cube(2), rotated_cube(2, 3)), (simplex(3), diamond(3)),
+             (rotated_cube(3, 5), segment(3, 1))]
+    monkeypatch.setattr(Polytope, "hull", staticmethod(no_hull))
+    for K, L in pairs:
+        est = translative_integral_mc([K, L], 0, rng=3, samples=10)
+        table = decompose_homogeneous([K, L], 0, rng=3, samples=10)
+        assert est.std_error == 0.0 and table.route == "exact-decomposition"
+        assert table.total().value == est.value
+        assert K._lattice is None and L._lattice is None
