@@ -193,7 +193,8 @@ def _cmd_flag_check(args) -> int:
         try:
             ref = curvature_mixed_functional(bodies, degrees,
                                              eps=args.eps or 0.0)
-        except DivergenceError:
+        except (DivergenceError, InputError):
+            # degrees passed the flag route's checks: out of curvature scope
             ref = None
     else:
         est = flag_mixed_volume(bodies, degrees, rng=args.seed,
@@ -203,9 +204,10 @@ def _cmd_flag_check(args) -> int:
         report["target"] = "mixed-volume"
         ref = oracle_mixed_volumes(bodies).value(degrees) \
             if (args.eps or 0.0) == 0.0 else None
-    report.update(_estimate_fields(est))
+    # null for a divergent or out-of-scope functional or a cutoff volume
+    report.update(_estimate_fields(est), reference=ref)
     if ref is not None:
-        report.update(reference=ref, delta=est.value - ref,
+        report.update(delta=est.value - ref,
                       passed=bool(est.within(ref, 3.0, extra_sigma=1e-9)))
     _emit(report, args.out)
     return 0

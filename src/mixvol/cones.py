@@ -138,6 +138,12 @@ def _ray_points(cone: NormalCone) -> np.ndarray:
     return np.array(pts)
 
 
+def _finite_cone_combos(cones) -> np.ndarray:
+    """Every direction tuple (N, k, d) from cones of dimension 1."""
+    pts = [_ray_points(c) for c in cones]
+    return np.array(list(itertools.product(*pts)))
+
+
 def spherical_measure(cone: NormalCone, rng=None, samples: int = 40000) -> MCEstimate:
     """H^{dim-1} measure of cone cap S^{d-1}.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (ShiftedCone, _probe_common_ray, _ray_points,
+from .cones import (ShiftedCone, _finite_cone_combos, _probe_common_ray,
                     cone_sphere_samples, cones_intersect, random_admissible,
                     random_direction_tuple)
 from .errors import DivergenceError, InputError
@@ -140,12 +140,6 @@ def schneider_mixed_volume(polytopes, degrees, rng=None, shifts=None) -> float:
 
 # ---------------------------------------------------------------------------
 # route 3: mixed exterior angles and the cone-quadrature sum
-
-
-def _finite_cone_combos(cones):
-    # product of ray atoms; only valid when every cone has dim <= 1
-    pts = [_ray_points(c) for c in cones]
-    return np.array(list(itertools.product(*pts)))
 
 
 def _cone_integral(spec: KernelSpec, cones, n_draws: int, rng) -> MCEstimate:

@@ -395,18 +395,21 @@ class Polytope:
                 all_sets.add(s)
         lin_basis = complete_basis(self._frame, d) \
             if self.intrinsic_dim < d else np.zeros((d, 0))
+        tol = self._tol()
 
         def make_face(idset) -> Face:
             ids = tuple(sorted(idset))
             fav = verts[list(ids)]
             centroid = fav.mean(axis=0)
-            frame = Subspace.from_spanning((fav - centroid).T, ambient_dim=d) \
+            # the body's relative tolerance, as in hull: an absolute one reads
+            # rounding of far-translated vertices as an extra dimension
+            frame = Subspace(orthonormal_columns((fav - centroid).T, tol=tol)) \
                 if len(ids) > 1 else Subspace.zero(d)
             fdim = frame.dim
             fns = [n for (n, off, fids) in self.facets if idset <= frozenset(fids)]
             fn_arr = np.array(fns) if fns else np.zeros((0, d))
             cone = _build_cone(verts, fav, frame, fn_arr, lin_basis)
-            measure = _face_volume((fav - centroid) @ frame.frame, self._tol())
+            measure = _face_volume((fav - centroid) @ frame.frame, tol)
             return Face(ids, fdim, fav, frame, centroid, measure, cone)
 
         faces = [make_face(s) for s in all_sets]
@@ -447,12 +450,6 @@ class Polytope:
         if not self.is_full_dimensional():
             return 0.0
         return _pyramid_volume(self.vertices, self.facets, self._tol())
-
-    def euler_check(self) -> bool:
-        counts = {j: len(fs) for j, fs in self.face_lattice().items()
-                  if j < self.intrinsic_dim}
-        total = sum(((-1) ** j) * c for j, c in counts.items())
-        return total == 1 - (-1) ** self.intrinsic_dim
 
     # -- metric quantities
 

@@ -1,10 +1,12 @@
 """Mixed translative functionals V_{r_1..r_k}.
 
 Two independent evaluations are kept side by side: curvature_mixed_functional
-sums the hull-distance kernel G_r over products of normal-cone spheres
-(deterministic quadrature for d <= 3), and translative_integral_mc evaluates
-the defining translation integral int V_j of the intersection body, which
-decompose_homogeneous then splits into the individual V_r by a scaling fit.
+sums the hull-distance kernel G_r over products of normal-cone spheres in
+closed form (sums over rays, and an arctan primitive of G_r = 1 / (omega_3
+(1 + u.v)) for an arc against a ray: every r in d <= 3, InputError for other
+cones), and translative_integral_mc evaluates the defining translation
+integral int V_j of the intersection body, which decompose_homogeneous then
+splits into the individual V_r by a scaling fit.
 Two cases are closed-form: for j = 0 and two bodies the integral is
 vol(K_1 - K_2), a polynomial in the scale of K_2 whose coefficients are
 volumes and facet-area sums of support values (no difference-body hull),
@@ -28,14 +30,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import _arc_interval, _probe_zero_in_hull, _ray_points
+from .cones import (_arc_interval, _finite_cone_combos, _probe_zero_in_hull,
+                    _ray_points)
 from .errors import DivergenceError, EstimationError, InputError
 from .estimates import MCEstimate, from_samples
 from .exterior import subspace_determinant
-from .kernels import KernelSpec, _gl, hull_distance_batch, kernel_values
+from .kernels import _SPREAD_FLOOR, KernelSpec, kernel_values
 from .mixed_volume import oracle_mixed_volumes
 from .polytope import Polytope, _surface_measure
-from .util import as_integer, as_rng, check_bodies, check_count, complete_basis
+from .util import (as_integer, as_rng, check_bodies, check_count,
+                   complete_basis, omega)
 
 _DET_TOL = 1e-9
 _FEAS_TOL = 1e-9
@@ -105,138 +109,67 @@ def _degree_tuples(d: int, k: int, j: int):
 # curvature representation (deterministic route)
 
 
-def _cone_nodes(cone, order: int):
-    """(directions, weights) quadrature nodes for one normal-cone sphere."""
-    if cone.dim == 1:
-        pts = _ray_points(cone)
-        return pts, np.ones(len(pts))
-    if cone.dim == 2:
-        start, length, q = _arc_interval(cone)
-        x, w = _gl(order)
-        theta = start + 0.5 * (x + 1.0) * length
-        us = np.stack([np.cos(theta), np.sin(theta)], axis=1) @ q.T
-        return us, w * 0.5 * length
-    raise InputError("deterministic cone quadrature needs cone dimension <= 2 "
-                     "(ambient d <= 3)")
+def _arc_ray_integral(arc, v: np.ndarray, eps: float = 0.0) -> float:
+    """int G_r(u, v) d theta over the arc n(P, F) of the points u, against a
+    ray direction v, for k = 2 bodies of degrees d - 2 (arc) and d - 1 (ray).
 
+    Then G = 1 / (omega_3 (1 + c)), c = u.v, in every d.  On the arc
+    u(theta) = q (cos theta, sin theta), c = A cos x with x = theta - phi,
+    A = |q^T v|, phi the angle of q^T v, and 1 / (1 + A cos x) integrates on
+    |x| <= pi to (2 / w) arctan(w tan(x / 2) / (1 + A)), w = sqrt(1 - A^2) =
+    |v - q q^T v| (free of cancellation); the limit at A = 1 is
+    2 tan(x / 2) / (1 + A), infinite at the antipode x = +-pi.  The arc is
+    split where x crosses pi.  As dist(0, conv{u, v}) = sqrt((1 + c) / 2),
+    the cutoff eps keeps |x| <= arccos((2 eps^2 - 1) / A).
+    """
+    start, length, q = _arc_interval(arc)
+    p = q.T @ v
+    a = math.hypot(p[0], p[1])
+    w = float(np.linalg.norm(v - q @ p))
+    # the arc is [lo, lo + length] with lo in (-pi, pi]
+    lo = math.pi - (math.pi - start + math.atan2(p[1], p[0])) % (2.0 * math.pi)
+    cut = 2.0 * eps * eps - 1.0
+    if cut > a:
+        return 0.0
+    reach = math.acos(cut / a) if eps > 0.0 and cut > -a else math.pi
 
-def _tensor_pass(spec: KernelSpec, cones, order: int) -> float:
-    nodes = [_cone_nodes(c, order) for c in cones]
-    sizes = [len(w) for _, w in nodes]
-    grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-    idx = np.stack([g.reshape(-1) for g in grids], axis=1)
-    us = np.stack([nodes[i][0][idx[:, i]] for i in range(len(cones))], axis=1)
-    w = np.prod(np.stack([nodes[i][1][idx[:, i]] for i in range(len(cones))],
-                         axis=1), axis=1)
-    return float(w @ kernel_values(spec, us))
+    def primitive(x):
+        if abs(x) == math.pi:  # at hull distance w / sqrt(2 (1 + A))
+            return math.copysign(math.pi / w if w >= 2.0 * _SPREAD_FLOOR
+                                 else math.inf, x)
+        if w == 0.0:
+            return 2.0 * math.tan(0.5 * x) / (1.0 + a)
+        return 2.0 / w * math.atan2(w * math.sin(0.5 * x),
+                                    (1.0 + a) * math.cos(0.5 * x))
 
-
-def _order_doubling(value, rtol: float) -> float:
-    """value(order) for Gauss-Legendre orders 16, 32, .., 1024 until two
-    successive values agree to rtol."""
-    order, prev = 16, None
-    while order <= 1024:
-        cur = value(order)
-        if prev is not None and abs(cur - prev) <= rtol * max(1.0, abs(cur)):
-            return cur
-        prev, order = cur, order * 2
-    raise EstimationError("cone quadrature did not stabilize; the integrand "
-                          "is near-singular (try the eps variant)")
-
-
-def _gl_refine(f, a: float, b: float, rtol: float) -> float:
-    def value(order):
-        x, w = _gl(order)
-        return 0.5 * (b - a) * float(w @ f(a + 0.5 * (x + 1.0) * (b - a)))
-
-    return _order_doubling(value, rtol)
-
-
-def _sign_changes(gap, lo: float, hi: float, n: int = 512,
-                  tol: float = 1e-12) -> list:
-    """Roots of a scalar function on [lo, hi], located by a dense scan plus
-    bisection.  gap takes and returns arrays."""
-    xs = np.linspace(lo, hi, n + 1)
-    g = gap(xs)
-    out = []
-    for i in range(n):
-        a, b, ga, gb = xs[i], xs[i + 1], g[i], g[i + 1]
-        if ga == 0.0 or ga * gb >= 0.0:
-            continue
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            gm = float(gap(np.array([mid]))[0])
-            if gm == 0.0:
-                break
-            if (gm > 0.0) == (ga > 0.0):
-                a, ga = mid, gm
-            else:
-                b = mid
-        out.append(0.5 * (a + b))
-    return out
-
-
-def _cutoff_arc_integral(spec: KernelSpec, cones, ai: int, rtol: float) -> float:
-    """Arc integral with a positive cutoff: the integrand jumps where the
-    hull distance crosses eps, so split there and refine each live piece."""
-    start, length, q = _arc_interval(cones[ai])
-    others = [_ray_points(c) for i, c in enumerate(cones) if i != ai]
-    k = len(cones)
-    total = 0.0
-    for combo in itertools.product(*[range(len(p)) for p in others]):
-        def tuples(theta):
-            us = np.empty((len(theta), k, q.shape[0]))
-            arc = np.stack([np.cos(theta), np.sin(theta)], axis=1) @ q.T
-            us[:, ai, :] = arc
-            m = 0
-            for i in range(k):
-                if i != ai:
-                    us[:, i, :] = others[m][combo[m]]
-                    m += 1
-            return us
-
-        def gap(theta):
-            return hull_distance_batch(tuples(theta)) - spec.epsilon
-
-        def f(theta):
-            return kernel_values(spec, tuples(theta))
-
-        cuts = [start] + _sign_changes(gap, start, start + length) \
-            + [start + length]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            if b - a < 1e-12 or gap(np.array([0.5 * (a + b)]))[0] <= 0.0:
-                continue
-            total += _gl_refine(f, a, b, rtol)
-    return total
-
-
-def _cone_product_integral(spec: KernelSpec, cones, rtol: float = 1e-9) -> float:
-    """int G_r over the product of cone spheres; exact for finite cones,
-    panel-free GL refinement for arcs (node count doubles until stable).
-    With a positive cutoff the integrand is only piecewise smooth, so the
-    single arc (d <= 3 never yields more) is split at the cutoff first."""
-    if all(c.dim <= 1 for c in cones):
-        return _tensor_pass(spec, cones, 0)
-    if spec.epsilon > 0.0:
-        arcs = [i for i, c in enumerate(cones) if c.dim == 2]
-        if len(arcs) == 1:
-            return _cutoff_arc_integral(spec, cones, arcs[0], rtol)
-    return _order_doubling(lambda order: _tensor_pass(spec, cones, order), rtol)
+    # the second piece is empty unless the arc crosses x = pi
+    pieces = [(max(x0, -reach), min(x1, reach)) for x0, x1 in
+              ((lo, min(lo + length, math.pi)), (-math.pi, lo + length - 2.0 * math.pi))]
+    return sum(primitive(x1) - primitive(x0) for x0, x1 in pieces if x0 < x1) / omega(3)
 
 
 def curvature_mixed_functional(polytopes, r, eps: float = 0.0) -> float:
-    """V_r by the normal-bundle representation.
+    """V_r by the normal-bundle representation, in closed form.
 
     V_r = sum over face tuples (dim F_i = r_i) of
           prod_i H^{r_i}(F_i) * [lin(F_1)^perp, .., lin(F_k)^perp]^2
           * int G_r over n(P_1,F_1) x .. x n(P_k,F_k);
     the bracket is the subspace determinant of the normal spans, constant on
-    each tuple.  Deterministic for d <= 3 (cones are points or arcs).  With
-    eps=0, a tuple whose cones can capture 0 in a convex combination is
-    probed first and reported as divergent; eps > 0 cuts the kernel off at
-    hull distance eps and always converges.
+    each tuple.  The cone of a face of dimension r_i has dimension d - r_i:
+    tuples of rays sum G_r over their finitely many direction tuples, and
+    one arc against one ray (k = 2, r = (d - 2, d - 1) in either order)
+    integrates G_r = 1 / (omega_3 (1 + u.v)) in closed form.  That covers
+    every valid r in d <= 3; other r (two arcs, an arc with k >= 3, a cone
+    of dimension >= 3: all d >= 4) raise InputError before any face work.
+    With eps=0 an arc tuple whose cones can capture 0 in their hull raises
+    DivergenceError, and so does an infinite integral at any eps; eps > 0
+    cuts the kernel off at hull distance eps.
     """
     d, r = check_bodies(polytopes, r, "r")
+    dims = sorted(d - ri for ri in r)
+    if dims[-1] > 1 and dims != [1, 2]:
+        raise InputError(f"r={r} in d={d} gives normal cones of dimensions {dims}; "
+                         "the curvature route takes rays, or one arc against one ray")
     spec = KernelSpec(d, r, "r", epsilon=eps)
     total = 0.0
     for tup in itertools.product(*[p.faces(ri) for p, ri in zip(polytopes, r)]):
@@ -244,14 +177,19 @@ def curvature_mixed_functional(polytopes, r, eps: float = 0.0) -> float:
         if br <= _BRACKET_TOL:
             continue
         cones = [f.normal_cone for f in tup]
-        if eps == 0.0 and any(c.dim >= 2 for c in cones) and \
-                _probe_zero_in_hull(cones, _DET_TOL):
-            raise DivergenceError(
-                "0 lies in the convex hull of normal picks on a "
-                "positive-weight face tuple; V_r quadrature diverges "
-                "(use eps > 0)")
-        weight = br * br * math.prod(f.measure for f in tup)
-        total += weight * _cone_product_integral(spec, cones)
+        if all(c.dim == 1 for c in cones):
+            value = float(kernel_values(spec, _finite_cone_combos(cones)).sum())
+        else:
+            if eps == 0.0 and _probe_zero_in_hull(cones, _DET_TOL):
+                raise DivergenceError(
+                    "0 lies in the convex hull of normal picks on a "
+                    "positive-weight face tuple; V_r diverges (use eps > 0)")
+            arc, ray = sorted(cones, key=lambda c: -c.dim)
+            value = sum(_arc_ray_integral(arc, v, eps) for v in _ray_points(ray))
+        if not math.isfinite(value):
+            raise DivergenceError("the kernel integral of a positive-weight "
+                                  "face tuple is infinite (use eps > 0)")
+        total += br * br * math.prod(f.measure for f in tup) * value
     return total
 
 
@@ -653,7 +591,7 @@ def duality_check(K: Polytope, L: Polytope, n: int):
     """(V_{n,d-n}(K, L), binom(d,n) * V(K[n], -L[d-n])) for comparison.
 
     The two sides agree for all convex bodies; both evaluations here are
-    deterministic (curvature quadrature vs expansion oracle).
+    deterministic (curvature closed form vs expansion oracle).
     """
     d = K.dim
     lhs = curvature_mixed_functional([K, L], (n, d - n))

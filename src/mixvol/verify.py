@@ -251,7 +251,8 @@ def check_flag_volume(budget, seed) -> dict:
 
 
 def check_flag_functional(budget, seed) -> dict:
-    """8: curvature quadrature exact value and flag functional agreement."""
+    """8: the curvature route's closed form gives V_(1,1)(Q, D) = 4 exactly,
+    and the flag functional agrees with it within 3 sigma."""
     Q, D = cube(2), diamond(2)
     v = curvature_mixed_functional([Q, D], (1, 1))
     exact_ok = abs(v - 4.0) <= 1e-8

@@ -218,3 +218,15 @@ def test_invalid_degrees_and_samples_exit_2(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("input error:")
+
+
+def test_flag_functional_reference_outside_curvature_scope(capsys):
+    # d = 4, (2, 2) pairs two arcs, which the curvature route does not
+    # evaluate: the flag estimate is reported without a reference
+    code, out, _ = run_cli(capsys, "flag-check", "--gen", "cube,diamond",
+                           "--dim", "4", "--degrees", "2,2", "--functional",
+                           "--seed", "1", "--samples", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["reference"] is None and "passed" not in report
+    assert report["value"] > 0.0

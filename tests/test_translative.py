@@ -15,8 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixvol.errors import DivergenceError, EstimationError, InputError
+from scipy.optimize import brentq
+
+from mixvol.cones import _arc_interval, _ray_points
+from mixvol.errors import DivergenceError, InputError
 from mixvol.generators import cube, diamond, rotated_cube, segment, simplex
+from mixvol.kernels import KernelSpec, hull_distance_batch, kernel_values
 from mixvol.mixed_volume import oracle_mixed_volumes
 from mixvol import translative
 from mixvol.polytope import Polytope
@@ -24,7 +28,8 @@ from mixvol.translative import (_SCREEN_TOL, TranslativeTable,
                                 _degree_tuples, _difference_terms,
                                 _poly3d_values, _sample_boxes,
                                 _translative_value,
-                                _VertexEngine, curvature_mixed_functional,
+                                _VertexEngine, _arc_ray_integral,
+                                curvature_mixed_functional,
                                 decompose_homogeneous, duality_check,
                                 translative_integral_mc)
 from mixvol.util import complete_basis, random_rotation
@@ -89,6 +94,138 @@ def test_curvature_degenerate_tuples_drop_cleanly():
         == pytest.approx(0.0, abs=1e-12)
     assert curvature_mixed_functional([cube(3), cube(3)], (1, 2), eps=0.5) \
         == pytest.approx(3.0, abs=1e-8)
+
+
+def _arc_quadrature(arc, v, d, eps, arc_first=True):
+    """Gauss-Legendre reference for _arc_ray_integral: kernel_values of
+    G_r along the arc, split where the hull distance crosses eps (located
+    on the kernel module's own hull distance)."""
+    start, length, q = _arc_interval(arc)
+    degrees = (d - 2, d - 1) if arc_first else (d - 1, d - 2)
+    spec = KernelSpec(d, degrees, "r", epsilon=eps)
+
+    def tuples(theta):
+        u = np.stack([np.cos(theta), np.sin(theta)], axis=1) @ q.T
+        pair = (u, np.broadcast_to(v, u.shape))
+        return np.stack(pair if arc_first else pair[::-1], axis=1)
+
+    cuts = [start, start + length]
+    if eps > 0.0:
+        def gap(theta):
+            return hull_distance_batch(tuples(np.atleast_1d(theta)))[0] - eps
+
+        scan = np.linspace(start, start + length, 513)
+        g = hull_distance_batch(tuples(scan)) - eps
+        cuts[1:1] = [brentq(gap, a, b, xtol=1e-15)
+                     for a, b, ga, gb in zip(scan, scan[1:], g, g[1:])
+                     if ga * gb < 0.0]
+    x, w = np.polynomial.legendre.leggauss(32)
+    total = 0.0
+    for a, b in zip(cuts, cuts[1:]):
+        edges = np.linspace(a, b, 17)
+        half = 0.5 * np.diff(edges)[:, None]
+        theta = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+        total += float((half * w).ravel() @ kernel_values(spec, tuples(theta)))
+    return total
+
+
+def _arc_ray_pairs(K, L):
+    """(arc cone, ray direction) for every arc face of K and ray face of L."""
+    d = K.dim
+    return [(f.normal_cone, v) for f in K.faces(d - 2) for g in L.faces(d - 1)
+            for v in _ray_points(g.normal_cone)]
+
+
+def _reaches_antipode(arc, v, margin=0.05):
+    start, length, q = _arc_interval(arc)
+    theta = np.linspace(start, start + length, 1025)
+    u = np.stack([np.cos(theta), np.sin(theta)], axis=1) @ q.T
+    return np.min(1.0 + u @ v) < margin
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.2, 0.6, 0.9])
+@pytest.mark.parametrize("case,K,L", [
+    pytest.param(case, K, L, id=case) for case, K, L in (
+        ("A=1", cube(3), cube(3)),
+        ("full-circle", segment(3, 0), diamond(3)),
+        ("crosses-pi", cube(3), diamond(3)))])
+def test_arc_closed_form_matches_quadrature(case, K, L, eps):
+    # each body pair must hold the configuration its case is named after;
+    # at eps = 0 arcs that reach -v, where the integral diverges, are left out
+    seen = False
+    for arc, v in _arc_ray_pairs(K, L):
+        if eps == 0.0 and _reaches_antipode(arc, v):
+            continue
+        _, length, q = _arc_interval(arc)
+        proj = q @ (q.T @ v)
+        a, w = float(np.linalg.norm(proj)), float(np.linalg.norm(v - proj))
+        seen |= {"A=1": w <= 1e-12,
+                 "full-circle": length == 2.0 * math.pi,
+                 "crosses-pi": 0.0 < a < 1.0 and arc.contains(-proj / a)}[case]
+        want = _arc_quadrature(arc, v, 3, eps)
+        assert _arc_ray_integral(arc, v, eps) == pytest.approx(want, rel=1e-9, abs=1e-15)
+    assert seen
+
+
+def test_arc_closed_form_matches_quadrature_4d():
+    # (2, 3) in R^4: an arc of a 2-face of the cube against a diamond facet
+    # normal, in either body order; G is the same 1 / (omega_3 (1 + c))
+    pairs = _arc_ray_pairs(cube(4), diamond(4))[::9]
+    for i, (arc, v) in enumerate(pairs):
+        if _reaches_antipode(arc, v):
+            continue
+        want = _arc_quadrature(arc, v, 4, 0.0, arc_first=i % 2 == 0)
+        assert _arc_ray_integral(arc, v) == pytest.approx(want, rel=1e-9)
+    want = curvature_mixed_functional([diamond(4), cube(4)], (3, 2))
+    assert curvature_mixed_functional([cube(4), diamond(4)], (2, 3)) == \
+        pytest.approx(want, rel=1e-12)
+
+
+def test_curvature_scope_is_checked_before_faces(monkeypatch):
+    # two arcs (d = 4, (2, 2)) and an arc with three bodies are out of scope
+    def no_faces(self, j):
+        raise AssertionError("face lattice built before the scope check")
+
+    monkeypatch.setattr(Polytope, "faces", no_faces)
+    for bodies, r in (([cube(4), diamond(4)], (2, 2)),
+                      ([cube(4), diamond(4), cube(4)], (2, 3, 3)),
+                      ([cube(4), diamond(4)], (1, 3))):
+        with pytest.raises(InputError, match="one arc against one ray"):
+            curvature_mixed_functional(bodies, r)
+
+
+def test_infinite_arc_integral_raises_divergence(monkeypatch):
+    # the full circle of the segment's normal cone holds -v for the cube
+    # facets normal to y and z: with the probe and the bracket cut switched
+    # off those tuples reach the arc integral, which is infinite there
+    assert math.isinf(_arc_ray_integral(segment(3, 0).faces(1)[0].normal_cone,
+                                        np.array([0.0, 1.0, 0.0])))
+    monkeypatch.setattr(translative, "_probe_zero_in_hull", lambda cones, tol: False)
+    monkeypatch.setattr(translative, "_BRACKET_TOL", -1.0)
+    with pytest.raises(DivergenceError, match="infinite"):
+        curvature_mixed_functional([segment(3, 0), cube(3)], (1, 2))
+
+
+def test_curvature_matches_duality_on_rotated_cubes():
+    # V_(n, 3-n)(K, L) = C(3, n) V(K[n], -L[3-n]); seed 1403036832 and
+    # several of 1000.. raised EstimationError under adaptive arc quadrature
+    K = simplex(3)
+    for seed in [1403036832, *range(1000, 1039)]:
+        L = rotated_cube(3, seed)
+        oracle = oracle_mixed_volumes([K, L.negate()])
+        for r in ((1, 2), (2, 1)):
+            want = math.comb(3, r[0]) * oracle.value(r)
+            assert curvature_mixed_functional([K, L], r) == \
+                pytest.approx(want, rel=1e-10)
+
+
+def test_curvature_survives_far_translation():
+    K = rotated_cube(3, 5)
+    far = K.translate((-1e6, 2e6, 1e6))
+    assert {j: len(far.faces(j)) for j in range(3)} == {0: 8, 1: 12, 2: 6}
+    want = curvature_mixed_functional([K, diamond(3)], (1, 2))
+    assert curvature_mixed_functional([far, diamond(3)], (1, 2)) == \
+        pytest.approx(want, rel=1e-9)
 
 
 def test_duality_pairs():
@@ -527,7 +664,7 @@ def _closed_form_bodies(d):
         random_rotation(2, np.random.default_rng(43))), id="D2-rotS"),
     pytest.param(cube(3), rotated_cube(3, 44), id="Q3-R"),
     pytest.param(diamond(3), rotated_cube(3, 45), id="D3-R"),
-    # the curvature route raises EstimationError on this pair
+    # the curvature route once raised EstimationError on this pair
     pytest.param(simplex(3), rotated_cube(3, 1403036832), id="S3-R1403036832"),
     # segments, random clouds and a flat square
     *[pytest.param(K, L, id=f"{K.name}-{L.name}") for d in (2, 3)
@@ -547,12 +684,13 @@ def test_exact_j0_decomposition_matches_oracle(K, L):
     assert table.total().std_error == 0.0
 
 
-def test_exact_j0_decomposition_where_curvature_fails():
+def test_exact_j0_decomposition_matches_curvature():
+    # a pair on which the curvature route's arc integral once failed
     K, L = simplex(3), rotated_cube(3, 1403036832)
     table = decompose_homogeneous([K, L], 0, rng=7, samples=50)
     assert table.value((1, 2)) == pytest.approx(3.3710258671, rel=1e-9)
-    with pytest.raises(EstimationError):
-        curvature_mixed_functional([K, L], (1, 2))
+    assert curvature_mixed_functional([K, L], (1, 2)) == \
+        pytest.approx(table.value((1, 2)), rel=1e-12)
 
 
 def _hull_difference_volume(K, L, rho=1.0):
@@ -588,8 +726,7 @@ def test_difference_terms_match_hulls(d):
 
 @pytest.mark.parametrize("shift", [1e4, 1e6])
 def test_exact_integrals_survive_far_translation(shift):
-    # the 1e6-translated rotated cube has no face lattice (face_lattice
-    # raises DegenerateInputError), and neither exact path needs one
+    # neither exact path builds the face lattice of the translated body
     K, L = rotated_cube(3, 5), diamond(3)
     far = K.translate((-shift, 2.0 * shift, shift))
     for j in (0, 2):
