@@ -263,7 +263,10 @@ def _surface_measure(p: Polytope):
     lattice.  A full-dimensional body gives its facet normals and facet
     areas (each facet measured as in _pyramid_volume); a body of dimension
     d - 1 gives +-n, n normal to its affine hull, each weighted with its own
-    (d-1)-volume; lower-dimensional bodies give an empty measure."""
+    (d-1)-volume; lower-dimensional bodies give an empty measure.  The
+    arrays are cached on p and read-only."""
+    if p._surface is not None:
+        return p._surface
     d, tol = p.dim, p._tol()
     if p.intrinsic_dim == d:
         areas = []
@@ -271,12 +274,17 @@ def _surface_measure(p: Polytope):
             k = int(np.argmax(np.abs(n)))
             areas.append(_face_volume(np.delete(p.vertices[list(ids)], k, axis=1), tol)
                          / abs(n[k]))
-        return np.array([n for n, _, _ in p.facets]), np.array(areas)
-    if p.intrinsic_dim == d - 1:
+        out = np.array([n for n, _, _ in p.facets]), np.array(areas)
+    elif p.intrinsic_dim == d - 1:
         n = complete_basis(p._frame, d)[:, 0]
         area = _face_volume((p.vertices - p._origin) @ p._frame, tol)
-        return np.array([n, -n]), np.array([area, area])
-    return np.zeros((0, d)), np.zeros(0)
+        out = np.array([n, -n]), np.array([area, area])
+    else:
+        out = np.zeros((0, d)), np.zeros(0)
+    for a in out:
+        a.flags.writeable = False
+    p._surface = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +300,9 @@ class Polytope:
         self._frame = frame               # (d, intrinsic_dim)
         self.facets = facets              # ambient-lifted (normal, offset, vertex ids)
         self._lattice = None
+        # volume() and _surface_measure, computed once: a body never changes
+        self._volume = None
+        self._surface = None
 
     # -- construction
 
@@ -447,9 +458,10 @@ class Polytope:
     def volume(self) -> float:
         """H^d measure by facet recursion, without the face lattice; 0 for
         lower-dimensional bodies."""
-        if not self.is_full_dimensional():
-            return 0.0
-        return _pyramid_volume(self.vertices, self.facets, self._tol())
+        if self._volume is None:
+            self._volume = _pyramid_volume(self.vertices, self.facets, self._tol()) \
+                if self.is_full_dimensional() else 0.0
+        return self._volume
 
     # -- metric quantities
 

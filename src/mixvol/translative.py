@@ -13,10 +13,13 @@ volumes and facet-area sums of support values (no difference-body hull),
 and for j = d - 1 every V_r factors into V_{d-1} of one body times the
 volumes of the others.  Otherwise the integral is sampled, and the fit
 propagates the errors draw by draw through the common random numbers it
-shares.  Each sampling call builds one vertex engine for all its scaled
-grid bodies and evaluates each ratio lambda_i / lambda_1 of the grid once,
-and draws outside a difference body lambda_1 K_1 - lambda_i K_i, where the
-integrand is 0, are screened out before the engine enumerates vertices.
+shares.  For j = 1 in R^3 each draw is controlled by V_2 of the same
+intersection, whose integral is the closed j = d - 1 form, with a
+cross-fitted coefficient.  Each sampling call builds one vertex engine for
+all its scaled grid bodies and evaluates each ratio lambda_i / lambda_1 of
+the grid once, and draws outside a difference body lambda_1 K_1 -
+lambda_i K_i, where the integrand is 0, are screened out before the engine
+enumerates vertices.
 Unlike mixed volumes, no multinomial factor is divided out anywhere here;
 the two conventions meet in duality_check.
 """
@@ -30,16 +33,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (_arc_interval, _finite_cone_combos, _probe_zero_in_hull,
-                    _ray_points)
+from .cones import _arc_interval, _finite_cone_combos, _ray_points
 from .errors import DivergenceError, EstimationError, InputError
 from .estimates import MCEstimate, from_samples
 from .exterior import subspace_determinant
 from .kernels import _SPREAD_FLOOR, KernelSpec, kernel_values
 from .mixed_volume import oracle_mixed_volumes
 from .polytope import Polytope, _surface_measure
-from .util import (as_integer, as_rng, check_bodies, check_count,
-                   complete_basis, omega)
+from .util import as_integer, as_rng, check_bodies, check_count, omega
 
 _DET_TOL = 1e-9
 _FEAS_TOL = 1e-9
@@ -161,9 +162,11 @@ def curvature_mixed_functional(polytopes, r, eps: float = 0.0) -> float:
     integrates G_r = 1 / (omega_3 (1 + u.v)) in closed form.  That covers
     every valid r in d <= 3; other r (two arcs, an arc with k >= 3, a cone
     of dimension >= 3: all d >= 4) raise InputError before any face work.
-    With eps=0 an arc tuple whose cones can capture 0 in their hull raises
-    DivergenceError, and so does an infinite integral at any eps; eps > 0
-    cuts the kernel off at hull distance eps.
+    For an arc against a ray v the bracket is w = |v - q q^T v|, so every
+    tuple past the bracket cut has w > _BRACKET_TOL: the arc cannot hold
+    -v, 0 is not in the hull of the picks and the integral is finite.  An
+    infinite tuple integral still raises DivergenceError; eps > 0 cuts the
+    kernel off at hull distance eps.
     """
     d, r = check_bodies(polytopes, r, "r")
     dims = sorted(d - ri for ri in r)
@@ -180,10 +183,6 @@ def curvature_mixed_functional(polytopes, r, eps: float = 0.0) -> float:
         if all(c.dim == 1 for c in cones):
             value = float(kernel_values(spec, _finite_cone_combos(cones)).sum())
         else:
-            if eps == 0.0 and _probe_zero_in_hull(cones, _DET_TOL):
-                raise DivergenceError(
-                    "0 lies in the convex hull of normal picks on a "
-                    "positive-weight face tuple; V_r diverges (use eps > 0)")
             arc, ray = sorted(cones, key=lambda c: -c.dim)
             value = sum(_arc_ray_integral(arc, v, eps) for v in _ray_points(ray))
         if not math.isfinite(value):
@@ -207,11 +206,13 @@ class _VertexEngine:
     H-representation, whose right-hand side is affine in z, the
     non-singular d-subsets of its rows with their inverses and
     the candidate vertex's slope in z, the in-plane frame of every row in
-    R^3 (for the face rings of _poly3d_values), and the screening normals
-    of each pair's difference body.  None of these depends on the scaling
-    factors; scaled(lambdas) adds the parts that do, so scaled bodies are
-    never re-hulled.  Candidates and feasibility masks come out vectorized
-    over samples.
+    R^3 (for the face rings of _poly3d_values), the screening normals of
+    each pair's difference body, and in R^3 the closed-form j = 2 entries
+    (_boundary_entries) that give the j = 1 control its known mean.  None
+    of these depends on the scaling factors; scaled(lambdas) adds the parts
+    that do, control_mean among them, so scaled bodies are never
+    re-hulled.  Candidates and feasibility masks come out vectorized over
+    samples.
     """
 
     def __init__(self, polytopes):
@@ -237,8 +238,15 @@ class _VertexEngine:
         # that candidates multiplies on BLAS
         self.slope = np.einsum("sij,sjm->msi", self.inv,
                                self.C[self.idx]).reshape(self.C.shape[1], -1)
-        self.frames = np.stack([complete_basis(n.reshape(-1, 1)) for n in self.A]) \
-            if d == 3 else None
+        self.frames = None
+        if d == 3:
+            # in-plane frame (u, a x u) of each unit row a, with u normal to
+            # a and to the axis along a's smallest coordinate
+            u = np.cross(self.A, np.eye(3)[np.argmin(np.abs(self.A), axis=1)])
+            u /= np.linalg.norm(u, axis=1, keepdims=True)
+            self.frames = np.stack([u, np.cross(self.A, u)], axis=2)
+        # the known means of the j = 1 control (see _translative_value)
+        self.boundary = _boundary_entries(polytopes) if d == 3 else {}
         self.screens = []
         for p in polytopes[1:]:
             u = _screen_normals(polytopes[0], p)
@@ -253,6 +261,8 @@ class _VertexEngine:
         out.b = np.concatenate([lam * b for b, lam in zip(self.offsets, lambdas)])
         out.base = np.einsum("sij,sj->si", self.inv, out.b[self.idx])
         out.scale = max(1.0, float(np.max(np.abs(out.b))))
+        out.control_mean = sum(math.prod(lam ** ri for lam, ri in zip(lambdas, r)) * v
+                               for r, v in self.boundary.items())
         return out
 
     def may_meet(self, z: np.ndarray) -> np.ndarray:
@@ -325,8 +335,8 @@ def _screen_normals(K: Polytope, L: Polytope) -> np.ndarray:
 
 def _poly3d_values(x: np.ndarray, feas: np.ndarray, A: np.ndarray,
                    bz: np.ndarray, frames: np.ndarray,
-                   tol: float) -> np.ndarray:
-    """V_1 per sample of 3-D intersection polytopes, one chunk at once.
+                   tol: float):
+    """(V_1, V_2) per sample of 3-D intersection polytopes, one chunk at once.
 
     Feasible candidates are deduped per sample on their tol-rounded keys
     (the first occurrence stays, in candidate order) and compacted to the
@@ -335,13 +345,14 @@ def _poly3d_values(x: np.ndarray, feas: np.ndarray, A: np.ndarray,
     face ring, angle-sorted in the plane's frame; padding slots repeat the
     first sorted vertex, which adds zero-length edges.  A ring edge longer
     than tol is keyed by (sample, vertex-slot pair), and an edge met on
-    exactly two faces adds length * angle(a_i, a_l) / (2 pi).
+    exactly two faces adds length * angle(a_i, a_l) / (2 pi).  V_2 is half
+    the summed face-ring areas, each the shoelace sum of the ring's in-plane
+    coordinates, and 0 where V_1 is.
     """
     n_samples = x.shape[0]
-    vals = np.zeros(n_samples)
     sid, cid = np.nonzero(feas)
     if sid.size == 0:
-        return vals
+        return np.zeros(n_samples), np.zeros(n_samples)
     pts = x[sid, cid]
     key = np.round(pts / tol).astype(np.int64)
     # lexsort is stable, so within one key the earliest candidate leads
@@ -372,6 +383,10 @@ def _poly3d_values(x: np.ndarray, feas: np.ndarray, A: np.ndarray,
     srt = np.argsort(ang, axis=2)
     srt = np.where(on.reshape(-1)[srt + plane_rows], srt, srt[..., :1])
     nxt = np.roll(srt, -1, axis=2)
+    flat_uv = uv.reshape(-1, 2)
+    p = np.take(flat_uv, srt + plane_rows, axis=0)
+    q = np.take(flat_uv, nxt + plane_rows, axis=0)
+    area = 0.5 * np.abs((p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]).sum(axis=2))
     rows = nv * np.arange(n_samples)[:, None, None]
     flat = P.reshape(-1, 3)
     step = np.take(flat, nxt + rows, axis=0) - np.take(flat, srt + rows, axis=0)
@@ -392,7 +407,7 @@ def _poly3d_values(x: np.ndarray, feas: np.ndarray, A: np.ndarray,
     contrib = length[live][first] * angle[ei[first], ei[second]] / (2.0 * math.pi)
     vals = np.bincount(es[first], weights=contrib, minlength=n_samples)
     vals[cnt < 4] = 0.0
-    return vals
+    return vals, np.where(vals > 0.0, 0.5 * (area * face).sum(axis=1), 0.0)
 
 
 def _sample_boxes(verts):
@@ -462,15 +477,50 @@ def _exact_entries(polytopes, j: int):
     return None
 
 
+def _cross_fitted(y: np.ndarray, c: np.ndarray, mean: float) -> np.ndarray:
+    """Per-draw values of mean(y) controlled by c, whose mean is known.
+
+    beta = cov(y, c) / var(c) is fitted on the even-indexed draws and applied
+    to the odd ones as y - beta (c - mean), then the other way round, so no
+    draw's beta depends on that draw.  Each fitting draw also carries its
+    linearised share of that beta's error in the other half's mean,
+    -n_other (mean_other(c) - mean) dc_i e_i / sum dc^2, with dc_i and e_i
+    its deviation and regression residual within its half.  These shares
+    sum to 0 in each half, so the mean stays that of the cross-fitted
+    draws; the spread gains the beta error, which matters when the other
+    half's c strays from its mean, where the cross-fitted draws alone gave
+    |z| up to 8 in 3000 100-draw runs.  A half with fewer than 2 draws, or
+    whose c is constant up to rounding, fits no beta.
+    """
+    out = y.copy()
+    halves = (slice(0, None, 2), slice(1, None, 2))
+    for fit, use in zip(halves, halves[::-1]):
+        if y[fit].size < 2:
+            continue
+        dc = c[fit] - c[fit].mean()
+        dy = y[fit] - y[fit].mean()
+        var = float(dc @ dc)
+        if var > 1e-24 * float(c[fit] @ c[fit]):
+            beta = float(dc @ dy) / var
+            out[use] -= beta * (c[use] - mean)
+            resid = dy - beta * dc
+            out[fit] -= c[use].size * (c[use].mean() - mean) / var * dc * resid
+    return out
+
+
 def _translative_value(engine: _VertexEngine, lambdas, j: int, unit: np.ndarray):
     """Sampled translation integral of V_j over the bodies lambdas[i] * K_i,
     for j = 0 or (in R^3) j = 1.
 
     Returns (estimate, draws): draws holds one unbiased value per row of
     unit, the box volume times V_j of that translate's intersection, and the
-    estimate is their mean.  Draws that engine.may_meet rules out keep the
-    value 0 the vertex engine would give them; only the others are
-    enumerated, in chunks.
+    estimate is their mean.  For j = 1 each draw is controlled by the box
+    volume times V_2 of the same intersection (_cross_fitted), whose mean
+    is the closed-form j = 2 integral sum_r prod_i lambda_i^{r_i} V_r over
+    _boundary_entries; on cube/diamond, cube/rotated-cube and cube/cube
+    this cuts the squared standard error to 0.08-0.17 of the plain draws'.
+    Draws that engine.may_meet rules out keep the value 0 the vertex engine
+    would give them; only the others are enumerated, in chunks.
     """
     d = engine.A.shape[1]
     lo, hi = _sample_boxes([lam * v for v, lam in zip(engine.verts, lambdas)])
@@ -482,15 +532,19 @@ def _translative_value(engine: _VertexEngine, lambdas, j: int, unit: np.ndarray)
     n = unit.shape[0]
     live = np.flatnonzero(np.concatenate([engine.may_meet(z[s:s + chunk])
                                           for s in range(0, n, chunk)]))
-    vals = np.zeros(n)
+    vals, control = np.zeros(n), np.zeros(n)
     for s in range(0, live.size, chunk):
         rows = live[s:s + chunk]
         x, feas, bz = engine.candidates(z[rows])
         if j == 0:
             vals[rows] = feas.any(axis=1).astype(float)
         else:
-            vals[rows] = _poly3d_values(x, feas, engine.A, bz, engine.frames, tol)
-    return from_samples(vals).scaled(box_volume), box_volume * vals
+            vals[rows], control[rows] = _poly3d_values(x, feas, engine.A, bz,
+                                                       engine.frames, tol)
+    draws = box_volume * vals
+    if j == 1:
+        draws = _cross_fitted(draws, box_volume * control, engine.control_mean)
+    return from_samples(draws), draws
 
 
 def translative_integral_mc(polytopes, j: int, rng=None,
@@ -505,8 +559,13 @@ def translative_integral_mc(polytopes, j: int, rng=None,
     j = 1 in R^3) translations are uniform over the Minkowski-difference
     bounding boxes (the integrand vanishes outside), and the intersection
     is evaluated per sample by stacked-halfspace vertex enumeration; empty
-    and lower-dimensional intersections contribute 0.  By the translative
-    expansion this equals the sum of V_r over all r with sum r = (k-1)d + j.
+    and lower-dimensional intersections contribute 0.  For j = 1 each draw
+    carries the V_2 control of _translative_value, which leaves the mean
+    unbiased and cuts the squared standard error to 0.08-0.17 of plain
+    sampling on the cube/diamond, cube/rotated-cube and cube/cube pairs.
+    By the
+    translative expansion this equals the sum of V_r over all r with
+    sum r = (k-1)d + j.
     """
     d = _check_translative(polytopes, j)
     check_count(samples)
@@ -538,12 +597,15 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
     25 for 27 with k = 3), whose per-draw values are scaled.  The scaled
     bodies are not re-hulled: one vertex engine serves every evaluation,
     with its facet offsets multiplied by lambda, so lambdas must be
-    positive.  The fit is linear in the grid values, so each draw gives its
-    own coefficients (the pseudoinverse times that draw's grid row); their
-    standard errors are the entries' errors, and those of their per-draw
-    sums the total's.  This propagation is exact under the common random
-    numbers, which correlate the grid values.  One draw gives infinite
-    errors.
+    positive.  For j = 1 each evaluation's draws are controlled by V_2
+    (_translative_value) against the known mean at its own lambdas; the
+    controlled draws scale like the plain ones.  The fit is linear in the
+    grid values, so each (controlled) draw gives its own coefficients (the
+    pseudoinverse times that draw's grid row); their standard errors are
+    the entries' errors, and those of their per-draw sums the total's.
+    This propagation is exact under the common random numbers, which
+    correlate the grid values (for j = 1, to first order in the control
+    coefficients' errors).  One draw gives infinite errors.
     """
     d = _check_translative(polytopes, j)
     check_count(samples)

@@ -16,7 +16,6 @@ from mixvol.errors import InputError
 from mixvol.generators import cube, diamond, rotated_cube, segment, simplex
 from mixvol.lp import lp_feasible
 from mixvol.mixed_volume import angle_mixed_volume
-from mixvol.translative import curvature_mixed_functional
 from mixvol.util import random_rotation
 
 
@@ -196,10 +195,10 @@ def test_two_cone_probes_make_no_lp_call(monkeypatch):
     monkeypatch.setattr(mixvol.cones, "lp_feasible", no_lp)
     monkeypatch.setattr(mixvol.cones, "_cone_has_ray",
                         lambda a, tol: calls.append(a.shape) or has_ray(a, tol))
-    curvature_mixed_functional([cube(3), diamond(3)], (1, 2))
-    n_curvature = len(calls)
+    general_position([cube(3), diamond(3)], (1, 2), "translative")
+    n_zero_in_hull = len(calls)
     angle_mixed_volume([cube(2), diamond(2)], (1, 1), rng=0, samples=200)
-    assert n_curvature > 0 and len(calls) > n_curvature
+    assert n_zero_in_hull > 0 and len(calls) > n_zero_in_hull
 
 
 @pytest.mark.parametrize("first,second,pin", [

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from mixvol.errors import DegenerateInputError, InputError
 from mixvol.generators import cube, diamond, rotated_cube, segment, simplex
-from mixvol.polytope import (Polytope, area_measure_atoms, hull_from_points,
-                             lattice_report, minkowski_sum,
+from mixvol.polytope import (Polytope, _surface_measure, area_measure_atoms,
+                             hull_from_points, lattice_report, minkowski_sum,
                              polytope_from_json, polytope_to_json,
                              scaled_sum, sum_volume)
 from mixvol.util import kappa, multinomial, random_rotation
@@ -341,3 +341,13 @@ def test_oracle_does_not_import_qhull():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_volume_and_surface_measure_are_computed_once():
+    # both are cached on the body, and the shared arrays cannot be changed
+    p = diamond(3)
+    u, w = _surface_measure(p)
+    assert _surface_measure(p)[1] is w
+    assert not u.flags.writeable and not w.flags.writeable
+    assert w.sum() == pytest.approx(4.0 * math.sqrt(3.0), rel=1e-12)
+    assert p.volume() == p._volume == pytest.approx(4.0 / 3.0, rel=1e-12)

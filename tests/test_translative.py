@@ -24,7 +24,7 @@ from mixvol.kernels import KernelSpec, hull_distance_batch, kernel_values
 from mixvol.mixed_volume import oracle_mixed_volumes
 from mixvol import translative
 from mixvol.polytope import Polytope
-from mixvol.translative import (_SCREEN_TOL, TranslativeTable,
+from mixvol.translative import (_SCREEN_TOL, TranslativeTable, _cross_fitted,
                                 _degree_tuples, _difference_terms,
                                 _poly3d_values, _sample_boxes,
                                 _translative_value,
@@ -196,11 +196,10 @@ def test_curvature_scope_is_checked_before_faces(monkeypatch):
 
 def test_infinite_arc_integral_raises_divergence(monkeypatch):
     # the full circle of the segment's normal cone holds -v for the cube
-    # facets normal to y and z: with the probe and the bracket cut switched
-    # off those tuples reach the arc integral, which is infinite there
+    # facets normal to y and z: with the bracket cut switched off those
+    # tuples reach the arc integral, which is infinite there
     assert math.isinf(_arc_ray_integral(segment(3, 0).faces(1)[0].normal_cone,
                                         np.array([0.0, 1.0, 0.0])))
-    monkeypatch.setattr(translative, "_probe_zero_in_hull", lambda cones, tol: False)
     monkeypatch.setattr(translative, "_BRACKET_TOL", -1.0)
     with pytest.raises(DivergenceError, match="infinite"):
         curvature_mixed_functional([segment(3, 0), cube(3)], (1, 2))
@@ -441,14 +440,15 @@ def test_boundary_integral_matches_independent_sampler(bodies):
 
 
 def _poly3d_value_loop(pts, planes_a, planes_b, frames, tol):
-    """Per-sample reference valuation: V_1 of one intersection polytope
-    from its feasible candidate vertices and the stacked planes."""
+    """Per-sample reference valuation: (V_1, V_2) of one intersection
+    polytope from its feasible candidate vertices and the stacked planes;
+    each face ring's area is |a . sum_t p_t x p_{t+1}| / 2 about its mean."""
     key = np.round(pts / tol).astype(np.int64)
     _, first = np.unique(key, axis=0, return_index=True)
     pts = pts[np.sort(first)]
     if pts.shape[0] < 4:
-        return 0.0
-    edges = {}
+        return 0.0, 0.0
+    edges, area = {}, 0.0
     for i in range(planes_a.shape[0]):
         on = np.abs(pts @ planes_a[i] - planes_b[i]) <= tol
         if int(on.sum()) < 3:
@@ -456,6 +456,9 @@ def _poly3d_value_loop(pts, planes_a, planes_b, frames, tol):
         ring = pts[on]
         uv = (ring - ring.mean(axis=0)) @ frames[i]
         ring = ring[np.argsort(np.arctan2(uv[:, 1], uv[:, 0]))]
+        arm = ring - ring.mean(axis=0)
+        shoelace = np.cross(arm, np.roll(arm, -1, axis=0)).sum(axis=0)
+        area += 0.5 * abs(planes_a[i] @ shoelace)
         rk = np.round(ring / tol).astype(np.int64)
         for a in range(ring.shape[0]):
             b = (a + 1) % ring.shape[0]
@@ -471,7 +474,7 @@ def _poly3d_value_loop(pts, planes_a, planes_b, frames, tol):
         (ia, la), (ib, _) = hits
         cosang = float(np.clip(planes_a[ia] @ planes_a[ib], -1.0, 1.0))
         v1 += la * math.acos(cosang) / (2.0 * math.pi)
-    return v1
+    return v1, 0.5 * area if v1 > 0.0 else 0.0
 
 
 @pytest.mark.parametrize("other", ["diamond", "rotated", "cube"])
@@ -486,8 +489,14 @@ def test_batched_3d_valuation_matches_loop(other):
                                 indexing="ij"), axis=-1).reshape(-1, 3)
     for lams in ((1.0, 1.0), (1.5, 2.0), (2.0, 1.5)):
         engine = _VertexEngine([K, L]).scaled(lams)
+        # the engine's in-plane frames are orthonormal and normal to their
+        # rows; the loop below builds its own
+        np.testing.assert_allclose(engine.frames.transpose(0, 2, 1) @ engine.frames,
+                                   np.broadcast_to(np.eye(2), (engine.A.shape[0], 2, 2)),
+                                   atol=1e-15)
+        np.testing.assert_allclose(np.einsum("mi,mij->mj", engine.A, engine.frames),
+                                   0.0, atol=1e-15)
         frames = [complete_basis(n.reshape(-1, 1)) for n in engine.A]
-        np.testing.assert_array_equal(engine.frames, np.stack(frames))
         lo, hi = _sample_boxes([lam * p.vertices for p, lam in zip((K, L), lams)])
         z = np.vstack([lo + rng.random((512, 3)) * (hi - lo), grid])
         x, feas, bz = engine.candidates(z)
@@ -517,10 +526,10 @@ def test_batched_3d_valuation_matches_loop(other):
         got = _poly3d_values(x, feas, engine.A, bz, engine.frames, tol)
         want = np.array([_poly3d_value_loop(x[s][feas[s]], engine.A, bz[s],
                                             frames, tol)
-                         for s in range(x.shape[0])])
-        assert np.count_nonzero(want) > 100 and want[-2] == 0.0
-        np.testing.assert_allclose(got, want, rtol=1e-12,
-                                   atol=1e-12 * np.max(want))
+                         for s in range(x.shape[0])]).T
+        assert np.count_nonzero(want[0]) > 100 and not want[:, -2].any()
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(w))
 
 
 @pytest.mark.parametrize("d,j", [(2, 0), (3, 0), (3, 1)])
@@ -553,16 +562,17 @@ def test_scaled_bodies_match_rehulled(d, j):
 
 def _unscreened_draws(bodies, lams, j, unit):
     """Per-draw values of _translative_value with every draw sent through
-    the vertex engine in one chunk."""
+    the vertex engine in one chunk, and for j = 1 the box volume times V_2
+    of each draw's intersection."""
     engine = _VertexEngine(bodies).scaled(lams)
     lo, hi = _sample_boxes([lam * p.vertices for p, lam in zip(bodies, lams)])
     x, feas, bz = engine.candidates(lo + unit * (hi - lo))
+    box = float(np.prod(hi - lo))
     if j == 0:
-        vals = feas.any(axis=1).astype(float)
-    else:
-        vals = _poly3d_values(x, feas, engine.A, bz, engine.frames,
-                              1e-7 * engine.scale)
-    return float(np.prod(hi - lo)) * vals
+        return box * feas.any(axis=1), None
+    vals, area = _poly3d_values(x, feas, engine.A, bz, engine.frames,
+                                1e-7 * engine.scale)
+    return _cross_fitted(box * vals, box * area, engine.control_mean), box * area
 
 
 @pytest.mark.parametrize("bodies,j", [
@@ -579,9 +589,42 @@ def test_screened_draws_match_engine(bodies, j):
                                              (k - 1) * d))
     for lams in ([1.0] * k, [2.0] + [1.5] * (k - 1)):
         got = _translative_value(_VertexEngine(bodies), lams, j, unit)[1]
-        want = _unscreened_draws(bodies, lams, j, unit)
+        want = _unscreened_draws(bodies, lams, j, unit)[0]
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
+
+
+# (vol, V_2) of the generator bodies: V_2 is half the surface area, and
+# diamond(3) has 8 equilateral faces of side sqrt(2)
+_VOL_V2 = {"cube": (1.0, 3.0), "diamond": (4.0 / 3.0, 2.0 * math.sqrt(3.0)),
+           "rotated": (1.0, 3.0)}
+
+
+@pytest.mark.parametrize("names,lams,n", [
+    (("cube", "diamond"), (1.0, 1.0), 4000),
+    (("cube", "rotated"), (1.0, 1.0), 4000),
+    (("cube", "diamond"), (1.0, 1.5), 4000),
+    (("cube", "diamond", "rotated"), (1.0, 1.0, 1.0), 6000),
+], ids=["Q3-D3", "Q3-R", "Q3-D3-ratio", "Q3-D3-R-k3"])
+def test_control_draws_average_to_known_mean(names, lams, n):
+    # the j = 1 control, box volume times V_2 per draw, averages to
+    # sum_i l_i^2 V_2(K_i) prod_{l != i} l_l^3 vol K_l within 5 sigma, and
+    # the engine's known mean equals that sum
+    make = {"cube": lambda: cube(3), "diamond": lambda: diamond(3),
+            "rotated": lambda: rotated_cube(3, 5)}
+    bodies = [make[name]() for name in names]
+    want = sum(lams[i] ** 2 * _VOL_V2[name][1]
+               * math.prod(lams[l] ** 3 * _VOL_V2[other][0]
+                           for l, other in enumerate(names) if l != i)
+               for i, name in enumerate(names))
+    engine = _VertexEngine(bodies).scaled(lams)
+    assert engine.control_mean == pytest.approx(want, rel=1e-12)
+    unit = np.random.default_rng(61).random((n, 3 * (len(bodies) - 1)))
+    control = np.concatenate([_unscreened_draws(bodies, lams, 1, unit[s:s + 500])[1]
+                              for s in range(0, n, 500)])
+    assert np.count_nonzero(control) > n // 10
+    err = control.std(ddof=1) / math.sqrt(n)
+    assert abs(control.mean() - want) <= 5.0 * err, (control.mean(), err, want)
 
 
 def _near_boundary(K, L, lams, rng, n):
@@ -790,6 +833,58 @@ def test_per_draw_errors_are_calibrated(d, samples, runs):
             assert table.value(r) == pytest.approx(c, rel=1e-12)
             assert table.std_error(r) <= bound * (1.0 + 1e-12)
         assert tot.std_error <= old.sum()
+    zs = np.array(zs)
+    assert 0.85 <= zs.std() <= 1.15, zs.std()
+    assert np.max(np.abs(zs)) <= 5.0
+
+
+def test_cross_fitted_draws_carry_their_beta_error():
+    # each half is controlled with the other half's beta, and each fitting
+    # draw carries n_other * its residual * the sensitivity of the other
+    # half's mean to its y (exact for unit steps: that mean is linear in y)
+    rng = np.random.default_rng(67)
+    c = rng.exponential(size=41)
+    y = np.sqrt(c) + 0.1 * rng.standard_normal(41)
+    out = _cross_fitted(y, c, 1.0)
+    halves = (slice(0, None, 2), slice(1, None, 2))
+
+    def beta(h):
+        dc = c[h] - c[h].mean()
+        return dc @ (y[h] - y[h].mean()) / (dc @ dc)
+
+    for fit, use in zip(halves, halves[::-1]):
+        resid = y[fit] - y[fit].mean() - beta(fit) * (c[fit] - c[fit].mean())
+        share = out[fit] - (y[fit] - beta(use) * (c[fit] - 1.0))
+        sens = []
+        for i in np.arange(41)[fit]:
+            bumped = y.copy()
+            bumped[i] += 1.0
+            sens.append(_cross_fitted(bumped, c, 1.0)[use].mean() - out[use].mean())
+        np.testing.assert_allclose(share, c[use].size * np.array(sens) * resid,
+                                   rtol=1e-9, atol=1e-12)
+        assert abs(share.sum()) <= 1e-12
+    # one draw, or a control constant up to rounding, fits no beta
+    assert np.array_equal(_cross_fitted(y[:1], c[:1], 1.0), y[:1])
+    ulps = 0.1 + 1e-17 * np.arange(10)
+    assert np.unique(ulps).size > 1
+    assert np.array_equal(_cross_fitted(y[:10], ulps, 1.0), y[:10])
+
+
+def test_controlled_estimates_are_calibrated():
+    # z-scores of 100-draw j = 1 integrals against exact totals on the two
+    # pairs the j = 1 control is measured on: unit spread and no heavy tail
+    # with beta fitted on the other half of the draws
+    K = cube(3)
+    v1_diamond = 12.0 * math.sqrt(2.0) * (math.pi - math.acos(-1.0 / 3.0)) \
+        / (2.0 * math.pi)
+    zs = []
+    for L, v1_l, vol_l in ((diamond(3), v1_diamond, 4.0 / 3.0),
+                           (rotated_cube(3, 5), 3.0, 1.0)):
+        # V_(3,1) + V_(1,3) + V_(2,2), with vol K = 1 and V_1(K) = 3
+        want = v1_l + 3.0 * vol_l + curvature_mixed_functional([K, L], (2, 2))
+        for seed in range(60):
+            est = translative_integral_mc([K, L], 1, rng=seed, samples=100)
+            zs.append((est.value - want) / est.std_error)
     zs = np.array(zs)
     assert 0.85 <= zs.std() <= 1.15, zs.std()
     assert np.max(np.abs(zs)) <= 5.0
