@@ -8,7 +8,10 @@ The general-position probes ("the cones share a ray", "0 lies in the hull
 of unit normals") need no LP: each is one test of whether a cone
 {u : a u <= 0} holds a nonzero vector, decided from its candidate extreme
 rays.  The LP remains for cones_intersect, intersection_status and the
-zero-in-hull probe on three or more cones.
+zero-in-hull probe on three or more cones.  Where face dimensions sum to d,
+_certain_misses first drops, with one linear solve for a whole batch of
+shifts, every shift at which the cones cannot meet, so cones_intersect (the
+LP) decides only the screen's survivors.
 
 Sphere measures are exact for cones of linear dimension <= 2 (point counts
 and arc lengths) and rejection Monte Carlo above that; all MC is chunked
@@ -32,6 +35,10 @@ from .util import as_rng, check_bodies, omega
 
 _TOL = 1e-9
 _THIN = 1e-4
+# _certain_misses: the slack beyond the LP's own reach that a cone row must
+# miss by, and the smallest singular value of a frame stack it screens
+_SCREEN_MARGIN = 1e-6
+_SCREEN_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -78,6 +85,56 @@ def cones_intersect(shifted, tol: float = _TOL) -> bool:
         return True
     feasible, _ = lp_feasible(a, b, tol=tol)
     return feasible
+
+
+def _vertex_row_slack(face: Face) -> float:
+    """c with |frame^T y| <= c tol for every y that meets the rows of the
+    face's own vertices in its normal cone to within tol.
+
+    The rows are e_j = (v_j - c_F) / w_j with w_j = |v_j - c_F|, and
+    sum_j w_j e_j = 0, so -e_j y <= (W / w_j - 1) tol for W = sum_j w_j.
+    Hence |E y| <= sqrt(m) (W / w_min - 1) tol, and frame^T y is
+    (E frame)^+ E y because every e_j lies in lin F.
+    """
+    if face.dim == 0:
+        return 0.0
+    u = face.vertices - face.centroid
+    w = np.linalg.norm(u, axis=1)
+    sigma = np.linalg.svd((u / w[:, None]) @ face.frame.frame,
+                          compute_uv=False)[-1]
+    return math.sqrt(len(w)) * (w.sum() / w.min() - 1.0) / sigma
+
+
+def _certain_misses(faces, x) -> np.ndarray:
+    """Mask over shift tuples x (n, k, d) at which the shifted cones
+    N(P_i, F_i) - x_i certainly do not meet, i.e. cones_intersect says no.
+
+    With face dimensions summing to d, the spans lin(F_i)^perp - x_i meet
+    in one point z, the solution of M z = -(frame_i^T x_i)_i for the d x d
+    stack M of the frames' transposes (|det M| is the bracket), and the
+    cones meet iff every row of every cone holds at z.  z is linear in x,
+    so one factorisation serves every draw.  A point p that the LP accepts
+    misses no row by more than t = tol max(1, max_i |x_i|) (its scaled
+    tolerance on unit rows), so |frame_i^T (p + x_i)| <= c_i t
+    (_vertex_row_slack) and |p - z| <= t |c| / sigma_min(M): a row
+    violated at z by more than t (1 + |c| / sigma_min(M)) rules p out.
+    The cut adds _SCREEN_MARGIN, on the same scale, against the rounding
+    of z; stacks with sigma_min(M) below _SCREEN_FLOOR (zero brackets and
+    round-off ones) screen nothing.
+    """
+    frames = [f.frame.frame for f in faces]
+    m = np.hstack(frames).T
+    sigma = np.linalg.svd(m, compute_uv=False)[-1]
+    if sigma < _SCREEN_FLOOR:
+        return np.zeros(len(x), dtype=bool)
+    cut = _TOL * (1.0 + math.hypot(*map(_vertex_row_slack, faces)) / sigma) \
+        + _SCREEN_MARGIN
+    blocks = x.transpose(1, 0, 2)
+    z = np.linalg.solve(m, -np.hstack([xi @ fr for xi, fr in zip(blocks, frames)]).T).T
+    viol = np.zeros(len(x))
+    for f, xi in zip(faces, blocks):
+        viol = np.maximum(viol, ((z + xi) @ f.normal_cone.ineq.T).max(axis=1, initial=0.0))
+    return viol > cut * np.maximum(1.0, np.linalg.norm(x, axis=2).max(axis=1))
 
 
 def intersection_status(shifted, margin: float) -> str:
@@ -232,19 +289,29 @@ def external_angle(p: Polytope, face: Face, rng=None,
 # admissible direction tuples
 
 
-def random_direction_tuple(d: int, k: int, rng) -> np.ndarray:
-    """Uniform point of L^perp cap S^{kd-1}, as a (k,d) block vector.
+def random_direction_tuples(d: int, k: int, n: int, rng) -> np.ndarray:
+    """n uniform points of L^perp cap S^{kd-1}, as (n, k, d) block vectors.
 
     L is the diagonal {(y,...,y)}; projecting a Gaussian onto L^perp
-    (subtract the block mean) and normalizing gives the uniform law.
+    (subtract the block mean) and normalizing gives the uniform law.  The
+    draws take the generator's numbers in order and each is normalised by
+    its own np.linalg.norm, so draw i is the i-th of n one-draw calls, bit
+    for bit.
     """
+    if k < 2:
+        raise InputError("direction tuples need at least two blocks")
     rng = as_rng(rng)
-    x = rng.standard_normal((k, d))
-    x -= x.mean(axis=0)
-    nrm = float(np.linalg.norm(x))
-    if nrm < 1e-12:
-        return random_direction_tuple(d, k, rng)
-    return x / nrm
+    x = rng.standard_normal((n, k, d))
+    x -= x.mean(axis=1, keepdims=True)
+    nrm = np.array([np.linalg.norm(xi) for xi in x])
+    for i in np.flatnonzero(nrm < 1e-12):  # a null event: redraw
+        x[i], nrm[i] = random_direction_tuples(d, k, 1, rng)[0], 1.0
+    return x / nrm[:, None, None]
+
+
+def random_direction_tuple(d: int, k: int, rng) -> np.ndarray:
+    """One draw of random_direction_tuples, as a (k, d) block vector."""
+    return random_direction_tuples(d, k, 1, rng)[0]
 
 
 def _over_dim_tuples(polytopes, d: int):

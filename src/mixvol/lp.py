@@ -2,7 +2,10 @@
 
 Decides whether {x : A_ub x <= b_ub, A_eq x = b_eq} is nonempty for free x.
 Bland's rule, so it terminates; problems here stay below a few hundred rows.
-The point is bit-reproducible feasibility decisions, not speed.
+The point is bit-reproducible feasibility decisions: the pivot loop runs on
+whole numpy rows and columns, but every entering and leaving choice and every
+floating-point operation on the tableau is that of the scalar row-by-row
+tableau method, so the answer and the point are those of the scalar loop.
 """
 
 from __future__ import annotations
@@ -14,100 +17,63 @@ _PIV = 1e-11
 
 def lp_feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None, tol: float = 1e-9):
     """Return (feasible, x or None)."""
-    rows = []
-    rhs = []
-    kinds = []  # 'ub' or 'eq'
-    if A_ub is not None and len(A_ub):
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        b_ub = np.asarray(b_ub, dtype=float).reshape(-1)
-        for a, b in zip(A_ub, b_ub):
-            rows.append(a)
-            rhs.append(b)
-            kinds.append("ub")
-    if A_eq is not None and len(A_eq):
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        b_eq = np.asarray(b_eq, dtype=float).reshape(-1)
-        for a, b in zip(A_eq, b_eq):
-            rows.append(a)
-            rhs.append(b)
-            kinds.append("eq")
-    if not rows:
+    parts = [(np.atleast_2d(np.asarray(a, dtype=float)),
+              np.asarray(b, dtype=float).reshape(-1), is_ub)
+             for a, b, is_ub in ((A_ub, b_ub, True), (A_eq, b_eq, False))
+             if a is not None and len(a)]
+    if not parts:
         return True, None
-    A = np.vstack(rows)
-    b = np.asarray(rhs, dtype=float)
+    A = np.vstack([a for a, _, _ in parts])
+    b = np.concatenate([rhs for _, rhs, _ in parts])
+    ub = np.concatenate([np.full(len(a), is_ub) for a, _, is_ub in parts])
     m, n = A.shape
     scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(A))))
 
-    n_ub = sum(1 for k in kinds if k == "ub")
-    # columns: x+ (n), x- (n), slacks (n_ub), artificials (filled below)
-    ncols = 2 * n + n_ub
-    T = np.zeros((m, ncols))
-    T[:, :n] = A
-    T[:, n:2 * n] = -A
-    si = 0
-    slack_col = {}
-    for i, kind in enumerate(kinds):
-        if kind == "ub":
-            T[i, 2 * n + si] = 1.0
-            slack_col[i] = 2 * n + si
-            si += 1
-    bb = b.copy()
-    neg = bb < 0
-    T[neg] *= -1.0
-    bb[neg] *= -1.0
-
-    basis = np.full(m, -1, dtype=int)
-    art_cols = []
-    extra = []
-    for i in range(m):
-        if kinds[i] == "ub" and not neg[i]:
-            basis[i] = slack_col[i]
-        else:
-            col = np.zeros(m)
-            col[i] = 1.0
-            extra.append(col)
-            basis[i] = ncols + len(extra) - 1
-            art_cols.append(basis[i])
-    if extra:
-        T = np.hstack([T, np.column_stack(extra)])
+    # columns: x+ (n), x- (n), slacks (one per ub row), then one artificial
+    # for each row that does not start on its own slack
+    n_ub = int(ub.sum())
+    slack = np.zeros((m, n_ub))
+    slack[ub, np.arange(n_ub)] = 1.0
+    neg = b < 0
+    flip = np.where(neg, -1.0, 1.0)
+    art = np.flatnonzero(~ub | neg)
+    T = np.hstack([np.hstack([A, -A, slack]) * flip[:, None], np.eye(m)[:, art]])
+    bb = b * flip
     ncols = T.shape[1]
+    basis = np.zeros(m, dtype=int)
+    basis[ub] = 2 * n + np.arange(n_ub)
+    basis[art] = 2 * n + n_ub + np.arange(len(art))
     cost = np.zeros(ncols)
-    cost[art_cols] = 1.0
+    cost[2 * n + n_ub:] = 1.0
 
-    # reduced cost row for phase 1
+    # reduced cost row for phase 1, subtracted row by row as the scalar loop did
     z = cost.copy()
-    for i in range(m):
-        if cost[basis[i]]:
-            z -= T[i]
+    for i in art:
+        z -= T[i]
 
-    it_cap = 200 * (m + ncols)
-    for _ in range(it_cap):
-        enter = -1
-        for j in range(ncols):
-            if z[j] < -_PIV:
-                enter = j
-                break
-        if enter < 0:
+    for _ in range(200 * (m + ncols)):
+        negative = np.flatnonzero(z < -_PIV)
+        if not len(negative):
             break
-        leave = -1
-        best = np.inf
-        for i in range(m):
-            a = T[i, enter]
-            if a > _PIV:
-                ratio = bb[i] / a
-                if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and (leave < 0 or basis[i] < basis[leave])):
-                    best = ratio
-                    leave = i
+        enter = negative[0]
+        col = T[:, enter]
+        cand = np.flatnonzero(col > _PIV)
+        # the ratio test's sequential tie rule, over the candidate rows only
+        leave, best = -1, np.inf
+        for i, ratio in zip(cand, bb[cand] / col[cand]):
+            if ratio < best - 1e-12 or (abs(ratio - best) <= 1e-12 and (
+                    leave < 0 or basis[i] < basis[leave])):
+                best, leave = ratio, i
         if leave < 0:  # pragma: no cover - phase 1 is bounded
             break
         piv = T[leave, enter]
         T[leave] /= piv
         bb[leave] /= piv
-        for i in range(m):
-            if i != leave and abs(T[i, enter]) > 0.0:
-                f = T[i, enter]
-                T[i] -= f * T[leave]
-                bb[i] -= f * bb[leave]
+        rows = np.flatnonzero(col)
+        rows = rows[rows != leave]
+        f = col[rows]
+        T[rows] -= f[:, None] * T[leave]
+        bb[rows] -= f * bb[leave]
         z -= z[enter] * T[leave]
         basis[leave] = enter
 
@@ -119,13 +85,11 @@ def lp_feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None, tol: float = 1e-9):
     if float(np.abs(bb[cost[basis] > 0.0]).sum()) > tol * scale:
         return False, None
     x = np.zeros(2 * n)
-    for i in range(m):
-        if basis[i] < 2 * n:
-            x[basis[i]] = bb[i]
-    x = x[:n] - x[n:2 * n]
+    primal = basis < 2 * n
+    x[basis[primal]] = bb[primal]
+    x = x[:n] - x[n:]
     resid = A @ x - b
-    eq = np.array(kinds) == "eq"
-    resid[eq] = np.abs(resid[eq])
+    resid[~ub] = np.abs(resid[~ub])
     if float(resid.max()) > tol * scale:
         return False, None
     return True, x

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cones import (ShiftedCone, _finite_cone_combos, _probe_common_ray,
-                    cone_sphere_samples, cones_intersect, random_admissible,
-                    random_direction_tuple)
+from .cones import (ShiftedCone, _certain_misses, _finite_cone_combos,
+                    _probe_common_ray, cone_sphere_samples, cones_intersect,
+                    random_admissible, random_direction_tuples)
 from .errors import DivergenceError, InputError
 from .estimates import MCEstimate, combine_product, combine_sum, from_indicator, from_samples
 from .exterior import subspace_determinant
@@ -34,6 +34,7 @@ from .util import (as_rng, check_bodies, check_count, multinomial,
 
 _BRACKET_TOL = 1e-12
 _PROBE_TOL = 1e-9
+_DRAW_BATCH = 1 << 16  # admissible-mc shifts drawn and screened at once
 
 
 @dataclass(frozen=True)
@@ -118,7 +119,8 @@ def schneider_mixed_volume(polytopes, degrees, rng=None, shifts=None) -> float:
     keeping tuples whose shifted normal cones N(P_i, F_i) - x_i share a
     point for one admissible x in L^perp cap S^{kd-1}.  Almost every draw
     is admissible and the sum does not depend on the draw; pass `shifts`
-    to pin x.  Returns the mixed volume (multinomial divided out).
+    to pin x.  A tuple the span screen (cones._certain_misses) rules out
+    skips the LP.  Returns the mixed volume (multinomial divided out).
     """
     d, degrees = check_bodies(polytopes, degrees)
     k = len(polytopes)
@@ -130,7 +132,7 @@ def schneider_mixed_volume(polytopes, degrees, rng=None, shifts=None) -> float:
     total = 0.0
     for tup in itertools.product(*[p.faces(n) for p, n in zip(polytopes, degrees)]):
         br = subspace_determinant([f.frame for f in tup])
-        if br <= _BRACKET_TOL:
+        if br <= _BRACKET_TOL or _certain_misses(tup, x[None])[0]:
             continue
         shifted = [ShiftedCone(f.normal_cone, xi) for f, xi in zip(tup, x)]
         if cones_intersect(shifted):
@@ -175,6 +177,9 @@ def mixed_exterior_angle(faces, polytopes, degrees, rng=None,
     for which the shifted cones N(P_i,F_i) - x_i share a point.  Both
     routes estimate the same number (the sphere-section identity behind
     the selection rule); cross-checking them is the point of having two.
+    The draws come in batches; the span screen (cones._certain_misses)
+    drops certain misses with one linear solve per batch, and the LP of
+    cones_intersect decides every other draw.
     """
     d, degrees = check_bodies(polytopes, degrees)
     if samples is not None:
@@ -190,11 +195,12 @@ def mixed_exterior_angle(faces, polytopes, degrees, rng=None,
     if route == "admissible-mc":
         n_draws = samples or 2000
         hits = 0
-        for _ in range(n_draws):
-            x = random_direction_tuple(d, k, rng)
-            shifted = [ShiftedCone(f.normal_cone, xi) for f, xi in zip(faces, x)]
-            if cones_intersect(shifted):
-                hits += 1
+        for start in range(0, n_draws, _DRAW_BATCH):
+            x = random_direction_tuples(
+                d, k, min(_DRAW_BATCH, n_draws - start), rng)
+            for xs in x[~_certain_misses(faces, x)]:
+                hits += cones_intersect(
+                    [ShiftedCone(f.normal_cone, xi) for f, xi in zip(faces, xs)])
         return from_indicator(hits, n_draws)
     if route != "cone-quadrature":
         raise InputError(f"unknown route {route!r}")

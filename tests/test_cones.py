@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import mixvol.cones
-from mixvol.cones import (ShiftedCone, _probe_common_ray, _probe_zero_in_hull,
-                          cone_sphere_samples, cones_intersect,
-                          external_angle, general_position,
+from mixvol.cones import (_SCREEN_FLOOR, _SCREEN_MARGIN, ShiftedCone,
+                          _certain_misses, _probe_common_ray,
+                          _probe_zero_in_hull, cone_sphere_samples,
+                          cones_intersect, external_angle, general_position,
                           random_admissible, random_direction_tuple,
-                          spherical_measure)
+                          random_direction_tuples, spherical_measure)
 from mixvol.errors import InputError
 from mixvol.generators import cube, diamond, rotated_cube, segment, simplex
 from mixvol.lp import lp_feasible
@@ -72,6 +73,20 @@ def test_random_direction_tuple_lives_on_perp_sphere(rng):
         assert x.shape == (k, d)
         np.testing.assert_allclose(x.sum(axis=0), 0.0, atol=1e-9)
         assert np.linalg.norm(x) == pytest.approx(1.0)
+
+
+def test_direction_tuple_batches_repeat_single_draws():
+    for d, k in ((2, 2), (3, 2), (4, 3)):
+        batched, single = np.random.default_rng(d), np.random.default_rng(d)
+        one = []
+        for _ in range(50):
+            y = single.standard_normal((k, d))
+            y -= y.mean(axis=0)
+            one.append(y / float(np.linalg.norm(y)))
+        assert np.array_equal(random_direction_tuples(d, k, 50, batched), one)
+        assert batched.bit_generator.state == single.bit_generator.state
+    with pytest.raises(InputError):
+        random_direction_tuple(3, 1, 0)
 
 
 def test_random_admissible_on_perp_sphere(rng):
@@ -221,3 +236,82 @@ def test_lp_rejects_infeasible_block_system(first, second, pin):
     a_eq = np.vstack([np.tile(np.eye(4), (1, 2)), e])
     b_eq = np.concatenate([np.zeros(4), [1.0]])
     assert not lp_feasible(a_ub, np.zeros(len(a_ub)), A_eq=a_eq, b_eq=b_eq)[0]
+
+
+# ---------------------------------------------------------------------------
+# the span screen in front of cones_intersect
+
+
+def _span_violation(faces, x):
+    """Largest cone row at the common point of the shifted spans, which a
+    least-squares solve of the stacked span equations finds."""
+    m = np.hstack([f.frame.frame for f in faces]).T
+    rhs = np.concatenate([-f.frame.frame.T @ xi for f, xi in zip(faces, x)])
+    z = np.linalg.lstsq(m, rhs, rcond=None)[0]
+    return max(float(np.max(f.normal_cone.ineq @ (z + xi), initial=0.0))
+               for f, xi in zip(faces, x))
+
+
+def _near_boundary(faces, hit, miss):
+    """Shifts on the segment from a hit to a miss whose violation is within
+    ten screen margins of 0, on both sides of the cone boundary."""
+    def at(t):
+        return (1.0 - t) * hit + t * miss
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        # 1e-12: above the rounding of the rows that vanish on the span
+        lo, hi = (lo, mid) if _span_violation(faces, at(mid)) > 1e-12 else (mid, hi)
+    slope = _span_violation(faces, at(hi + 1e-6)) / 1e-6
+    steps = [s * j for s in (1.0, -1.0)
+             for j in (1e-4, 5e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9, 1.1, 1.5, 2.0,
+                       5.0, 10.0)]
+    return np.array([at(hi + j * _SCREEN_MARGIN / slope) for j in steps])
+
+
+def test_screen_drops_only_misses():
+    rng = np.random.default_rng(23)
+    rot = random_rotation(3, rng)
+    pairs = [(cube(3).faces(1)[0], diamond(3).faces(2)[1]),
+             (simplex(3).faces(2)[3], diamond(3).faces(1)[2]),
+             (cube(2).faces(1)[0], simplex(2).faces(1)[1]),
+             (rotated_cube(4, 2).faces(2)[3], diamond(4).faces(2)[7]),
+             (cube(3).transform(rot).faces(2)[2], simplex(3).faces(1)[3])]
+    screened = 0
+    for faces in pairs:
+        d = faces[0].normal_cone.ambient_dim
+        x = random_direction_tuples(d, 2, 300, rng)
+        meets = [cones_intersect([ShiftedCone(f.normal_cone, xi)
+                                  for f, xi in zip(faces, xs)]) for xs in x]
+        hit, miss = x[meets.index(True)], x[meets.index(False)]
+        # long shifts widen the LP's tolerance, and so the screen's cut
+        near = _near_boundary(faces, hit, miss)
+        x = np.concatenate([x, near, 1e4 * near])
+        out = _certain_misses(faces, x)
+        for xs, dropped in zip(x, out):
+            if dropped:
+                assert not cones_intersect([ShiftedCone(f.normal_cone, xi)
+                                            for f, xi in zip(faces, xs)])
+            elif _span_violation(faces, xs) > 2.0 * _SCREEN_MARGIN * max(
+                    1.0, np.linalg.norm(xs, axis=1).max()):
+                raise AssertionError("a far miss survived the screen")
+        screened += out.sum()
+    assert screened > 0
+
+
+def test_screen_passes_every_draw_below_the_floor():
+    """Frame stacks with sigma_min below the floor, zero or just above it,
+    screen nothing, though their draws miss."""
+    Q = cube(2)
+    turn = np.array([[np.cos(1e-4), -np.sin(1e-4)], [np.sin(1e-4), np.cos(1e-4)]])
+    stacks = [(cube(3).faces(1)[0], cube(3).faces(2)[0]),
+              (Q.faces(1)[0], Q.transform(turn).faces(1)[0])]
+    rng = np.random.default_rng(4)
+    for faces in stacks:
+        m = np.hstack([f.frame.frame for f in faces]).T
+        assert np.linalg.svd(m, compute_uv=False)[-1] < _SCREEN_FLOOR
+        d = m.shape[0]
+        x = random_direction_tuples(d, 2, 200, rng)
+        assert not _certain_misses(faces, x).any()
+        assert not all(cones_intersect([ShiftedCone(f.normal_cone, xi)
+                                        for f, xi in zip(faces, xs)]) for xs in x)

@@ -13,13 +13,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mixvol.mixed_volume
+from mixvol.cones import ShiftedCone, cones_intersect, random_admissible
 from mixvol.errors import DivergenceError, InputError
+from mixvol.exterior import subspace_determinant
 from mixvol.generators import cube, diamond, rotated_cube, segment, simplex
 from mixvol.mixed_volume import (angle_mixed_volume, epsilon_mixed_volume,
                                  mixed_exterior_angle, oracle_mixed_volumes,
                                  schneider_mixed_volume)
 from mixvol.polytope import Polytope, minkowski_sum
-from mixvol.util import random_rotation
+from mixvol.util import multinomial, random_rotation
+from mixvol.verify import _random_face_tuple
 
 
 def test_oracle_square_diamond():
@@ -90,6 +94,72 @@ def test_schneider_matches_oracle(rng):
         assert got == pytest.approx(want, rel=1e-6)
         if anchor is not None:
             assert got == pytest.approx(anchor, rel=1e-6)
+
+
+def test_schneider_screen_keeps_selection_sums(monkeypatch):
+    """The span screen only skips LPs that would say no: each sum equals the
+    unscreened loop bit for bit, and the selected tuples still reach the LP."""
+    cases = [([cube(3), diamond(3)], (1, 2)),
+             ([rotated_cube(3, seed=4), simplex(3)], (2, 1)),
+             ([cube(4), diamond(4)], (2, 2)),
+             ([cube(2), diamond(2), simplex(2)], (1, 1, 0))]
+    for bodies, degrees in cases:
+        x = random_admissible(bodies, degrees, np.random.default_rng(3))
+        want, tuples = 0.0, 0
+        for tup in itertools.product(*[p.faces(n) for p, n in zip(bodies, degrees)]):
+            br = subspace_determinant([f.frame for f in tup])
+            if br <= 1e-12:
+                continue
+            tuples += 1
+            if cones_intersect([ShiftedCone(f.normal_cone, xi)
+                                for f, xi in zip(tup, x)]):
+                want += br * math.prod(f.measure for f in tup)
+        calls = []
+        monkeypatch.setattr(mixvol.mixed_volume, "cones_intersect",
+                            lambda s: calls.append(s) or cones_intersect(s))
+        got = schneider_mixed_volume(bodies, degrees, shifts=x)
+        monkeypatch.undo()
+        assert got == want / multinomial(bodies[0].dim, degrees)
+        assert 0 < len(calls) < tuples
+
+
+def _per_draw_beta(faces, n, rng):
+    """The admissible-mc estimate as one draw and one LP at a time."""
+    k, d = len(faces), faces[0].normal_cone.ambient_dim
+    hits = 0
+    for _ in range(n):
+        x = rng.standard_normal((k, d))
+        x -= x.mean(axis=0)
+        x = x / float(np.linalg.norm(x))
+        hits += cones_intersect([ShiftedCone(f.normal_cone, xi)
+                                 for f, xi in zip(faces, x)])
+    return hits / n
+
+
+def _beta_tuples():
+    for d in (2, 3, 4):
+        for p, q in ((cube(d), diamond(d)), (diamond(d), simplex(d)),
+                     (simplex(d), cube(d))):
+            for n in range(1, d):
+                yield [p, q], (n, d - n), (p.faces(n)[0], q.faces(d - n)[-1])
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        yield _random_face_tuple(rng)
+
+
+def test_admissible_mc_matches_per_draw_lp():
+    """Batched draws through the span screen give the per-draw loop's
+    estimate exactly and leave the generator where the loop leaves it,
+    since callers share one generator between routes."""
+    values = []
+    for bodies, degrees, faces in _beta_tuples():
+        batched, single = np.random.default_rng(5), np.random.default_rng(5)
+        est = mixed_exterior_angle(faces, bodies, degrees, rng=batched,
+                                   route="admissible-mc", samples=150)
+        assert est.value == _per_draw_beta(faces, 150, single)
+        assert batched.bit_generator.state == single.bit_generator.state
+        values.append(est.value)
+    assert 0 < sum(v > 0 for v in values) < len(values)
 
 
 def test_schneider_seed_reproducible():
