@@ -1,32 +1,25 @@
 """Mixed translative functionals V_{r_1..r_k}.
 
-Two independent evaluations are kept side by side: curvature_mixed_functional
+Two independent evaluations are kept side by side.  curvature_mixed_functional
 sums the hull-distance kernel G_r over products of normal-cone spheres in
 closed form (sums over rays, and an arctan primitive of G_r = 1 / (omega_3
 (1 + u.v)) for an arc against a ray: every r in d <= 3, InputError for other
-cones), and translative_integral_mc evaluates the defining translation
-integral int V_j of the intersection body, which decompose_homogeneous then
-splits into the individual V_r by a scaling fit.
-Two cases are closed-form: for j = 0 and two bodies the integral is
-vol(K_1 - K_2), a polynomial in the scale of K_2 whose coefficients are
-volumes and facet-area sums of support values (no difference-body hull),
-and for j = d - 1 every V_r factors into V_{d-1} of one body times the
-volumes of the others.  Otherwise the integral is sampled, and the fit
-propagates the errors draw by draw through the common random numbers it
-shares.  For j = 1 in R^3 each draw is controlled by V_2 of the same
-intersection, whose integral is the closed j = d - 1 form, with a
-cross-fitted coefficient.  Each sampling call builds one vertex engine for
-all its scaled grid bodies and evaluates each ratio lambda_i / lambda_1 of
-the grid once, and draws outside a difference body lambda_1 K_1 -
-lambda_i K_i, where the integrand is 0, are screened out before the engine
-enumerates vertices.
+cones).  translative_integral_mc evaluates the defining translation integral
+int V_j of the intersection body, and decompose_homogeneous splits it into
+the individual V_r, both from the face-tuple formula for polytopes
+(Schneider and Weil, Stochastic and Integral Geometry, 2008, sec. 6.4): V_r
+sums, over tuples of faces of dimensions r_i, the normalised angle of the
+sum of their normal cones times the bracket of the cones' spans times the
+face volumes.  In d <= 3 every V_r is a product of volumes and one core on
+at most three bodies: an intrinsic volume, a coefficient of vol(K - rho L),
+or a sum over facet pairs or triples of normals and areas (_entries).  So
+every d <= 3 input is exact, and nothing is sampled.
 Unlike mixed volumes, no multinomial factor is divided out anywhere here;
 the two conventions meet in duality_check.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -35,18 +28,13 @@ import numpy as np
 
 from .cones import _arc_interval, _finite_cone_combos, _ray_points
 from .errors import DivergenceError, EstimationError, InputError
-from .estimates import MCEstimate, from_samples
+from .estimates import MCEstimate
 from .exterior import subspace_determinant
 from .kernels import _SPREAD_FLOOR, KernelSpec, kernel_values
 from .mixed_volume import oracle_mixed_volumes
 from .polytope import Polytope, _surface_measure
 from .util import as_integer, as_rng, check_bodies, check_count, omega
 
-_DET_TOL = 1e-9
-_FEAS_TOL = 1e-9
-# draws this far outside a difference body (times the engine scale) are
-# dropped before the engine; a thousand times _FEAS_TOL
-_SCREEN_TOL = 1e-6
 # frame bases carry O(1e-8) rounding after the Gram-determinant square root,
 # so brackets below this are exactly dependent configurations; they enter
 # squared, hence dropping them changes nothing above 1e-14
@@ -58,8 +46,7 @@ class TranslativeTable:
     """V_r values for all multidegrees r_i in [0,d] with sum (k-1)d + j.
 
     The r_i = 0 slots make the entry independent of the corresponding body,
-    and an r_i = d slot splits off a factor vol(K_i); both are cheap
-    consistency probes on a fitted table.
+    and an r_i = d slot splits off a factor vol(K_i).
     """
 
     d: int
@@ -83,9 +70,8 @@ class TranslativeTable:
         return self.errors.get(tuple(int(x) for x in r), 0.0)
 
     def total(self) -> MCEstimate:
-        """Sum of the entries.  The entries of one fit share their draws, so
-        their errors do not add in quadrature; the fit stores the total's
-        own error as meta["total_std_error"] (0 when absent)."""
+        """Sum of the entries, with meta["total_std_error"] (0 when absent)
+        as its error."""
         return MCEstimate(sum(self.entries.values()),
                           self.meta.get("total_std_error", 0.0),
                           self.meta.get("samples", 0))
@@ -94,7 +80,7 @@ class TranslativeTable:
 def _check_translative(polytopes, j: int):
     d, _ = check_bodies(polytopes)
     if d > 3:
-        raise InputError("translation sampling is implemented for d <= 3")
+        raise InputError("translative integrals are implemented for d <= 3")
     if as_integer(j) is None or not 0 <= j <= d - 1:
         raise InputError(f"j={j!r} must be an integer in 0..{d - 1}")
     return d
@@ -107,7 +93,7 @@ def _degree_tuples(d: int, k: int, j: int):
 
 
 # ---------------------------------------------------------------------------
-# curvature representation (deterministic route)
+# curvature representation
 
 
 def _arc_ray_integral(arc, v: np.ndarray, eps: float = 0.0) -> float:
@@ -193,231 +179,7 @@ def curvature_mixed_functional(polytopes, r, eps: float = 0.0) -> float:
 
 
 # ---------------------------------------------------------------------------
-# translation-integral sampling (MC route)
-
-
-class _VertexEngine:
-    """Batched vertex enumeration for K_1 cap (K_2+z_2) cap ... over many z.
-
-    It serves the two sampled cases: the j = 0 indicator of a nonempty
-    intersection for k >= 3 bodies, and V_1 in R^3; the exact cases (j = 0
-    with two bodies, j = d - 1) never build one.  One engine serves a whole
-    public call.  It is built from the unscaled bodies: the stacked
-    H-representation, whose right-hand side is affine in z, the
-    non-singular d-subsets of its rows with their inverses and
-    the candidate vertex's slope in z, the in-plane frame of every row in
-    R^3 (for the face rings of _poly3d_values), the screening normals of
-    each pair's difference body, and in R^3 the closed-form j = 2 entries
-    (_boundary_entries) that give the j = 1 control its known mean.  None
-    of these depends on the scaling factors; scaled(lambdas) adds the parts
-    that do, control_mean among them, so scaled bodies are never
-    re-hulled.  Candidates and feasibility masks come out vectorized over
-    samples.
-    """
-
-    def __init__(self, polytopes):
-        d = polytopes[0].dim
-        k = len(polytopes)
-        systems = [p.halfspaces() for p in polytopes]
-        self.verts = [p.vertices for p in polytopes]
-        self.offsets = [b for _, b in systems]
-        self.A = np.vstack([a for a, _ in systems])
-        m = self.A.shape[0]
-        self.C = np.zeros((m, (k - 1) * d))
-        ofs = systems[0][0].shape[0]
-        for i in range(1, k):
-            mi = systems[i][0].shape[0]
-            self.C[ofs:ofs + mi, (i - 1) * d:i * d] = systems[i][0]
-            ofs += mi
-        idx = np.array(list(itertools.combinations(range(m), d)))
-        mats = self.A[idx]
-        keep = np.abs(np.linalg.det(mats)) > _DET_TOL
-        self.idx = idx[keep]
-        self.inv = np.linalg.inv(mats[keep])
-        # candidate s moves with z by the columns s*d..s*d+d-1, laid out so
-        # that candidates multiplies on BLAS
-        self.slope = np.einsum("sij,sjm->msi", self.inv,
-                               self.C[self.idx]).reshape(self.C.shape[1], -1)
-        self.frames = None
-        if d == 3:
-            # in-plane frame (u, a x u) of each unit row a, with u normal to
-            # a and to the axis along a's smallest coordinate
-            u = np.cross(self.A, np.eye(3)[np.argmin(np.abs(self.A), axis=1)])
-            u /= np.linalg.norm(u, axis=1, keepdims=True)
-            self.frames = np.stack([u, np.cross(self.A, u)], axis=2)
-        # the known means of the j = 1 control (see _translative_value)
-        self.boundary = _boundary_entries(polytopes) if d == 3 else {}
-        self.screens = []
-        for p in polytopes[1:]:
-            u = _screen_normals(polytopes[0], p)
-            self.screens.append((u, np.max(polytopes[0].vertices @ u.T, axis=0),
-                                 np.max(-p.vertices @ u.T, axis=0)))
-
-    def scaled(self, lambdas) -> "_VertexEngine":
-        """This engine for the bodies lambdas[i] * K_i; the lambda-free
-        arrays are shared, not copied."""
-        out = copy.copy(self)
-        out.lambdas = tuple(lambdas)
-        out.b = np.concatenate([lam * b for b, lam in zip(self.offsets, lambdas)])
-        out.base = np.einsum("sij,sj->si", self.inv, out.b[self.idx])
-        out.scale = max(1.0, float(np.max(np.abs(out.b))))
-        out.control_mean = sum(math.prod(lam ** ri for lam, ri in zip(lambdas, r)) * v
-                               for r, v in self.boundary.items())
-        return out
-
-    def may_meet(self, z: np.ndarray) -> np.ndarray:
-        """False for the rows of z that certainly give an empty intersection.
-
-        K_1 cap (K_i + z_i) is empty when z_i lies outside the difference
-        body lambda_1 K_1 - lambda_i K_i, and every screening normal u gives
-        one of its supporting halfspaces u.z_i <= lambda_1 h_{K_1}(u) +
-        lambda_i h_{K_i}(-u).  A row is dropped only when it violates one by
-        more than _SCREEN_TOL * scale, a thousand times the feasibility
-        tolerance of candidates, so the engine would find no feasible
-        vertex for it either.
-        """
-        d = self.A.shape[1]
-        live = np.ones(z.shape[0], dtype=bool)
-        for i, (u, h_first, h_other) in enumerate(self.screens):
-            reach = self.lambdas[0] * h_first + self.lambdas[i + 1] * h_other \
-                + _SCREEN_TOL * self.scale
-            live &= (z[:, i * d:(i + 1) * d] @ u.T <= reach).all(axis=1)
-        return live
-
-    def candidates(self, z: np.ndarray):
-        """(vertices (N, S, d), feasibility (N, S), right-hand sides (N, m))
-        for z of shape (N, (k-1)d)."""
-        x = self.base[None] + (z @ self.slope).reshape(z.shape[0], -1, self.A.shape[1])
-        bz = self.b[None] + z @ self.C.T
-        # rows second, so that the reduction runs over whole (N, S) planes
-        lhs = self.A @ x.transpose(0, 2, 1)
-        feas = (lhs <= bz[:, :, None] + _FEAS_TOL * self.scale).all(axis=1)
-        return x, feas, bz
-
-
-def _line_directions(v: np.ndarray) -> np.ndarray:
-    """Unit rows of v, one per line through the origin: the sign is fixed
-    by the first clearly nonzero coordinate, then rounded copies go."""
-    v = v / np.linalg.norm(v, axis=1, keepdims=True)
-    lead = v[np.arange(v.shape[0]), np.argmax(np.abs(v) > 1e-9, axis=1)]
-    v = v * np.where(lead < 0.0, -1.0, 1.0)[:, None]
-    _, first = np.unique(np.round(v, 9) + 0.0, axis=0, return_index=True)
-    return v[np.sort(first)]
-
-
-def _edge_directions(p: Polytope) -> np.ndarray:
-    """Edge directions of a full-dimensional body in R^2 or R^3: two
-    vertices bound an edge when they share d - 1 facets."""
-    inc = np.zeros((len(p.facets), p.n_vertices), dtype=int)
-    for row, (_, _, ids) in enumerate(p.facets):
-        inc[row, list(ids)] = 1
-    a, b = np.nonzero(np.triu(inc.T @ inc >= p.dim - 1, 1))
-    return p.vertices[b] - p.vertices[a]
-
-
-def _screen_normals(K: Polytope, L: Polytope) -> np.ndarray:
-    """Unit normals u, with both signs, orthogonal to d - 1 edge directions
-    of K or L.
-
-    F(K - L, u) = F(K, u) + F(-L, u), so every edge of K - L is parallel to
-    an edge of K or of L, and every facet normal of K - L is among these u.
-    The halfspaces u.z <= h_K(u) + h_L(-u) therefore cut out exactly K - L.
-    """
-    e = _line_directions(np.vstack([_edge_directions(K), _edge_directions(L)]))
-    if K.dim == 2:
-        u = e[:, ::-1] * [1.0, -1.0]
-    else:
-        a, b = np.triu_indices(e.shape[0], 1)
-        u = np.cross(e[a], e[b])
-        u = _line_directions(u[np.linalg.norm(u, axis=1) > 1e-9])
-    return np.vstack([u, -u])
-
-
-def _poly3d_values(x: np.ndarray, feas: np.ndarray, A: np.ndarray,
-                   bz: np.ndarray, frames: np.ndarray,
-                   tol: float):
-    """(V_1, V_2) per sample of 3-D intersection polytopes, one chunk at once.
-
-    Feasible candidates are deduped per sample on their tol-rounded keys
-    (the first occurrence stays, in candidate order) and compacted to the
-    chunk's largest vertex count V, so the face work is (N, m, V).  Fewer
-    than 4 vertices give 0.  Each plane carrying at least 3 vertices is a
-    face ring, angle-sorted in the plane's frame; padding slots repeat the
-    first sorted vertex, which adds zero-length edges.  A ring edge longer
-    than tol is keyed by (sample, vertex-slot pair), and an edge met on
-    exactly two faces adds length * angle(a_i, a_l) / (2 pi).  V_2 is half
-    the summed face-ring areas, each the shoelace sum of the ring's in-plane
-    coordinates, and 0 where V_1 is.
-    """
-    n_samples = x.shape[0]
-    sid, cid = np.nonzero(feas)
-    if sid.size == 0:
-        return np.zeros(n_samples), np.zeros(n_samples)
-    pts = x[sid, cid]
-    key = np.round(pts / tol).astype(np.int64)
-    # lexsort is stable, so within one key the earliest candidate leads
-    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0], sid))
-    ks = np.column_stack([sid, key])[order]
-    lead = np.ones(order.size, dtype=bool)
-    lead[1:] = (ks[1:] != ks[:-1]).any(axis=1)
-    keep = np.zeros(order.size, dtype=bool)
-    keep[order[lead]] = True
-    sid, pts = sid[keep], pts[keep]
-    cnt = np.bincount(sid, minlength=n_samples)
-    nv = int(cnt.max())
-    slot = np.arange(sid.size) - (np.cumsum(cnt) - cnt)[sid]
-    P = np.zeros((n_samples, nv, 3))
-    P[sid, slot] = pts
-    valid = np.zeros((n_samples, nv), dtype=bool)
-    valid[sid, slot] = True
-
-    on = (valid[..., None] & (np.abs(P @ A.T - bz[:, None, :]) <= tol)).transpose(0, 2, 1)
-    ring_cnt = on.sum(axis=2)
-    face = ring_cnt >= 3
-    cen = (on @ P) / np.maximum(ring_cnt, 1)[..., None]
-    uv = (P[:, None] - cen[:, :, None]) @ frames
-    ang = np.where(on, np.arctan2(uv[..., 1], uv[..., 0]), np.inf)
-    # gathers along the slot axis go through flat row numbers, which numpy
-    # indexes faster than take_along_axis or paired index arrays
-    plane_rows = nv * np.arange(on.shape[0] * on.shape[1]).reshape(on.shape[:2] + (1,))
-    srt = np.argsort(ang, axis=2)
-    srt = np.where(on.reshape(-1)[srt + plane_rows], srt, srt[..., :1])
-    nxt = np.roll(srt, -1, axis=2)
-    flat_uv = uv.reshape(-1, 2)
-    p = np.take(flat_uv, srt + plane_rows, axis=0)
-    q = np.take(flat_uv, nxt + plane_rows, axis=0)
-    area = 0.5 * np.abs((p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]).sum(axis=2))
-    rows = nv * np.arange(n_samples)[:, None, None]
-    flat = P.reshape(-1, 3)
-    step = np.take(flat, nxt + rows, axis=0) - np.take(flat, srt + rows, axis=0)
-    length = np.sqrt((step * step).sum(axis=3))
-    live = face[..., None] & (length > tol)
-    es, ei, _ = np.nonzero(live)
-    lo = np.minimum(srt, nxt)[live]
-    hi = np.maximum(srt, nxt)[live]
-    ekey = (es * nv + lo) * nv + hi
-    # stable: the hits of one edge stay in plane order
-    eo = np.argsort(ekey, kind="stable")
-    ekey = ekey[eo]
-    start = np.flatnonzero(np.r_[True, ekey[1:] != ekey[:-1]])
-    size = np.diff(np.r_[start, ekey.size])
-    first = eo[start[size == 2]]
-    second = eo[start[size == 2] + 1]
-    angle = np.arccos(np.clip(A @ A.T, -1.0, 1.0))
-    contrib = length[live][first] * angle[ei[first], ei[second]] / (2.0 * math.pi)
-    vals = np.bincount(es[first], weights=contrib, minlength=n_samples)
-    vals[cnt < 4] = 0.0
-    return vals, np.where(vals > 0.0, 0.5 * (area * face).sum(axis=1), 0.0)
-
-
-def _sample_boxes(verts):
-    """Per-body translation boxes covering {z : K_1 cap (K_i + z) != empty},
-    from the (scaled) vertex arrays."""
-    lo1, hi1 = verts[0].min(axis=0), verts[0].max(axis=0)
-    # bounding box of K_1 + (-K_i), inflated to dodge boundary bias
-    lows = [lo1 - v.max(axis=0) - 1e-9 for v in verts[1:]]
-    highs = [hi1 - v.min(axis=0) + 1e-9 for v in verts[1:]]
-    return np.concatenate(lows), np.concatenate(highs)
+# translation integral from face tuples (exact route)
 
 
 def _difference_terms(K: Polytope, L: Polytope) -> list:
@@ -443,169 +205,111 @@ def _difference_terms(K: Polytope, L: Polytope) -> list:
             float(L.volume())]
 
 
-def _boundary_entries(polytopes) -> dict:
-    """{r: V_r} for j = d - 1, in closed form.
-
-    Every such r has one slot r_i = d - 1 and all others d, and then
-    V_r = V_{d-1}(K_i) prod_{l != i} vol K_l (Schneider and Weil, Stochastic
-    and Integral Geometry, 2008, sec. 6.4), with V_{d-1}(K_i) half the total
-    mass of S_{d-1}(K_i).  Both factors are exact for d <= 3.  The keys come
-    in _degree_tuples order.
-    """
-    d, k = polytopes[0].dim, len(polytopes)
-    vols = [p.volume() for p in polytopes]
-    out = {}
-    for r in _degree_tuples(d, k, d - 1):
-        i = r.index(d - 1)
-        out[r] = float(0.5 * _surface_measure(polytopes[i])[1].sum()
-                       * math.prod(vols[:i] + vols[i + 1:]))
-    return out
+def _facet_pair_term(K: Polytope, L: Polytope) -> float:
+    """V_(2,2)(K, L) in R^3: sum over facet pairs of |F| |G| s atan2(s, c)
+    / (2 pi), with c = u_F.u_G and s = |u_F x u_G|, the bracket of the two
+    normal lines times the normalised angle of the cone they span.  s comes
+    from the cross product: antiparallel facets give c = -1 + ulp, where
+    sqrt(1 - c^2) is 1.5e-8 instead of 0."""
+    (u, a), (v, b) = _surface_measure(K), _surface_measure(L)
+    s = np.linalg.norm(np.cross(u[:, None], v[None]), axis=2)
+    return float(a @ (s * np.arctan2(s, u @ v.T)) @ b) / (2.0 * math.pi)
 
 
-def _exact_entries(polytopes, j: int):
-    """{r: V_r} in _degree_tuples order for the closed-form cases, else None.
-
-    For j = 0 and two bodies the integral is vol(K_1 - K_2), whose
-    coefficients (_difference_terms) are the entries V_(d-i, i); for j = d - 1
-    see _boundary_entries.
-    """
-    d, k = polytopes[0].dim, len(polytopes)
-    if j == 0 and k == 2:
-        return dict(zip(_degree_tuples(d, 2, 0), _difference_terms(*polytopes)))
-    if j == d - 1:
-        return _boundary_entries(polytopes)
-    return None
+def _facet_triple_term(K: Polytope, L: Polytope, M: Polytope) -> float:
+    """V_(2,2,2)(K, L, M) in R^3: sum over facet triples of |det| times the
+    facet areas times the normalised solid angle of the cone the three
+    normals span, 2 atan2(|det|, 1 + u.v + v.w + u.w) / (4 pi) (Van
+    Oosterom and Strackee, IEEE Trans. Biomed. Eng. 30, 1983), with
+    det = det(u, v, w) the bracket of the three normal lines."""
+    (u, a), (v, b), (w, c) = map(_surface_measure, (K, L, M))
+    det = np.abs(np.cross(u[:, None], v[None]) @ w.T)
+    cos = 1.0 + (u @ v.T)[:, :, None] + (v @ w.T)[None] + (u @ w.T)[:, None]
+    return float(np.einsum("i,j,l,ijl->", a, b, c, det * np.arctan2(det, cos))) \
+        / (2.0 * math.pi)
 
 
-def _cross_fitted(y: np.ndarray, c: np.ndarray, mean: float) -> np.ndarray:
-    """Per-draw values of mean(y) controlled by c, whose mean is known.
-
-    beta = cov(y, c) / var(c) is fitted on the even-indexed draws and applied
-    to the odd ones as y - beta (c - mean), then the other way round, so no
-    draw's beta depends on that draw.  Each fitting draw also carries its
-    linearised share of that beta's error in the other half's mean,
-    -n_other (mean_other(c) - mean) dc_i e_i / sum dc^2, with dc_i and e_i
-    its deviation and regression residual within its half.  These shares
-    sum to 0 in each half, so the mean stays that of the cross-fitted
-    draws; the spread gains the beta error, which matters when the other
-    half's c strays from its mean, where the cross-fitted draws alone gave
-    |z| up to 8 in 3000 100-draw runs.  A half with fewer than 2 draws, or
-    whose c is constant up to rounding, fits no beta.
-    """
-    out = y.copy()
-    halves = (slice(0, None, 2), slice(1, None, 2))
-    for fit, use in zip(halves, halves[::-1]):
-        if y[fit].size < 2:
-            continue
-        dc = c[fit] - c[fit].mean()
-        dy = y[fit] - y[fit].mean()
-        var = float(dc @ dc)
-        if var > 1e-24 * float(c[fit] @ c[fit]):
-            beta = float(dc @ dy) / var
-            out[use] -= beta * (c[use] - mean)
-            resid = dy - beta * dc
-            out[fit] -= c[use].size * (c[use].mean() - mean) / var * dc * resid
-    return out
+def _intrinsic_volume(p: Polytope, j: int) -> float:
+    """V_j(p) for j = 0 and j = d - 1 without the face lattice (V_{d-1} is
+    half the mass of S_{d-1}), and otherwise (j = 1 in R^3) by the external
+    angles of p's edges."""
+    if j == 0:
+        return 1.0
+    if j == p.dim - 1:
+        return 0.5 * float(_surface_measure(p)[1].sum())
+    return float(p.intrinsic_volume(j))
 
 
-def _translative_value(engine: _VertexEngine, lambdas, j: int, unit: np.ndarray):
-    """Sampled translation integral of V_j over the bodies lambdas[i] * K_i,
-    for j = 0 or (in R^3) j = 1.
-
-    Returns (estimate, draws): draws holds one unbiased value per row of
-    unit, the box volume times V_j of that translate's intersection, and the
-    estimate is their mean.  For j = 1 each draw is controlled by the box
-    volume times V_2 of the same intersection (_cross_fitted), whose mean
-    is the closed-form j = 2 integral sum_r prod_i lambda_i^{r_i} V_r over
-    _boundary_entries; on cube/diamond, cube/rotated-cube and cube/cube
-    this cuts the squared standard error to 0.08-0.17 of the plain draws'.
-    Draws that engine.may_meet rules out keep the value 0 the vertex engine
-    would give them; only the others are enumerated, in chunks.
-    """
-    d = engine.A.shape[1]
-    lo, hi = _sample_boxes([lam * v for v, lam in zip(engine.verts, lambdas)])
-    z = lo[None] + unit * (hi - lo)[None]
-    box_volume = float(np.prod(hi - lo))
-    engine = engine.scaled(lambdas)
-    tol = 1e-7 * engine.scale
-    chunk = 4096 if d == 2 else 512
-    n = unit.shape[0]
-    live = np.flatnonzero(np.concatenate([engine.may_meet(z[s:s + chunk])
-                                          for s in range(0, n, chunk)]))
-    vals, control = np.zeros(n), np.zeros(n)
-    for s in range(0, live.size, chunk):
-        rows = live[s:s + chunk]
-        x, feas, bz = engine.candidates(z[rows])
-        if j == 0:
-            vals[rows] = feas.any(axis=1).astype(float)
-        else:
-            vals[rows], control[rows] = _poly3d_values(x, feas, engine.A, bz,
-                                                       engine.frames, tol)
-    draws = box_volume * vals
+def _cores(bodies, j: int) -> dict:
+    """{r_S: V_{r_S}(bodies)} for the multidegrees with every r_i < d and
+    sum (|S| - 1) d + j: V_j of one body, the inner coefficients of
+    vol(K - rho L) for a pair at j = 0, and the facet sums of a pair at
+    j = 1 and of a triple at j = 0 in R^3."""
+    d = bodies[0].dim
+    if len(bodies) == 1:
+        return {(j,): _intrinsic_volume(bodies[0], j)}
+    if len(bodies) == 3:
+        return {(2, 2, 2): _facet_triple_term(*bodies)}
     if j == 1:
-        draws = _cross_fitted(draws, box_volume * control, engine.control_mean)
-    return from_samples(draws), draws
+        return {(2, 2): _facet_pair_term(*bodies)}
+    return {(d - i, i): c for i, c in enumerate(_difference_terms(*bodies)) if 0 < i < d}
+
+
+def _entries(polytopes, j: int) -> dict:
+    """{r: V_r} in _degree_tuples order, in closed form for d <= 3.
+
+    By the face-tuple formula for polytopes (Schneider and Weil, Stochastic
+    and Integral Geometry, 2008, sec. 6.4) a slot with r_i = d stands for
+    the body itself, so V_r is prod_{r_i = d} vol K_i times the core
+    V_{r_S}(K_S) on S = {i : r_i < d} (_cores).  The r_i of S sum to
+    (|S| - 1) d + j and are at most d - 1, so |S| <= d - j <= 3, and
+    |S| = 3 only for d = 3, j = 0.  Each core is computed once per call.
+    The facet sums read _surface_measure, which splits the normal line of a
+    body of dimension d - 1 into its two rays and gives lower bodies no
+    facets, so lower-dimensional bodies need no case of their own.
+    """
+    d, k = polytopes[0].dim, len(polytopes)
+    vols = [float(p.volume()) for p in polytopes]
+    cores, out = {}, {}
+    for r in _degree_tuples(d, k, j):
+        s = tuple(i for i, ri in enumerate(r) if ri < d)
+        if s not in cores:
+            cores[s] = _cores([polytopes[i] for i in s], j)
+        out[r] = math.prod(vols[i] for i, ri in enumerate(r) if ri == d) \
+            * cores[s][tuple(r[i] for i in s)]
+    return out
 
 
 def translative_integral_mc(polytopes, j: int, rng=None,
                             samples: int = 100000) -> MCEstimate:
-    """Value of int V_j(K_1 cap (K_2+z_2) cap ...) dz_2..dz_k.
+    """Value of int V_j(K_1 cap (K_2+z_2) cap ...) dz_2..dz_k, exact.
 
-    Two cases are returned exact (std_error 0): for j = 0 and two bodies
-    the integral is vol(K_1 - K_2), summed from its coefficients in the
-    scaling of K_2 (facet areas times support values, no difference-body
-    hull), and for j = d - 1 it is sum_i V_{d-1}(K_i) prod_{l != i} vol K_l,
-    for any number of bodies.  Otherwise (j = 0 with k >= 3 bodies, or
-    j = 1 in R^3) translations are uniform over the Minkowski-difference
-    bounding boxes (the integrand vanishes outside), and the intersection
-    is evaluated per sample by stacked-halfspace vertex enumeration; empty
-    and lower-dimensional intersections contribute 0.  For j = 1 each draw
-    carries the V_2 control of _translative_value, which leaves the mean
-    unbiased and cuts the squared standard error to 0.08-0.17 of plain
-    sampling on the cube/diamond, cube/rotated-cube and cube/cube pairs.
-    By the
-    translative expansion this equals the sum of V_r over all r with
-    sum r = (k-1)d + j.
+    By the translative expansion the integral is the sum of V_r over all r
+    with sum r = (k-1)d + j, and every V_r comes in closed form from
+    _entries (volumes, facet areas and normals, support values and, for
+    j = 1 in R^3, edge external angles), so std_error is 0 for any number
+    of bodies and any j.  samples uniform draws are still taken from rng,
+    so a generator shared across calls advances as it did when the
+    integral was sampled.
     """
     d = _check_translative(polytopes, j)
     check_count(samples)
-    k = len(polytopes)
     rng = as_rng(rng)
-    # drawn for the exact cases too, so how far a generator shared across
-    # calls advances does not depend on j
-    unit = rng.random((samples, (k - 1) * d))
-    entries = _exact_entries(polytopes, j)
-    if entries is not None:
-        return MCEstimate.exact(sum(entries.values()), samples)
-    return _translative_value(_VertexEngine(polytopes), [1.0] * k, j, unit)[0]
+    rng.random((samples, (len(polytopes) - 1) * d))
+    return MCEstimate.exact(sum(_entries(polytopes, j).values()), samples)
 
 
 def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
                           lambdas=(1.0, 1.5, 2.0)) -> TranslativeTable:
-    """Split the translation integral into its multihomogeneous pieces.
+    """Split the translation integral into its multihomogeneous pieces V_r.
 
-    Where the integral has a closed form (j = 0 with two bodies, and
-    j = d - 1) the entries are set from it (_exact_entries) without a fit,
-    on route "exact-decomposition" with errors and a fit residual of 0;
-    the input checks and the draws stay as for any j.  Otherwise the
-    integral is evaluated on every lambda-scaled body combination with
-    shared uniform draws (common random numbers), then least-squares fitted
-    as int = sum_r (prod_i lambda_i^{r_i}) V_r.  The value at (l_1, .., l_k)
-    is l_1^{(k-1)d+j} times the value at (1, l_2/l_1, .., l_k/l_1), so the
-    combinations with equal ratios share one evaluation at l_1 = 1 (7
-    evaluations for the 9 combinations of the default grid with k = 2,
-    25 for 27 with k = 3), whose per-draw values are scaled.  The scaled
-    bodies are not re-hulled: one vertex engine serves every evaluation,
-    with its facet offsets multiplied by lambda, so lambdas must be
-    positive.  For j = 1 each evaluation's draws are controlled by V_2
-    (_translative_value) against the known mean at its own lambdas; the
-    controlled draws scale like the plain ones.  The fit is linear in the
-    grid values, so each (controlled) draw gives its own coefficients (the
-    pseudoinverse times that draw's grid row); their standard errors are
-    the entries' errors, and those of their per-draw sums the total's.
-    This propagation is exact under the common random numbers, which
-    correlate the grid values (for j = 1, to first order in the control
-    coefficients' errors).  One draw gives infinite errors.
+    The entries come in closed form from _entries, on route
+    "exact-decomposition" with errors, the total's error and the fit
+    residual all 0.  The inputs are checked as for a least-squares fit of
+    int = sum_r (prod_i lambda_i^{r_i}) V_r on the grid of scaling factors:
+    lambdas must be positive and give at least as many grid values as there
+    are entries, and the design matrix must have condition number at most
+    1e8 (meta["cond"]).  The draws are taken as in translative_integral_mc.
     """
     d = _check_translative(polytopes, j)
     check_count(samples)
@@ -625,28 +329,10 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
         raise EstimationError(f"homogeneous fit ill-conditioned (cond={cond:.3e})")
     meta = {"cond": cond, "fit_residual": 0.0, "samples": samples,
             "lambdas": tuple(lambdas), "total_std_error": 0.0}
-    unit = rng.random((samples, (k - 1) * d))
-    entries = _exact_entries(polytopes, j)
-    if entries is not None:
-        return TranslativeTable(d, j, entries, "exact-decomposition",
-                                dict.fromkeys(entries, 0.0), meta)
-    engine = _VertexEngine(polytopes)
-    runs, y, draws = {}, [], []
-    for lam1, *rest in combos:
-        ratios = tuple(lam / lam1 for lam in rest)
-        if ratios not in runs:
-            runs[ratios] = _translative_value(engine, (1.0, *ratios), j, unit)
-        est, vals = runs[ratios]
-        scale = lam1 ** ((k - 1) * d + j)
-        y.append(scale * est.value)
-        draws.append(scale * vals)
-    per_draw = np.stack(draws, axis=1) @ np.linalg.pinv(design).T
-    meta["total_std_error"] = from_samples(per_draw.sum(axis=1)).std_error
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    meta["fit_residual"] = float(np.max(np.abs(design @ coef - y)))
-    entries = {r: float(c) for r, c in zip(r_list, coef)}
-    errors = {r: from_samples(c).std_error for r, c in zip(r_list, per_draw.T)}
-    return TranslativeTable(d, j, entries, "mc-decomposition", errors, meta)
+    rng.random((samples, (k - 1) * d))
+    entries = _entries(polytopes, j)
+    return TranslativeTable(d, j, entries, "exact-decomposition",
+                            dict.fromkeys(entries, 0.0), meta)
 
 
 def duality_check(K: Polytope, L: Polytope, n: int):

@@ -34,12 +34,10 @@ from .util import as_rng, multinomial, random_rotation, random_unit_vectors
 _BUDGETS = {
     "quick": dict(c3_samples=20000, c4_tuples=8, c4_samples=5000,
                   c5_samples=10 ** 5, c6_trials=2, c6_samples=20000,
-                  c7_seeds=3, c7_samples=2000, c9_samples_3d=1200,
-                  c11_cases=200),
+                  c7_seeds=3, c7_samples=2000, c11_cases=200),
     "full": dict(c3_samples=10 ** 5, c4_tuples=20, c4_samples=20000,
                  c5_samples=10 ** 5, c6_trials=5, c6_samples=40000,
-                 c7_seeds=10, c7_samples=4000, c9_samples_3d=2500,
-                 c11_cases=1000),
+                 c7_seeds=10, c7_samples=4000, c11_cases=1000),
 }
 
 _FAMILIES = (cube, simplex, diamond)
@@ -266,37 +264,37 @@ def check_flag_functional(budget, seed) -> dict:
 
 
 def check_translative_closure(budget, seed) -> dict:
-    """9: scaling decomposition sums match the direct translation integral;
-    hand-computed anchors.  Only (3, 1) is sampled: j = 0 pairs and
-    j = d - 1 are exact on both sides, so they draw a fixed count."""
+    """9: scaling decomposition sums match the direct translation integral,
+    every entry with all r_i in 1..d-1 matches the curvature route to
+    1e-12 relative (face-tuple angles against the normal-bundle kernel),
+    and hand-computed anchors hold.  Every entry is exact, so the draw
+    count is fixed."""
     rng = as_rng(seed)
-    combos = (
-        (2, 0, 20000),
-        (2, 1, 20000),
-        (3, 0, 20000),
-        (3, 1, budget["c9_samples_3d"]),
-        (3, 2, 20000),
-    )
-    worst = 0.0
-    for d, j, n in combos:
+    worst = curv_dev = 0.0
+    for d in (2, 3):
         bodies = [cube(d), diamond(d)]
-        tab = decompose_homogeneous(bodies, j, rng=rng, samples=n)
-        tot = tab.total()
-        direct = translative_integral_mc(bodies, j, rng=rng,
-                                         samples=max(4 * n, 20000)
-                                         if d == 2 else max(2 * n, 6000))
-        sig = math.hypot(tot.std_error, direct.std_error)
-        worst = max(worst, abs(tot.value - direct.value) / max(sig, 1e-12))
+        for j in range(d):
+            tab = decompose_homogeneous(bodies, j, rng=rng, samples=20000)
+            tot = tab.total()
+            direct = translative_integral_mc(bodies, j, rng=rng, samples=20000)
+            sig = math.hypot(tot.std_error, direct.std_error)
+            worst = max(worst, abs(tot.value - direct.value) / max(sig, 1e-12))
+            for r, v in tab.entries.items():
+                if all(1 <= ri <= d - 1 for ri in r):
+                    ref = curvature_mixed_functional(bodies, r)
+                    curv_dev = max(curv_dev, abs(v - ref) / abs(ref))
     a1 = translative_integral_mc([cube(2), diamond(2)], 0, rng=rng)
     a2 = translative_integral_mc([cube(2), cube(2)], 1, rng=rng)
     rel1 = abs(a1.value - 7.0) / 7.0
     rel2 = abs(a2.value - 4.0) / 4.0
-    passed = worst <= 3.0 and rel1 <= 0.01 and rel2 <= 0.01
+    passed = worst <= 3.0 and curv_dev <= 1e-12 and rel1 <= 0.01 and rel2 <= 0.01
     return _result(9, "translative-closure", passed,
-                   f"max closure dev {worst:.2f}s, anchors "
+                   f"max closure dev {worst:.2f}s, curvature rel dev "
+                   f"{curv_dev:.1e}, anchors "
                    f"{a1.value:.4f}/7 ({rel1:.3%}), {a2.value:.4f}/4 "
                    f"({rel2:.3%})",
-                   max_dev=worst, anchors=[a1.value, a2.value])
+                   max_dev=worst, curvature_dev=curv_dev,
+                   anchors=[a1.value, a2.value])
 
 
 def check_duality(budget, seed) -> dict:

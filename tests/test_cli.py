@@ -1,13 +1,16 @@
 """CLI contract: JSON reports, exit codes, seed discipline."""
 
 import json
+import math
 
 import pytest
 
 from mixvol import cli
 from mixvol.errors import DivergenceError, EstimationError
+from mixvol.estimates import MCEstimate
 from mixvol.generators import cube, diamond
 from mixvol.polytope import polytope_to_json
+from mixvol.translative import TranslativeTable
 
 
 def run_cli(capsys, *argv):
@@ -131,22 +134,18 @@ def test_translative_report(capsys):
     assert report["std_error"] == 0.0
 
 
-@pytest.mark.parametrize("dim,j,route", [(2, 0, "exact-decomposition"),
-                                         (2, 1, "exact-decomposition"),
-                                         (3, 1, "mc-decomposition")],
+@pytest.mark.parametrize("dim,j", [(2, 0), (2, 1), (3, 1)],
                          ids=["0-exact-decomposition", "1-exact-decomposition",
-                              "1-mc-decomposition"])
-def test_decompose_route_label(capsys, dim, j, route):
-    # every j = 0 pair entry and every j = d - 1 entry is exact, and the
-    # report says so
+                              "3-1-exact-decomposition"])
+def test_decompose_route_label(capsys, dim, j):
+    # every entry is exact, and the report says so
     code, out, _ = run_cli(capsys, "translative", "--gen", "cube,diamond",
                            "--dim", str(dim), "--j", str(j), "--seed", "2",
                            "--samples", "200", "--decompose")
     assert code == 0
     report = json.loads(out)
-    assert report["route"] == route
-    assert all((e["std_error"] == 0.0) == (route == "exact-decomposition")
-               for e in report["entries"].values())
+    assert report["route"] == "exact-decomposition"
+    assert all(e["std_error"] == 0.0 for e in report["entries"].values())
 
 
 def _strict_json(text):
@@ -156,9 +155,19 @@ def _strict_json(text):
 
 
 @pytest.mark.parametrize("extra", [[], ["--decompose"]], ids=["mc", "decompose"])
-def test_one_draw_report_is_valid_json(capsys, extra):
+def test_one_draw_report_is_valid_json(capsys, monkeypatch, extra):
     # one draw has no sample spread: the API keeps std_error = inf, the
-    # report prints null
+    # report prints null.  The translative subcommand is exact and the
+    # sampling ones split their budget with a floor of 32 draws per face
+    # tuple, so a one-draw estimate is fed in here
+    one_draw = MCEstimate(2.0, math.inf, 1)
+    monkeypatch.setattr(cli, "translative_integral_mc",
+                        lambda *args, **kwargs: one_draw)
+    monkeypatch.setattr(cli, "decompose_homogeneous", lambda *args, **kwargs:
+                        TranslativeTable(3, 1, {(2, 2): 2.0}, "test",
+                                         {(2, 2): math.inf},
+                                         {"cond": 1.0, "samples": 1,
+                                          "total_std_error": math.inf}))
     code, out, _ = run_cli(capsys, "translative", "--gen", "cube,diamond",
                            "--dim", "3", "--j", "1", "--seed", "2",
                            "--samples", "1", *extra)

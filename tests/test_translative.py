@@ -1,5 +1,6 @@
-"""Translative integrals: cone-quadrature functionals, the sampled
-translation integral, and the scaling decomposition.
+"""Translative integrals: cone-quadrature functionals, the closed-form
+translation integral and its decomposition, and an independent sampler of
+the translation integral to check them against.
 
 Hand-computed anchors for the unit square Q and the diamond D = conv{+-e_i}:
 vol(Q + (-D)) = 7, so the j=0 translation integral of the pair is 7; the
@@ -24,15 +25,12 @@ from mixvol.kernels import KernelSpec, hull_distance_batch, kernel_values
 from mixvol.mixed_volume import oracle_mixed_volumes
 from mixvol import translative
 from mixvol.polytope import Polytope
-from mixvol.translative import (_SCREEN_TOL, TranslativeTable, _cross_fitted,
-                                _degree_tuples, _difference_terms,
-                                _poly3d_values, _sample_boxes,
-                                _translative_value,
-                                _VertexEngine, _arc_ray_integral,
+from mixvol.translative import (TranslativeTable, _arc_ray_integral,
+                                _degree_tuples, _difference_terms, _entries,
                                 curvature_mixed_functional,
                                 decompose_homogeneous, duality_check,
                                 translative_integral_mc)
-from mixvol.util import complete_basis, random_rotation
+from mixvol.util import random_rotation
 
 
 def test_curvature_square_diamond():
@@ -272,10 +270,15 @@ def test_translation_integral_j1_square_diamond():
 
 
 def test_translation_integral_three_bodies():
-    # iterated pair sums: vol(Q + (-Q) + (-Q)) = 9 for unit squares
+    # iterated pair sums: vol(Q + (-Q) + (-Q)) = 9 for unit squares, and
+    # 27 for unit cubes, of which the facet-triple entry V_(2,2,2) is 6
     est = translative_integral_mc([cube(2), cube(2), cube(2)], 0, rng=7,
                                   samples=30000)
-    assert abs(est.value - 9.0) <= 3.0 * est.std_error
+    assert est.value == pytest.approx(9.0, rel=1e-12)
+    assert est.std_error == 0.0
+    table = decompose_homogeneous([cube(3)] * 3, 0, rng=7, samples=10)
+    assert table.total().value == pytest.approx(27.0, rel=1e-12)
+    assert table.value((2, 2, 2)) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_translation_integral_3d_cube_pair():
@@ -310,12 +313,15 @@ def test_translative_validation():
 
 
 def test_translative_seed_reproducible():
-    a = translative_integral_mc([cube(3), diamond(3)], 1, rng=9,
-                                samples=500)
-    b = translative_integral_mc([cube(3), diamond(3)], 1, rng=9,
-                                samples=500)
-    assert a.std_error > 0.0
-    assert a.value == b.value and a.std_error == b.std_error
+    # the integral is exact, and a generator shared across calls advances
+    # by samples * (k - 1) * d uniform draws, as when it was sampled
+    for call in (translative_integral_mc, decompose_homogeneous):
+        shared, twin = np.random.default_rng(9), np.random.default_rng(9)
+        a = call([cube(3), diamond(3), simplex(3)], 1, rng=shared, samples=500)
+        b = call([cube(3), diamond(3), simplex(3)], 1, rng=9, samples=500)
+        twin.random((500, 6))
+        assert shared.random() == twin.random()
+        assert a == b
 
 
 def test_decompose_square_pair_j1():
@@ -383,13 +389,49 @@ def test_translation_integral_lower_dimensional_body():
     est = translative_integral_mc([K, S], 1, rng=23, samples=100)
     assert est.value == pytest.approx(1.0, rel=1e-12)
     assert est.std_error == 0.0
+    # in R^3 at j = 1 (once InputError, for want of an H-representation):
+    # the unit segment gives V_1(S) vol(D) = 4/3; the unit square gives
+    # V_1 = 2 (half its perimeter) times vol(D) = 4/3, plus V_(2,2) over
+    # its two normals +-n, which is 2 sqrt(2) by the curvature route too
+    D = diamond(3)
+    square = Polytope.hull(np.c_[cube(2).vertices, np.zeros(4)],
+                           allow_degenerate=True)
+    for body, v1, v22 in ((segment(3, 0), 1.0, 0.0),
+                          (square, 2.0, 2.0 * math.sqrt(2.0))):
+        want = {(3, 1): 0.0, (2, 2): v22, (1, 3): v1 * 4.0 / 3.0}
+        assert curvature_mixed_functional([body, D], (2, 2)) == \
+            pytest.approx(v22, rel=1e-12, abs=1e-15)
+        est = translative_integral_mc([body, D], 1, rng=23, samples=100)
+        assert est.value == pytest.approx(sum(want.values()), rel=1e-12)
+        assert est.std_error == 0.0
+        table = decompose_homogeneous([body, D], 1, rng=23, samples=100)
+        assert set(table.entries) == set(want)
+        for r, v in want.items():
+            assert table.value(r) == pytest.approx(v, rel=1e-12, abs=1e-15), r
+    assert est.value == pytest.approx(8.0 / 3.0 + 2.0 * math.sqrt(2.0), rel=1e-12)
 
 
-def _sampled_boundary_integral(bodies, rng, n):
-    """(mean, std_error) of int V_{d-1}(K_1 cap (K_2 + z_2) cap ...) dz by
+def _hull_v1(hull):
+    """V_1 of a 3-D scipy ConvexHull: over pairs of neighbouring triangles,
+    the shared edge's length times the angle between their outer normals,
+    over 2 pi; coplanar pairs add 0."""
+    normals = hull.equations[:, :-1]
+    total = 0.0
+    for s, neighbours in enumerate(hull.neighbors):
+        for t in neighbours[neighbours > s]:
+            a, b = np.intersect1d(hull.simplices[s], hull.simplices[t])
+            angle = math.acos(float(np.clip(normals[s] @ normals[t], -1.0, 1.0)))
+            total += float(np.linalg.norm(hull.points[a] - hull.points[b])) * angle
+    return total / (2.0 * math.pi)
+
+
+def _sampled_integral(bodies, j, rng, n):
+    """(mean, std_error) of int V_j(K_1 cap (K_2 + z_2) cap ...) dz by
     uniform translations over the difference-body bounding boxes, with each
-    intersection built by scipy's halfspace intersection and V_{d-1} taken
-    as half its hull's boundary measure (the perimeter when d = 2)."""
+    intersection built by scipy's halfspace intersection.  Lower-dimensional
+    intersections (measure 0) count 0; otherwise V_0 is 1, V_{d-1} half the
+    hull's boundary measure (the perimeter when d = 2), and V_1 in R^3
+    _hull_v1."""
     from scipy.optimize import linprog
     from scipy.spatial import ConvexHull, HalfspaceIntersection
 
@@ -411,8 +453,12 @@ def _sampled_boundary_integral(bodies, rng, n):
                      bounds=[(None, None)] * d + [(0.0, None)])
         if lp.status != 0 or lp.x[-1] <= 1e-9:
             continue
-        cut = HalfspaceIntersection(np.column_stack([A, -b]), lp.x[:d])
-        vals[s] = ConvexHull(cut.intersections).area / 2.0
+        if j == 0:
+            vals[s] = 1.0
+            continue
+        hull = ConvexHull(HalfspaceIntersection(np.column_stack([A, -b]),
+                                                lp.x[:d]).intersections)
+        vals[s] = hull.area / 2.0 if j == d - 1 else _hull_v1(hull)
     box = float(np.prod(hi - lo))
     return box * vals.mean(), box * vals.std(ddof=1) / math.sqrt(n)
 
@@ -429,8 +475,8 @@ def test_boundary_integral_matches_independent_sampler(bodies):
     d = bodies[0].dim
     est = translative_integral_mc(list(bodies), d - 1, rng=53, samples=10)
     assert est.std_error == 0.0
-    mean, err = _sampled_boundary_integral(bodies, np.random.default_rng(59),
-                                           1000 if d == 2 else 600)
+    mean, err = _sampled_integral(bodies, d - 1, np.random.default_rng(59),
+                                  1000 if d == 2 else 600)
     assert abs(mean - est.value) <= 5.0 * err, (mean, err, est.value)
     table = decompose_homogeneous(list(bodies), d - 1, rng=53, samples=10)
     assert table.route == "exact-decomposition"
@@ -439,107 +485,38 @@ def test_boundary_integral_matches_independent_sampler(bodies):
     assert all(table.std_error(r) == 0.0 for r in table.entries)
 
 
-def _poly3d_value_loop(pts, planes_a, planes_b, frames, tol):
-    """Per-sample reference valuation: (V_1, V_2) of one intersection
-    polytope from its feasible candidate vertices and the stacked planes;
-    each face ring's area is |a . sum_t p_t x p_{t+1}| / 2 about its mean."""
-    key = np.round(pts / tol).astype(np.int64)
-    _, first = np.unique(key, axis=0, return_index=True)
-    pts = pts[np.sort(first)]
-    if pts.shape[0] < 4:
-        return 0.0, 0.0
-    edges, area = {}, 0.0
-    for i in range(planes_a.shape[0]):
-        on = np.abs(pts @ planes_a[i] - planes_b[i]) <= tol
-        if int(on.sum()) < 3:
-            continue
-        ring = pts[on]
-        uv = (ring - ring.mean(axis=0)) @ frames[i]
-        ring = ring[np.argsort(np.arctan2(uv[:, 1], uv[:, 0]))]
-        arm = ring - ring.mean(axis=0)
-        shoelace = np.cross(arm, np.roll(arm, -1, axis=0)).sum(axis=0)
-        area += 0.5 * abs(planes_a[i] @ shoelace)
-        rk = np.round(ring / tol).astype(np.int64)
-        for a in range(ring.shape[0]):
-            b = (a + 1) % ring.shape[0]
-            kk = (tuple(rk[a]), tuple(rk[b]))
-            kk = kk if kk[0] <= kk[1] else (kk[1], kk[0])
-            length = float(np.linalg.norm(ring[b] - ring[a]))
-            if length > tol:
-                edges.setdefault(kk, []).append((i, length))
-    v1 = 0.0
-    for hits in edges.values():
-        if len(hits) != 2:
-            continue
-        (ia, la), (ib, _) = hits
-        cosang = float(np.clip(planes_a[ia] @ planes_a[ib], -1.0, 1.0))
-        v1 += la * math.acos(cosang) / (2.0 * math.pi)
-    return v1, 0.5 * area if v1 > 0.0 else 0.0
-
-
-@pytest.mark.parametrize("other", ["diamond", "rotated", "cube"])
-def test_batched_3d_valuation_matches_loop(other):
-    K = cube(3)
-    L = {"diamond": diamond(3), "rotated": rotated_cube(3, 5),
-         "cube": cube(3)}[other]
-    rng = np.random.default_rng(29)
-    # translations on a half-integer grid put planes on top of each other,
-    # touch faces (flat and empty intersections) and merge vertices
-    grid = np.stack(np.meshgrid(*[np.arange(-2.0, 2.5, 0.5)] * 3,
-                                indexing="ij"), axis=-1).reshape(-1, 3)
-    for lams in ((1.0, 1.0), (1.5, 2.0), (2.0, 1.5)):
-        engine = _VertexEngine([K, L]).scaled(lams)
-        # the engine's in-plane frames are orthonormal and normal to their
-        # rows; the loop below builds its own
-        np.testing.assert_allclose(engine.frames.transpose(0, 2, 1) @ engine.frames,
-                                   np.broadcast_to(np.eye(2), (engine.A.shape[0], 2, 2)),
-                                   atol=1e-15)
-        np.testing.assert_allclose(np.einsum("mi,mij->mj", engine.A, engine.frames),
-                                   0.0, atol=1e-15)
-        frames = [complete_basis(n.reshape(-1, 1)) for n in engine.A]
-        lo, hi = _sample_boxes([lam * p.vertices for p, lam in zip((K, L), lams)])
-        z = np.vstack([lo + rng.random((512, 3)) * (hi - lo), grid])
-        x, feas, bz = engine.candidates(z)
-        tol = 1e-7 * engine.scale
-        # two edited copies of the fullest intersection: one cut down to 3
-        # distinct vertices of one face (under 4 vertices gives 0), and one
-        # whose first vertex is split into two points 0.1 tol apart on either
-        # side of a rounding edge, so both survive the dedupe
-        x = np.concatenate([x, np.zeros((x.shape[0], 1, 3))], axis=1)
-        feas = np.concatenate([feas, np.zeros((x.shape[0], 1), dtype=bool)], axis=1)
-        s = int(np.argmax(feas.sum(axis=1)))
-        on = np.flatnonzero(feas[s] & (np.abs(x[s] @ engine.A[0] - bz[s, 0]) <= tol))
-        _, first = np.unique(np.round(x[s, on] / tol), axis=0, return_index=True)
-        assert first.size >= 3
-        few = np.zeros_like(feas[s])
-        few[on[np.sort(first)[:3]]] = True
-        split_x = x[s].copy()
-        split_feas = feas[s].copy()
-        a = np.flatnonzero(feas[s])[0]
-        cell = np.round(x[s, a] / tol)
-        split_x[a] = (cell + [0.45, 0.0, 0.0]) * tol
-        split_x[-1] = (cell + [0.55, 0.0, 0.0]) * tol
-        split_feas[-1] = True
-        x = np.concatenate([x, x[s][None], split_x[None]])
-        feas = np.concatenate([feas, few[None], split_feas[None]])
-        bz = np.concatenate([bz, bz[[s, s]]])
-        got = _poly3d_values(x, feas, engine.A, bz, engine.frames, tol)
-        want = np.array([_poly3d_value_loop(x[s][feas[s]], engine.A, bz[s],
-                                            frames, tol)
-                         for s in range(x.shape[0])]).T
-        assert np.count_nonzero(want[0]) > 100 and not want[:, -2].any()
-        for g, w in zip(got, want):
-            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12 * np.max(w))
+@pytest.mark.parametrize("bodies,j", [
+    ((cube(3), diamond(3)), 1),
+    ((cube(3), rotated_cube(3, 5)), 1),
+    ((cube(2), diamond(2), rotated_cube(2, 5)), 0),
+    ((cube(3), diamond(3), rotated_cube(3, 5)), 0),
+    ((cube(3), diamond(3), rotated_cube(3, 5)), 1),
+], ids=["Q3-D3-j1", "Q3-R-j1", "Q2-D2-R-k3-j0", "Q3-D3-R-k3-j0", "Q3-D3-R-k3-j1"])
+def test_translation_integral_matches_independent_sampler(bodies, j):
+    # the cores below j = d - 1 (V_1 of one body, the facet-pair sum at
+    # j = 1, the difference-body coefficients and the facet-triple sum at
+    # j = 0) against a sampler that shares no code with mixvol's
+    d = bodies[0].dim
+    est = translative_integral_mc(list(bodies), j, rng=53, samples=10)
+    table = decompose_homogeneous(list(bodies), j, rng=53, samples=10)
+    assert est.std_error == 0.0 and table.route == "exact-decomposition"
+    assert table.total().value == pytest.approx(est.value, rel=1e-12)
+    mean, err = _sampled_integral(bodies, j, np.random.default_rng(59),
+                                  1000 if d == 2 else 600)
+    assert abs(mean - est.value) <= 5.0 * err, (mean, err, est.value)
 
 
 @pytest.mark.parametrize("d,j", [(2, 0), (3, 0), (3, 1)])
 def test_scaled_bodies_match_rehulled(d, j):
-    # scaling vertices and facet offsets in place gives the translation
-    # integral of the re-hulled scaled bodies
+    # V_r is homogeneous of degree r_i in K_i: the entries of the re-hulled
+    # scaled bodies are prod_i lambda_i^{r_i} times those of the bodies
     bodies = [cube(d), rotated_cube(d, 5)]
-    unit = np.random.default_rng(31).random((300 if d == 3 else 2000, d))
     lams = (1.5, 2.0)
     rehulled = [p.transform(lam * np.eye(d)) for p, lam in zip(bodies, lams)]
+    scaled = _entries(rehulled, j)
+    for r, v in _entries(bodies, j).items():
+        assert scaled[r] == pytest.approx(lams[0] ** r[0] * lams[1] ** r[1] * v,
+                                          rel=1e-12)
     if j == 0:
         # the closed form of vol(l_1 K - l_2 L), from the unscaled pair and
         # from the re-hulled scaled pair, against a hull of the scaled
@@ -549,139 +526,6 @@ def test_scaled_bodies_match_rehulled(d, j):
         got = sum(lams[0] ** (d - i) * lams[1] ** i * c for i, c in enumerate(terms))
         assert got == pytest.approx(want, rel=1e-12)
         assert sum(_difference_terms(*rehulled)) == pytest.approx(want, rel=1e-12)
-        return
-    got, got_draws = _translative_value(_VertexEngine(bodies), lams, j, unit)
-    want, want_draws = _translative_value(_VertexEngine(rehulled), (1.0, 1.0),
-                                          j, unit)
-    assert got.value == pytest.approx(want.value, rel=1e-12)
-    assert got.std_error == pytest.approx(want.std_error, rel=1e-12)
-    np.testing.assert_allclose(got_draws, want_draws, rtol=1e-12,
-                               atol=1e-12 * np.max(np.abs(want_draws)))
-    assert got.value == pytest.approx(np.mean(got_draws), rel=1e-12)
-
-
-def _unscreened_draws(bodies, lams, j, unit):
-    """Per-draw values of _translative_value with every draw sent through
-    the vertex engine in one chunk, and for j = 1 the box volume times V_2
-    of each draw's intersection."""
-    engine = _VertexEngine(bodies).scaled(lams)
-    lo, hi = _sample_boxes([lam * p.vertices for p, lam in zip(bodies, lams)])
-    x, feas, bz = engine.candidates(lo + unit * (hi - lo))
-    box = float(np.prod(hi - lo))
-    if j == 0:
-        return box * feas.any(axis=1), None
-    vals, area = _poly3d_values(x, feas, engine.A, bz, engine.frames,
-                                1e-7 * engine.scale)
-    return _cross_fitted(box * vals, box * area, engine.control_mean), box * area
-
-
-@pytest.mark.parametrize("bodies,j", [
-    ((cube(2), diamond(2)), 0),
-    ((simplex(2), rotated_cube(2, 3)), 0),
-    ((cube(2), diamond(2), rotated_cube(2, 4)), 0),
-    ((cube(3), diamond(3)), 1),
-    ((cube(3), rotated_cube(3, 5)), 1),
-], ids=["Q2-D2", "S2-R", "Q2-D2-R-k3", "Q3-D3", "Q3-R"])
-def test_screened_draws_match_engine(bodies, j):
-    # the difference-body screen only skips draws the engine values at 0
-    d, k = bodies[0].dim, len(bodies)
-    unit = np.random.default_rng(37).random((300 if d == 3 else 3000,
-                                             (k - 1) * d))
-    for lams in ([1.0] * k, [2.0] + [1.5] * (k - 1)):
-        got = _translative_value(_VertexEngine(bodies), lams, j, unit)[1]
-        want = _unscreened_draws(bodies, lams, j, unit)[0]
-        np.testing.assert_allclose(got, want, rtol=1e-12,
-                                   atol=1e-12 * np.max(np.abs(want)))
-
-
-# (vol, V_2) of the generator bodies: V_2 is half the surface area, and
-# diamond(3) has 8 equilateral faces of side sqrt(2)
-_VOL_V2 = {"cube": (1.0, 3.0), "diamond": (4.0 / 3.0, 2.0 * math.sqrt(3.0)),
-           "rotated": (1.0, 3.0)}
-
-
-@pytest.mark.parametrize("names,lams,n", [
-    (("cube", "diamond"), (1.0, 1.0), 4000),
-    (("cube", "rotated"), (1.0, 1.0), 4000),
-    (("cube", "diamond"), (1.0, 1.5), 4000),
-    (("cube", "diamond", "rotated"), (1.0, 1.0, 1.0), 6000),
-], ids=["Q3-D3", "Q3-R", "Q3-D3-ratio", "Q3-D3-R-k3"])
-def test_control_draws_average_to_known_mean(names, lams, n):
-    # the j = 1 control, box volume times V_2 per draw, averages to
-    # sum_i l_i^2 V_2(K_i) prod_{l != i} l_l^3 vol K_l within 5 sigma, and
-    # the engine's known mean equals that sum
-    make = {"cube": lambda: cube(3), "diamond": lambda: diamond(3),
-            "rotated": lambda: rotated_cube(3, 5)}
-    bodies = [make[name]() for name in names]
-    want = sum(lams[i] ** 2 * _VOL_V2[name][1]
-               * math.prod(lams[l] ** 3 * _VOL_V2[other][0]
-                           for l, other in enumerate(names) if l != i)
-               for i, name in enumerate(names))
-    engine = _VertexEngine(bodies).scaled(lams)
-    assert engine.control_mean == pytest.approx(want, rel=1e-12)
-    unit = np.random.default_rng(61).random((n, 3 * (len(bodies) - 1)))
-    control = np.concatenate([_unscreened_draws(bodies, lams, 1, unit[s:s + 500])[1]
-                              for s in range(0, n, 500)])
-    assert np.count_nonzero(control) > n // 10
-    err = control.std(ddof=1) / math.sqrt(n)
-    assert abs(control.mean() - want) <= 5.0 * err, (control.mean(), err, want)
-
-
-def _near_boundary(K, L, lams, rng, n):
-    """Translations z_2 on random boundary points of l_1 K - l_2 L, each
-    moved along the facet normal by up to 10 screen margins either way,
-    with the signed distance of the move."""
-    body = Polytope.hull((lams[0] * K.vertices[:, None]
-                          - lams[1] * L.vertices[None]).reshape(-1, K.dim))
-    margin = _SCREEN_TOL * _VertexEngine([K, L]).scaled(lams).scale
-    facets = rng.integers(len(body.facets), size=n)
-    z = np.empty((n, K.dim))
-    for i, f in enumerate(facets):
-        ids = list(body.facets[f][2])
-        w = rng.dirichlet(np.full(len(ids), 0.3))
-        z[i] = w @ body.vertices[ids]
-    shift = rng.uniform(-10.0, 10.0, n) * margin
-    normals = np.array([body.facets[f][0] for f in facets])
-    return z + shift[:, None] * normals, shift, margin
-
-
-@pytest.mark.parametrize("d", [2, 3])
-def test_screen_drops_only_empty_draws(d):
-    # a dropped draw has no feasible candidate vertex, on random draws over
-    # the sampling box and on draws within 10 margins of the difference
-    # body's boundary, on both sides of it
-    rng = np.random.default_rng(41)
-    gens = [cube(d), diamond(d), simplex(d), rotated_cube(d, 6),
-            rotated_cube(d, 7)]
-    dropped = 0
-    for K, L in itertools.permutations(gens, 2):
-        for lams in ((1.0, 1.0), (1.5, 2.0), (2.0, 1.0)):
-            engine = _VertexEngine([K, L]).scaled(lams)
-            lo, hi = _sample_boxes([lam * p.vertices
-                                    for p, lam in zip((K, L), lams)])
-            near, shift, margin = _near_boundary(K, L, lams, rng, 200)
-            z = np.vstack([lo + rng.random((200, d)) * (hi - lo), near])
-            live = engine.may_meet(z)
-            feas = engine.candidates(z)[1].any(axis=1)
-            assert not np.any(feas & ~live)
-            # no draw inside the body or within the margin outside it drops
-            assert np.all(live[200:][shift <= 0.99 * margin])
-            dropped += int(np.count_nonzero(~live))
-    assert dropped > 1000
-
-
-def test_screen_three_bodies():
-    # each pair's screen is a necessary condition, so k = 3 drops stay empty
-    bodies = [cube(3), diamond(3), rotated_cube(3, 8)]
-    engine = _VertexEngine(bodies)
-    rng = np.random.default_rng(43)
-    for lams in ((1.0, 1.0, 1.0), (2.0, 1.5, 1.0)):
-        placed = engine.scaled(lams)
-        lo, hi = _sample_boxes([lam * p.vertices for p, lam in zip(bodies, lams)])
-        z = lo + rng.random((400, 6)) * (hi - lo)
-        live = placed.may_meet(z)
-        assert 0 < np.count_nonzero(~live) < z.shape[0]
-        assert not np.any(placed.candidates(z)[1].any(axis=1) & ~live)
 
 
 def _closed_form_bodies(d):
@@ -769,10 +613,11 @@ def test_difference_terms_match_hulls(d):
 
 @pytest.mark.parametrize("shift", [1e4, 1e6])
 def test_exact_integrals_survive_far_translation(shift):
-    # neither exact path builds the face lattice of the translated body
+    # the j = 0 and j = 2 cores build no face lattice of the translated
+    # body; the j = 1 core takes V_1 from it
     K, L = rotated_cube(3, 5), diamond(3)
     far = K.translate((-shift, 2.0 * shift, shift))
-    for j in (0, 2):
+    for j in (0, 1, 2):
         want = translative_integral_mc([K, L], j, rng=1, samples=10).value
         for bodies in ([far, L], [L, far]):
             got = translative_integral_mc(bodies, j, rng=1, samples=10)
@@ -783,174 +628,76 @@ def test_exact_integrals_survive_far_translation(shift):
         assert table.value(r) == pytest.approx(want, rel=1e-10)
 
 
-def _fit_inputs(bodies, j, seed, samples, lambdas=(1.0, 1.5, 2.0)):
-    """Design matrix, grid estimates and per-draw grid values of one
-    decompose_homogeneous call, rebuilt from the same draws with one vertex
-    engine per grid combination: the draws at (l_1, .., l_k) are
-    l_1^{(k-1)d+j} times those at (1, l_2/l_1, .., l_k/l_1)."""
-    d, k = bodies[0].dim, len(bodies)
-    r_list = _degree_tuples(d, k, j)
-    combos = list(itertools.product(lambdas, repeat=k))
-    design = np.array([[math.prod(lam ** ri for lam, ri in zip(c, r))
-                        for r in r_list] for c in combos])
-    unit = np.random.default_rng(seed).random((samples, (k - 1) * d))
-    grid = []
-    for lam1, *rest in combos:
-        est, draws = _translative_value(_VertexEngine(bodies),
-                                        (1.0, *[lam / lam1 for lam in rest]), j, unit)
-        scale = lam1 ** ((k - 1) * d + j)
-        grid.append((est.scaled(scale), scale * draws))
-    return r_list, design, grid
-
-
-@pytest.mark.parametrize("d,samples,runs", [(3, 100, 50)])
-def test_per_draw_errors_are_calibrated(d, samples, runs):
-    # a fixed batch of seeded cube/diamond decompositions at j = 1, sized to
-    # take a few seconds: z-scores of the entries and totals against exact
-    # values have unit spread, and the per-draw errors sit below the
-    # conservative |pinv| sigma bound
-    K, L = cube(d), diamond(d)
-    # V_(3,1) = vol(K) V_1(L) and V_(1,3) = V_1(K) vol(L), with vol(K) = 1,
-    # V_1(K) = 3, vol(L) = 4 / 3 and V_1(L) the edge-length sum weighted by
-    # exterior angles; the middle entry comes from the curvature route
-    v1_diamond = 12.0 * math.sqrt(2.0) * (math.pi - math.acos(-1.0 / 3.0)) \
-        / (2.0 * math.pi)
-    ref = {(3, 1): v1_diamond, (1, 3): 4.0,
-           (2, 2): curvature_mixed_functional([K, L], (2, 2))}
-    zs = []
-    for seed in range(runs):
-        table = decompose_homogeneous([K, L], 1, rng=seed, samples=samples)
-        zs += [(table.value(r) - v) / table.std_error(r) for r, v in ref.items()]
-        tot = table.total()
-        zs.append((tot.value - sum(ref.values())) / tot.std_error)
-        if seed >= 5:
-            continue
-        r_list, design, grid = _fit_inputs([K, L], 1, seed, samples)
-        coef, *_ = np.linalg.lstsq(design, [est.value for est, _ in grid],
-                                   rcond=None)
-        old = np.abs(np.linalg.pinv(design)) @ [est.std_error for est, _ in grid]
-        for r, c, bound in zip(r_list, coef, old):
-            assert table.value(r) == pytest.approx(c, rel=1e-12)
-            assert table.std_error(r) <= bound * (1.0 + 1e-12)
-        assert tot.std_error <= old.sum()
-    zs = np.array(zs)
-    assert 0.85 <= zs.std() <= 1.15, zs.std()
-    assert np.max(np.abs(zs)) <= 5.0
-
-
-def test_cross_fitted_draws_carry_their_beta_error():
-    # each half is controlled with the other half's beta, and each fitting
-    # draw carries n_other * its residual * the sensitivity of the other
-    # half's mean to its y (exact for unit steps: that mean is linear in y)
-    rng = np.random.default_rng(67)
-    c = rng.exponential(size=41)
-    y = np.sqrt(c) + 0.1 * rng.standard_normal(41)
-    out = _cross_fitted(y, c, 1.0)
-    halves = (slice(0, None, 2), slice(1, None, 2))
-
-    def beta(h):
-        dc = c[h] - c[h].mean()
-        return dc @ (y[h] - y[h].mean()) / (dc @ dc)
-
-    for fit, use in zip(halves, halves[::-1]):
-        resid = y[fit] - y[fit].mean() - beta(fit) * (c[fit] - c[fit].mean())
-        share = out[fit] - (y[fit] - beta(use) * (c[fit] - 1.0))
-        sens = []
-        for i in np.arange(41)[fit]:
-            bumped = y.copy()
-            bumped[i] += 1.0
-            sens.append(_cross_fitted(bumped, c, 1.0)[use].mean() - out[use].mean())
-        np.testing.assert_allclose(share, c[use].size * np.array(sens) * resid,
-                                   rtol=1e-9, atol=1e-12)
-        assert abs(share.sum()) <= 1e-12
-    # one draw, or a control constant up to rounding, fits no beta
-    assert np.array_equal(_cross_fitted(y[:1], c[:1], 1.0), y[:1])
-    ulps = 0.1 + 1e-17 * np.arange(10)
-    assert np.unique(ulps).size > 1
-    assert np.array_equal(_cross_fitted(y[:10], ulps, 1.0), y[:10])
-
-
-def test_controlled_estimates_are_calibrated():
-    # z-scores of 100-draw j = 1 integrals against exact totals on the two
-    # pairs the j = 1 control is measured on: unit spread and no heavy tail
-    # with beta fitted on the other half of the draws
-    K = cube(3)
-    v1_diamond = 12.0 * math.sqrt(2.0) * (math.pi - math.acos(-1.0 / 3.0)) \
-        / (2.0 * math.pi)
-    zs = []
-    for L, v1_l, vol_l in ((diamond(3), v1_diamond, 4.0 / 3.0),
-                           (rotated_cube(3, 5), 3.0, 1.0)):
-        # V_(3,1) + V_(1,3) + V_(2,2), with vol K = 1 and V_1(K) = 3
-        want = v1_l + 3.0 * vol_l + curvature_mixed_functional([K, L], (2, 2))
-        for seed in range(60):
-            est = translative_integral_mc([K, L], 1, rng=seed, samples=100)
-            zs.append((est.value - want) / est.std_error)
-    zs = np.array(zs)
-    assert 0.85 <= zs.std() <= 1.15, zs.std()
-    assert np.max(np.abs(zs)) <= 5.0
-
-
-def test_one_draw_errors_are_infinite():
-    table = decompose_homogeneous([cube(3), diamond(3)], 1, rng=1, samples=1)
-    assert all(math.isinf(table.std_error(r)) for r in table.entries)
-    assert math.isinf(table.total().std_error)
-    est = translative_integral_mc([cube(3), diamond(3)], 1, rng=1, samples=1)
-    assert math.isinf(est.std_error)
-    exact = decompose_homogeneous([cube(2), diamond(2)], 0, rng=1, samples=1)
-    assert all(exact.std_error(r) == 0.0 for r in exact.entries)
-
-
-@pytest.mark.parametrize("bodies,j,evaluations", [
-    ((cube(3), diamond(3)), 1, 7),
-    ((cube(2), diamond(2), rotated_cube(2, 9)), 0, 25),
-], ids=["Q3-D3", "Q2-D2-R-k3"])
-def test_one_engine_per_decomposition(monkeypatch, bodies, j, evaluations):
-    # one vertex engine serves the whole grid, and it is evaluated once per
-    # ratio tuple (l_2/l_1, .., l_k/l_1): 7 times for the 9 combinations of
-    # a pair, 25 times for the 27 of three bodies; the entries equal those
-    # of one engine per combination, and those of a fit that evaluates every
-    # combination directly up to the absolute box margin of _sample_boxes
-    r_list, design, grid = _fit_inputs(list(bodies), j, 47, 150)
-    coef, *_ = np.linalg.lstsq(design, [est.value for est, _ in grid],
-                               rcond=None)
-    k, d = len(bodies), bodies[0].dim
-    unit = np.random.default_rng(47).random((150, (k - 1) * d))
-    direct = [_translative_value(_VertexEngine(list(bodies)), c, j, unit)[0].value
-              for c in itertools.product((1.0, 1.5, 2.0), repeat=k)]
-    direct, *_ = np.linalg.lstsq(design, direct, rcond=None)
-    built, evaluated = [], []
-
-    class Counted(_VertexEngine):
-        def __init__(self, polytopes):
-            built.append(len(polytopes))
-            super().__init__(polytopes)
-
-    def counted(*args):
-        evaluated.append(args[1])
-        return _translative_value(*args)
-
-    monkeypatch.setattr(translative, "_VertexEngine", Counted)
-    monkeypatch.setattr(translative, "_translative_value", counted)
-    table = decompose_homogeneous(list(bodies), j, rng=47, samples=150)
-    assert built == [len(bodies)]
-    assert len(evaluated) == evaluations
-    assert all(lams[0] == 1.0 for lams in evaluated)
-    for r, c, e in zip(r_list, coef, direct):
-        assert table.value(r) == pytest.approx(c, rel=1e-12, abs=1e-12)
-        assert table.value(r) == pytest.approx(e, rel=1e-6, abs=1e-6)
-
-
 def test_exact_j0_builds_no_hull_or_lattice(monkeypatch):
     # the closed form reads facets, volumes and vertices only
     def no_hull(*args, **kwargs):
         raise AssertionError("Polytope.hull called")
 
-    pairs = [(cube(2), rotated_cube(2, 3)), (simplex(3), diamond(3)),
-             (rotated_cube(3, 5), segment(3, 1))]
+    tuples = [(cube(2), rotated_cube(2, 3)), (simplex(3), diamond(3)),
+              (rotated_cube(3, 5), segment(3, 1)),
+              (cube(3), diamond(3), simplex(3))]
     monkeypatch.setattr(Polytope, "hull", staticmethod(no_hull))
-    for K, L in pairs:
-        est = translative_integral_mc([K, L], 0, rng=3, samples=10)
-        table = decompose_homogeneous([K, L], 0, rng=3, samples=10)
+    for bodies in tuples:
+        est = translative_integral_mc(list(bodies), 0, rng=3, samples=10)
+        table = decompose_homogeneous(list(bodies), 0, rng=3, samples=10)
         assert est.std_error == 0.0 and table.route == "exact-decomposition"
         assert table.total().value == est.value
-        assert K._lattice is None and L._lattice is None
+        assert all(p._lattice is None for p in bodies)
+
+
+_GENS3 = (cube(3), simplex(3), diamond(3))
+
+
+@pytest.mark.parametrize("bodies", [
+    *[pytest.param(pair, id=f"{pair[0].name}-{pair[1].name}")
+      for pair in itertools.product(_GENS3, repeat=2)],
+    *[pytest.param((simplex(3), rotated_cube(3, s)), id=f"simplex3-R{s}")
+      for s in (1000, 1001, 1403036832)],
+    pytest.param((cube(2), diamond(2)), id="cube2-diamond2"),
+    pytest.param(_GENS3, id="k3"),
+    pytest.param((simplex(3), rotated_cube(3, 5), diamond(3)), id="k3-rotated"),
+])
+def test_entries_match_curvature(bodies):
+    # every entry with all r_i in 1..d-1 is also a curvature-route value,
+    # from the normal-bundle kernel instead of face-tuple angles; cube and
+    # simplex have antiparallel facets, where u_F.u_G = -1 + ulp.  For
+    # three rays the curvature route integrates its kernel by quadrature
+    # to rtol 1e-6 (kernels._core_batch), so it bounds V_(2,2,2) only that
+    # closely
+    d = bodies[0].dim
+    rel = 1e-12 if len(bodies) == 2 else 1e-6
+    seen = 0
+    for j in range(d):
+        for r, v in _entries(list(bodies), j).items():
+            if all(1 <= ri <= d - 1 for ri in r):
+                want = curvature_mixed_functional(list(bodies), r)
+                assert v == pytest.approx(want, rel=rel), (j, r)
+                seen += 1
+    assert seen == {2: 1, 3: 1 if len(bodies) == 3 else 3}[d]
+
+
+def test_each_core_once_per_call(monkeypatch):
+    # three bodies in R^3 at j = 0 have 10 entries on 7 cores: V_0 of each
+    # body, the difference-body coefficients of each pair (two entries
+    # each) and the facet-triple sum
+    calls = []
+    cores = translative._cores
+    monkeypatch.setattr(translative, "_cores",
+                        lambda bodies, j: calls.append(len(bodies)) or cores(bodies, j))
+    assert len(_entries(list(_GENS3), 0)) == 10
+    assert sorted(calls) == [1, 1, 1, 2, 2, 2, 3]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_every_input_is_exact(d):
+    # every d <= 3 input is in closed form, also with a single draw
+    gens = [cube(d), diamond(d), simplex(d)]
+    for k, j in itertools.product((2, 3), range(d)):
+        bodies = gens[:k]
+        est = translative_integral_mc(bodies, j, rng=1, samples=1)
+        table = decompose_homogeneous(bodies, j, rng=1, samples=1)
+        assert est.std_error == 0.0 and table.route == "exact-decomposition"
+        assert set(table.entries) == set(_degree_tuples(d, k, j))
+        assert all(table.std_error(r) == 0.0 for r in table.entries)
+        assert table.total().std_error == 0.0
+        assert table.total().value == pytest.approx(est.value, rel=1e-12)
