@@ -81,31 +81,32 @@ def _compositions(total: int, k: int):
 # route 1: polynomial expansion
 
 
-def oracle_mixed_volumes(polytopes, rtol: float = 1e-8) -> MixedVolumeTable:
+def oracle_mixed_volumes(polytopes) -> MixedVolumeTable:
     """Fit the degree-d polynomial t -> vol(t_1 K_1 + ... + t_k K_k).
 
     vol equals sum over |alpha| = d of binom(d; alpha) V(K[alpha]) t^alpha.
-    The volume is evaluated on the grid {1..d+1}^k / (d+1) and the
-    Vandermonde system solved by least squares; the multinomial weights are
-    then stripped so entries are mixed volumes.  Max relative fit residual
-    and the grid condition number are reported in `meta`.
+    The volume is evaluated on the grid {1..d+1}^k / (d+1) by one
+    `sum_volume` call: every grid point is positive, and F(sum t_i K_i, u) =
+    sum t_i F(K_i, u) (Schneider, Convex Bodies, sect. 1.7), so one hull's
+    normal fan serves the whole grid.  The Vandermonde system is solved by
+    least squares and the multinomial weights are then stripped so entries
+    are mixed volumes.  Max relative fit residual and the grid condition
+    number are reported in `meta`.
     """
     d, _ = check_bodies(polytopes)
     k = len(polytopes)
     alphas = list(_compositions(d, k))
-    grid = [np.array(t, dtype=float) / (d + 1)
-            for t in itertools.product(range(1, d + 2), repeat=k)]
+    grid = np.array(list(itertools.product(range(1, d + 2), repeat=k)), dtype=float) / (d + 1)
     a = np.array([[float(np.prod(t ** np.array(al))) for al in alphas]
                   for t in grid])
-    y = np.array([sum_volume(t, polytopes) for t in grid])
+    y = sum_volume(grid, polytopes)
     cond = float(np.linalg.cond(a))
     if cond > 1e10:
         raise InputError(f"expansion grid ill-conditioned (cond={cond:.3e})")
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     resid = float(np.max(np.abs(a @ coef - y))) / max(1.0, float(np.max(np.abs(y))))
     entries = {al: float(c) / multinomial(d, al) for al, c in zip(alphas, coef)}
-    return MixedVolumeTable(d, entries, "oracle",
-                            meta={"residual": resid, "cond": cond, "rtol": rtol})
+    return MixedVolumeTable(d, entries, "oracle", meta={"residual": resid, "cond": cond})
 
 
 # ---------------------------------------------------------------------------

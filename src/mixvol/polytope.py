@@ -1,10 +1,12 @@
 """Convex polytopes with explicit face lattices and normal cones.
 
 Construction is brute force over vertex subsets (desk scale: ambient
-dimension <= 4, a few dozen vertices).  Volumes come from facet recursion
-(a pyramid over each facet, down to polygons and segments) and never build
-the face lattice, which is made on first use by faces and normal cones and
-measures each face the same way in the face's own frame.
+dimension <= 4, a few dozen vertices).  `sum_volume` over a grid of
+coefficient rows pays that once: the rows share one normal fan, so later
+rows only read off their vertices and facets.  Volumes come from facet
+recursion (a pyramid over each facet, down to polygons and segments) and
+never build the face lattice, which is made on first use by faces and
+normal cones and measures each face the same way in the face's own frame.
 Lower-dimensional bodies (segments, points) are supported through
 `Polytope.hull(..., allow_degenerate=True)`; their faces include the
 relative-interior top face, whose normal cone picks up lineality.
@@ -207,8 +209,13 @@ def _hull_core(pts: np.ndarray, tol: float):
         off2 = float(np.dot(n2, c))
         if (pts @ n2 - off2).max() <= 5 * tol:
             normals[j], offsets[j] = n2, off2
-    normals, offsets = _dedupe_planes(normals, offsets, tol)
+    return _facets_on(pts, *_dedupe_planes(normals, offsets, tol), tol)
 
+
+def _facets_on(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray, tol: float):
+    """(vertices, facet list) of a point set from its facet planes, as
+    _hull_core returns them."""
+    dd = pts.shape[1]
     # a point is a vertex when the normals of the planes through it span R^dd
     active = np.abs(pts @ normals.T - offsets) <= 5 * tol  # (M, F)
     sv = np.linalg.svd(active[:, :, None] * normals, compute_uv=False)
@@ -517,45 +524,61 @@ def scaled_sum(coeffs, polys, name=None) -> Polytope:
         raise InputError("one coefficient per body required")
     if any(t < 0 for t in coeffs):
         raise InputError("scaled_sum needs nonnegative coefficients")
-    d = polys[0].dim
-    if any(p.dim != d for p in polys):
+    if any(p.dim != polys[0].dim for p in polys):
         raise InputError("dimension mismatch in scaled sum")
+    return Polytope.hull(_sum_points(coeffs, polys), name=name, allow_degenerate=True)
+
+
+def _sum_points(coeffs, polys) -> np.ndarray:
+    """Deduplicated sums sum_i t_i v_i over vertex choices, t_i = 0 skipped."""
+    d = polys[0].dim
     pts = np.zeros((1, d))
     for t, p in zip(coeffs, polys):
         if t == 0.0:
             continue
-        add = t * p.vertices
-        pts = (pts[:, None, :] + add[None, :, :]).reshape(-1, d)
-        scale = max(1.0, float(np.max(np.abs(pts))))
-        pts = _dedupe_points(pts, _TOL * scale)
-    return Polytope.hull(pts, name=name, allow_degenerate=True)
+        pts = (pts[:, None, :] + t * p.vertices[None, :, :]).reshape(-1, d)
+        pts = _dedupe_points(pts, _TOL * max(1.0, float(np.max(np.abs(pts)))))
+    return pts
 
 
-def sum_volume(coeffs, polys) -> float:
-    """Volume of the scaled Minkowski sum.
+def sum_volume(coeffs, polys):
+    """Volume of the scaled Minkowski sum t_1 K_1 + ... + t_k K_k; a 2-D
+    array of coefficient rows gives an array with one volume per row.
 
-    Small candidate sets are measured by facet recursion on the native hull,
-    without a Polytope or its face lattice; large vertex products go through
-    Qhull, which only has to produce the volume.
+    F(sum t_i K_i, u) = sum t_i F(K_i, u) for t_i > 0 (Schneider, Convex
+    Bodies, sect. 1.7), so the sum's facet normals depend on the signs of the
+    t_i, not on their sizes.  Rows are grouped by sign pattern: the first row
+    of a group runs the native hull, and every later row takes its vertices
+    and facets from those normals at its own support values.  Either way the
+    volume comes by facet recursion, without a Polytope or its face lattice.
+    A row with more than 150 candidate points goes through Qhull, which only
+    has to produce the volume.
     """
+    rows = np.asarray(coeffs, dtype=float)
     d = polys[0].dim
-    pts = np.zeros((1, d))
-    for t, p in zip(coeffs, polys):
-        if float(t) == 0.0:
+    fans = {}  # sign pattern -> facet normals of its first native hull
+    out = []
+    for row in np.atleast_2d(rows):
+        pts = _sum_points(row, polys)
+        centred = pts - pts.mean(axis=0)
+        if np.linalg.matrix_rank(centred, tol=1e-9) < d:
+            out.append(0.0)
             continue
-        add = float(t) * p.vertices
-        pts = (pts[:, None, :] + add[None, :, :]).reshape(-1, d)
-        scale = max(1.0, float(np.max(np.abs(pts))))
-        pts = _dedupe_points(pts, _TOL * scale)
-    rank = np.linalg.matrix_rank(pts - pts.mean(axis=0), tol=1e-9)
-    if rank < d:
-        return 0.0
-    if pts.shape[0] <= 150:
-        tol = _TOL * max(1.0, float(np.max(np.abs(pts))))
-        return _pyramid_volume(*_hull_core(pts - pts.mean(axis=0), tol), tol)
-    from scipy.spatial import ConvexHull  # plumbing fallback for big sums
+        if pts.shape[0] > 150:
+            from scipy.spatial import ConvexHull  # plumbing fallback for big sums
 
-    return float(ConvexHull(pts).volume)
+            out.append(float(ConvexHull(pts).volume))
+            continue
+        tol = _TOL * max(1.0, float(np.max(np.abs(pts))))
+        key = tuple(np.sign(row))
+        if key in fans:
+            n = fans[key]
+            verts, facets = _facets_on(centred, n, (centred @ n.T).max(axis=0), tol)
+        else:
+            verts, facets = _hull_core(centred, tol)
+            fans[key] = np.array([f[0] for f in facets])
+        out.append(float(_pyramid_volume(verts, facets, tol)))
+    return out[0] if rows.ndim == 1 else np.array(out)
 
 
 # ---------------------------------------------------------------------------

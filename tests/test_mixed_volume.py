@@ -55,6 +55,39 @@ def test_oracle_symmetry_under_body_swap():
         assert t1.value(n) == pytest.approx(t2.value(n[::-1]))
 
 
+@pytest.mark.parametrize("bodies", [
+    [cube(3), simplex(3)],
+    [segment(3, 0), segment(3, 1), cube(3)],
+    [cube(2), diamond(2)],
+    [segment(2, 0), segment(2, 1)],
+    [cube(3), diamond(3)],
+    [rotated_cube(3, seed=4), simplex(3)],
+], ids=["Q3-S3", "x3-y3-Q3", "Q2-D2", "x2-y2", "Q3-D3", "R3-S3"])
+def test_oracle_grid_shares_one_hull(bodies, monkeypatch):
+    # the whole (d+1)^k grid is one sum_volume call on one normal fan; its
+    # entries match a fit to one sum_volume call per grid point
+    import mixvol.polytope
+
+    per_point = mixvol.mixed_volume.sum_volume
+    monkeypatch.setattr(mixvol.mixed_volume, "sum_volume",
+                        lambda grid, polys: np.array([per_point(t, polys) for t in grid]))
+    rows = oracle_mixed_volumes(bodies)
+    monkeypatch.undo()
+    real, hulls = mixvol.polytope._hull_core, []
+
+    def counting(pts, tol):
+        hulls.append(len(pts))
+        return real(pts, tol)
+
+    monkeypatch.setattr(mixvol.polytope, "_hull_core", counting)
+    got = oracle_mixed_volumes(bodies)
+    assert len(hulls) == 1  # facets in d <= 3 are measured without a hull
+    scale = max(abs(v) for v in rows.entries.values())
+    for n, v in rows.entries.items():
+        assert got.value(n) == pytest.approx(v, rel=1e-12, abs=1e-12 * scale)
+    assert got.meta.keys() == {"residual", "cond"}
+
+
 def test_table_entry_validation():
     table = oracle_mixed_volumes([cube(2), diamond(2)])
     with pytest.raises(InputError):

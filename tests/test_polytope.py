@@ -1,5 +1,6 @@
 """Hull construction, face lattice, volumes, and the area measure."""
 
+import itertools
 import json
 import math
 import os
@@ -250,6 +251,71 @@ def test_body_volumes_match_qhull(d):
         assert q.n_vertices == p.n_vertices
         assert q.volume() == pytest.approx(ConvexHull(pts).volume, rel=1e-12)
         assert sum_volume([1.0], [q]) == pytest.approx(p.volume(), rel=1e-12)
+
+
+def _stack_cases():
+    """Body lists for the row-stack identity, named for failure messages."""
+    Q3, D3, S3 = cube(3), diamond(3), simplex(3)
+    flat = Polytope.hull([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
+                         allow_degenerate=True)
+    out = {f"{a}-{b}-{d}": [g(d), h(d)]
+           for d in (2, 3)
+           for (a, g), (b, h) in itertools.combinations(
+               (("Q", cube), ("S", simplex), ("D", diamond),
+                ("R", lambda d: rotated_cube(d, 3))), 2)}
+    out.update({
+        "x-Q3": [segment(3, 0), Q3],
+        "x-y-Q3": [segment(3, 0), segment(3, 1), Q3],
+        "scaled": [Q3.transform(1e3 * np.eye(3)), D3.transform(1e-3 * np.eye(3))],
+        "far": [Q3.translate([1e6, 0.0, 0.0]), S3],
+        "flat-D3": [flat, D3],
+        "parallel": [segment(3, 0), segment(3, 0).transform(2.0 * np.eye(3))],
+    })
+    rng = np.random.default_rng(17)
+    for d in (2, 3):
+        for i in range(3):
+            out[f"cloud{d}-{i}"] = [Polytope.hull(rng.standard_normal((6 + i, d))),
+                                    Polytope.hull(rng.standard_normal((9 - i, d)))]
+    return out
+
+
+STACK_CASES = _stack_cases()
+
+
+@pytest.mark.parametrize("name", sorted(STACK_CASES))
+def test_stacked_sum_volume_matches_rows(name):
+    # rows with a zero coefficient fall in their own support groups; the
+    # all-zero row is a point
+    polys = STACK_CASES[name]
+    rows = np.array(list(itertools.product((0.0, 0.5, 1.0, 2.0), repeat=len(polys))))
+    stacked = sum_volume(rows, polys)
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (len(rows),)
+    per_row = [sum_volume(t, polys) for t in rows]
+    assert all(isinstance(v, float) for v in per_row)
+    np.testing.assert_allclose(stacked, per_row, rtol=1e-12, atol=0.0)
+    if name == "parallel":
+        assert not stacked.any()
+
+
+def test_sum_volume_groups_rows_by_sign_pattern(monkeypatch):
+    # one native hull per sign pattern; a row that drops a body or flips its
+    # sign must not reuse another group's normals
+    import mixvol.polytope
+
+    Q, S = cube(3), simplex(3)
+    real, hulls = mixvol.polytope._hull_core, []
+
+    def counting(pts, tol):
+        hulls.append(len(pts))
+        return real(pts, tol)
+
+    monkeypatch.setattr(mixvol.polytope, "_hull_core", counting)
+    rows = [[1, 1], [0, 1], [1, 0], [2, 1], [0, 2], [3, 0], [-1, 1], [-2, 1]]
+    got = sum_volume(rows, [Q, S])
+    assert len(hulls) == 4
+    want = [sum_volume(t, [Q, S]) for t in rows]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+    assert got[[1, 2, 4, 5]] == pytest.approx([1 / 6, 1.0, 8 / 6, 27.0], rel=1e-12)
 
 
 def test_plane_dedupe_is_greedy_grouping():
