@@ -11,7 +11,9 @@ rays.  The LP remains for cones_intersect, intersection_status and the
 zero-in-hull probe on three or more cones.  Where face dimensions sum to d,
 _certain_misses first drops, with one linear solve for a whole batch of
 shifts, every shift at which the cones cannot meet, so cones_intersect (the
-LP) decides only the screen's survivors.
+LP) decides only the screen's survivors.  The solve's point, where the
+shifted spans meet, is the LP's start: a survivor whose cones hold that
+point within the LP's tolerance is a hit without a pivot.
 
 Sphere measures are exact for cones of linear dimension <= 2 (point counts
 and arc lengths) and rejection Monte Carlo above that; all MC is chunked
@@ -73,17 +75,18 @@ def _stacked_system(shifted):
     return np.vstack(rows), np.concatenate(rhs)
 
 
-def cones_intersect(shifted, tol: float = _TOL) -> bool:
+def cones_intersect(shifted, tol: float = _TOL, start=None) -> bool:
     """True iff the translated cones N_i - x_i share a point.
 
     Decided as phase-1 LP feasibility of A(z + x_i) <= 0 over the stacked
     inequality systems; each cone's inequalities cut it out exactly, so no
-    extra span constraints are needed.
+    extra span constraints are needed.  `start`, a candidate z, goes to
+    lp_feasible, which accepts it without pivoting if it meets the rows.
     """
     a, b = _stacked_system(shifted)
     if a is None:
         return True
-    feasible, _ = lp_feasible(a, b, tol=tol)
+    feasible, _ = lp_feasible(a, b, tol=tol, start=start)
     return feasible
 
 
@@ -105,9 +108,11 @@ def _vertex_row_slack(face: Face) -> float:
     return math.sqrt(len(w)) * (w.sum() / w.min() - 1.0) / sigma
 
 
-def _certain_misses(faces, x) -> np.ndarray:
-    """Mask over shift tuples x (n, k, d) at which the shifted cones
-    N(P_i, F_i) - x_i certainly do not meet, i.e. cones_intersect says no.
+def _certain_misses(faces, x):
+    """(mask, z): the mask over shift tuples x (n, k, d) at which the shifted
+    cones N(P_i, F_i) - x_i certainly do not meet, i.e. cones_intersect says
+    no, and the points z (n, d) where the shifted spans meet (None when the
+    stack is below the floor), the LP's start for the survivors.
 
     With face dimensions summing to d, the spans lin(F_i)^perp - x_i meet
     in one point z, the solution of M z = -(frame_i^T x_i)_i for the d x d
@@ -126,7 +131,7 @@ def _certain_misses(faces, x) -> np.ndarray:
     m = np.hstack(frames).T
     sigma = np.linalg.svd(m, compute_uv=False)[-1]
     if sigma < _SCREEN_FLOOR:
-        return np.zeros(len(x), dtype=bool)
+        return np.zeros(len(x), dtype=bool), None
     cut = _TOL * (1.0 + math.hypot(*map(_vertex_row_slack, faces)) / sigma) \
         + _SCREEN_MARGIN
     blocks = x.transpose(1, 0, 2)
@@ -134,7 +139,7 @@ def _certain_misses(faces, x) -> np.ndarray:
     viol = np.zeros(len(x))
     for f, xi in zip(faces, blocks):
         viol = np.maximum(viol, ((z + xi) @ f.normal_cone.ineq.T).max(axis=1, initial=0.0))
-    return viol > cut * np.maximum(1.0, np.linalg.norm(x, axis=2).max(axis=1))
+    return viol > cut * np.maximum(1.0, np.linalg.norm(x, axis=2).max(axis=1)), z
 
 
 def intersection_status(shifted, margin: float) -> str:

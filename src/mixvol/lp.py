@@ -2,10 +2,13 @@
 
 Decides whether {x : A_ub x <= b_ub, A_eq x = b_eq} is nonempty for free x.
 Bland's rule, so it terminates; problems here stay below a few hundred rows.
-The point is bit-reproducible feasibility decisions: the pivot loop runs on
-whole numpy rows and columns, but every entering and leaving choice and every
-floating-point operation on the tableau is that of the scalar row-by-row
-tableau method, so the answer and the point are those of the scalar loop.
+A caller may pass a start point: if it meets every row within the tolerance
+that the final point must meet, it is the answer and no tableau is built.
+Otherwise the pivot path decides, and it is bit-reproducible: the pivot loop
+runs on whole numpy rows and columns, but every entering and leaving choice
+and every floating-point operation on the tableau is that of the scalar
+row-by-row tableau method, so the answer and the point are those of the
+scalar loop.
 """
 
 from __future__ import annotations
@@ -15,8 +18,20 @@ import numpy as np
 _PIV = 1e-11
 
 
-def lp_feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None, tol: float = 1e-9):
-    """Return (feasible, x or None)."""
+def _meets(A, b, ub, x, bound) -> bool:
+    """Every inequality residual <= bound, every equality |residual| <= bound."""
+    resid = A @ x - b
+    resid[~ub] = np.abs(resid[~ub])
+    return float(resid.max()) <= bound
+
+
+def lp_feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None, tol: float = 1e-9,
+                start=None):
+    """Return (feasible, x or None).
+
+    A `start` that meets the rows within tol * scale, the test the simplex
+    point must pass, is returned as (True, start) without pivoting.
+    """
     parts = [(np.atleast_2d(np.asarray(a, dtype=float)),
               np.asarray(b, dtype=float).reshape(-1), is_ub)
              for a, b, is_ub in ((A_ub, b_ub, True), (A_eq, b_eq, False))
@@ -26,9 +41,15 @@ def lp_feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None, tol: float = 1e-9):
     A = np.vstack([a for a, _, _ in parts])
     b = np.concatenate([rhs for _, rhs, _ in parts])
     ub = np.concatenate([np.full(len(a), is_ub) for a, _, is_ub in parts])
-    m, n = A.shape
     scale = max(1.0, float(np.max(np.abs(b))), float(np.max(np.abs(A))))
+    if start is not None and _meets(A, b, ub, start, tol * scale):
+        return True, start
+    return _phase1(A, b, ub, tol * scale)
 
+
+def _phase1(A, b, ub, bound):
+    """The simplex from scratch: (feasible, x or None) within `bound`."""
+    m, n = A.shape
     # columns: x+ (n), x- (n), slacks (one per ub row), then one artificial
     # for each row that does not start on its own slack
     n_ub = int(ub.sum())
@@ -82,14 +103,10 @@ def lp_feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None, tol: float = 1e-9):
     # go negative while the basic artificials are far from 0, and a zero
     # artificial sum can sit on a point that misses the rows.  So sum the
     # artificials afresh and check the point against the original system.
-    if float(np.abs(bb[cost[basis] > 0.0]).sum()) > tol * scale:
+    if float(np.abs(bb[cost[basis] > 0.0]).sum()) > bound:
         return False, None
     x = np.zeros(2 * n)
     primal = basis < 2 * n
     x[basis[primal]] = bb[primal]
     x = x[:n] - x[n:]
-    resid = A @ x - b
-    resid[~ub] = np.abs(resid[~ub])
-    if float(resid.max()) > tol * scale:
-        return False, None
-    return True, x
+    return (True, x) if _meets(A, b, ub, x, bound) else (False, None)

@@ -88,10 +88,13 @@ def oracle_mixed_volumes(polytopes) -> MixedVolumeTable:
     The volume is evaluated on the grid {1..d+1}^k / (d+1) by one
     `sum_volume` call: every grid point is positive, and F(sum t_i K_i, u) =
     sum t_i F(K_i, u) (Schneider, Convex Bodies, sect. 1.7), so one hull's
-    normal fan serves the whole grid.  The Vandermonde system is solved by
-    least squares and the multinomial weights are then stripped so entries
-    are mixed volumes.  Max relative fit residual and the grid condition
-    number are reported in `meta`.
+    normal fan serves the whole grid.  Each body enters divided by its size
+    s_i (largest vertex distance from the vertex mean), so bodies of very
+    different scale do not lose their small entries against the largest
+    grid volume; coefficients are scaled back by prod s_i^alpha_i.  The
+    Vandermonde system is solved by least squares and the multinomial
+    weights are then stripped so entries are mixed volumes.  Max relative
+    fit residual and the grid condition number are reported in `meta`.
     """
     d, _ = check_bodies(polytopes)
     k = len(polytopes)
@@ -99,13 +102,17 @@ def oracle_mixed_volumes(polytopes) -> MixedVolumeTable:
     grid = np.array(list(itertools.product(range(1, d + 2), repeat=k)), dtype=float) / (d + 1)
     a = np.array([[float(np.prod(t ** np.array(al))) for al in alphas]
                   for t in grid])
-    y = sum_volume(grid, polytopes)
+    size = np.array([np.linalg.norm(p.vertices - p.vertices.mean(axis=0), axis=1).max()
+                     for p in polytopes])
+    size[size == 0.0] = 1.0
+    y = sum_volume(grid / size, polytopes)
     cond = float(np.linalg.cond(a))
     if cond > 1e10:
         raise InputError(f"expansion grid ill-conditioned (cond={cond:.3e})")
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     resid = float(np.max(np.abs(a @ coef - y))) / max(1.0, float(np.max(np.abs(y))))
-    entries = {al: float(c) / multinomial(d, al) for al, c in zip(alphas, coef)}
+    entries = {al: float(c * np.prod(size ** np.array(al))) / multinomial(d, al)
+               for al, c in zip(alphas, coef)}
     return MixedVolumeTable(d, entries, "oracle", meta={"residual": resid, "cond": cond})
 
 
@@ -121,7 +128,9 @@ def schneider_mixed_volume(polytopes, degrees, rng=None, shifts=None) -> float:
     point for one admissible x in L^perp cap S^{kd-1}.  Almost every draw
     is admissible and the sum does not depend on the draw; pass `shifts`
     to pin x.  A tuple the span screen (cones._certain_misses) rules out
-    skips the LP.  Returns the mixed volume (multinomial divided out).
+    skips the LP; every other tuple's LP starts at the screen's point, and
+    one whose cones hold that point within the LP's tolerance needs no
+    pivot.  Returns the mixed volume (multinomial divided out).
     """
     d, degrees = check_bodies(polytopes, degrees)
     k = len(polytopes)
@@ -133,10 +142,13 @@ def schneider_mixed_volume(polytopes, degrees, rng=None, shifts=None) -> float:
     total = 0.0
     for tup in itertools.product(*[p.faces(n) for p, n in zip(polytopes, degrees)]):
         br = subspace_determinant([f.frame for f in tup])
-        if br <= _BRACKET_TOL or _certain_misses(tup, x[None])[0]:
+        if br <= _BRACKET_TOL:
+            continue
+        miss, z = _certain_misses(tup, x[None])
+        if miss[0]:
             continue
         shifted = [ShiftedCone(f.normal_cone, xi) for f, xi in zip(tup, x)]
-        if cones_intersect(shifted):
+        if cones_intersect(shifted, start=None if z is None else z[0]):
             total += br * math.prod(f.measure for f in tup)
     return total / multinomial(d, degrees)
 
@@ -180,7 +192,9 @@ def mixed_exterior_angle(faces, polytopes, degrees, rng=None,
     the selection rule); cross-checking them is the point of having two.
     The draws come in batches; the span screen (cones._certain_misses)
     drops certain misses with one linear solve per batch, and the LP of
-    cones_intersect decides every other draw.
+    cones_intersect decides every other draw, starting at the screen's
+    point: a draw whose cones hold it within the LP's tolerance is a hit
+    without a pivot.
     """
     d, degrees = check_bodies(polytopes, degrees)
     if samples is not None:
@@ -199,9 +213,12 @@ def mixed_exterior_angle(faces, polytopes, degrees, rng=None,
         for start in range(0, n_draws, _DRAW_BATCH):
             x = random_direction_tuples(
                 d, k, min(_DRAW_BATCH, n_draws - start), rng)
-            for xs in x[~_certain_misses(faces, x)]:
+            miss, z = _certain_misses(faces, x)
+            starts = itertools.repeat(None) if z is None else z[~miss]
+            for xs, zs in zip(x[~miss], starts):
                 hits += cones_intersect(
-                    [ShiftedCone(f.normal_cone, xi) for f, xi in zip(faces, xs)])
+                    [ShiftedCone(f.normal_cone, xi) for f, xi in zip(faces, xs)],
+                    start=zs)
         return from_indicator(hits, n_draws)
     if route != "cone-quadrature":
         raise InputError(f"unknown route {route!r}")

@@ -287,7 +287,7 @@ def test_screen_drops_only_misses():
         # long shifts widen the LP's tolerance, and so the screen's cut
         near = _near_boundary(faces, hit, miss)
         x = np.concatenate([x, near, 1e4 * near])
-        out = _certain_misses(faces, x)
+        out, _ = _certain_misses(faces, x)
         for xs, dropped in zip(x, out):
             if dropped:
                 assert not cones_intersect([ShiftedCone(f.normal_cone, xi)
@@ -312,6 +312,7 @@ def test_screen_passes_every_draw_below_the_floor():
         assert np.linalg.svd(m, compute_uv=False)[-1] < _SCREEN_FLOOR
         d = m.shape[0]
         x = random_direction_tuples(d, 2, 200, rng)
-        assert not _certain_misses(faces, x).any()
+        miss, start = _certain_misses(faces, x)
+        assert not miss.any() and start is None
         assert not all(cones_intersect([ShiftedCone(f.normal_cone, xi)
                                         for f, xi in zip(faces, xs)]) for xs in x)

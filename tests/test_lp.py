@@ -133,9 +133,12 @@ def _scalar_lp_feasible(A_ub=None, b_ub=None, A_eq=None, b_eq=None, tol=1e-9):
     return True, x
 
 
-def _assert_same(args, kwargs=None):
+def _assert_same(args, kwargs=None, start=None):
+    """lp_feasible from `start` (None: the plain call) against the cold
+    scalar simplex: same decision, same point."""
     kwargs = kwargs or {}
-    got, want = lp_feasible(*args, **kwargs), _scalar_lp_feasible(*args, **kwargs)
+    got = lp_feasible(*args, **kwargs, start=start)
+    want = _scalar_lp_feasible(*args, **kwargs)
     assert got[0] == want[0]
     if want[1] is None:
         assert got[1] is None
@@ -248,3 +251,54 @@ def test_keeps_the_known_false_infeasible_answer():
     assert _cone_has_ray(np.vstack([n1, -n2]), 1e-9)
     for pin in itertools.product(range(8), (1.0, -1.0)):
         assert not _assert_same(*_pinned_block(n1, n2, 4, pin))
+
+
+def test_start_within_scaled_tolerance_is_the_answer():
+    """tol * scale, not tol: the right-hand side sets scale = 1e3 here, so a
+    start 5e-7 past a row is inside the tolerance the simplex point meets."""
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    b = np.array([1e3, 1e3, 0.0])
+    for start in (np.array([1e3 + 5e-7, 0.0]), np.array([2.0, -2.0 - 5e-7]),
+                  np.array([3.0, 4.0])):
+        got = lp_feasible(a, b, start=start)
+        assert got[0] and got[1] is start
+    # an equality row within tolerance on either side
+    start = np.array([1.0, 2.0 + 4e-10])
+    got = lp_feasible(a, b, A_eq=[[0.0, 1.0]], b_eq=[2.0], start=start)
+    assert got[0] and got[1] is start
+    got = lp_feasible(a, b, A_eq=[[0.0, -1.0]], b_eq=[-2.0], start=start)
+    assert got[0] and got[1] is start
+
+
+def test_start_outside_tolerance_gives_the_cold_answer():
+    a = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+    b = np.array([1e3, 1e3, 0.0])
+    assert _assert_same((a, b), start=np.array([1e3 + 2e-6, 0.0]))
+    assert _assert_same((a, b), start=np.array([-1.0, -1.0]))
+    assert not _assert_same((a, -np.ones(3)), start=np.zeros(2))
+    # shifted-cone systems at starts a little off their own simplex point
+    rng = np.random.default_rng(43)
+    answers = []
+    for pair in _face_pairs(3, 40, rng):
+        x = random_direction_tuple(3, 2, rng) * rng.choice([1.0, 1e-3])
+        args = _stacked_system([ShiftedCone(f.normal_cone, xi)
+                                for f, xi in zip(pair, x)])
+        ok, point = _scalar_lp_feasible(*args)
+        start = (point if ok else np.zeros(3)) + rng.standard_normal(3)
+        assert np.max(args[0] @ start - args[1]) > 1e-6  # outside tolerance
+        answers.append(_assert_same(args, start=start))
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_start_missing_an_equality_row_falls_through():
+    """A start that meets every A_ub row but misses an equality row, on
+    either side, is not the answer."""
+    square = np.array(list(itertools.product([1.0, -1.0], repeat=2)))
+    args = (square, np.ones(4))
+    for eq, start in (([[1.0, 1.0]], np.array([0.0, 0.0])),
+                      ([[1.0, 1.0]], np.array([0.5, 0.5])),
+                      ([[-1.0, -1.0]], np.array([0.0, 0.0]))):
+        kwargs = {"A_eq": eq, "b_eq": [0.5 if eq[0][0] > 0 else -0.5]}
+        got = lp_feasible(*args, **kwargs, start=start)
+        assert got[1] is not start
+        assert _assert_same(args, kwargs, start)

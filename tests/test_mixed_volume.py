@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mixvol.mixed_volume
-from mixvol.cones import ShiftedCone, cones_intersect, random_admissible
+from mixvol.cones import (ShiftedCone, cones_intersect, random_admissible,
+                          random_direction_tuples)
 from mixvol.errors import DivergenceError, InputError
 from mixvol.exterior import subspace_determinant
 from mixvol.generators import cube, diamond, rotated_cube, segment, simplex
@@ -107,6 +108,16 @@ def test_oracle_matches_inclusion_exclusion_2d(seed):
     assert mixed == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
+def test_oracle_bodies_of_different_scale():
+    """Entries far below the largest grid volume keep their digits: the fit
+    runs on bodies divided by their sizes."""
+    table = oracle_mixed_volumes([cube(3).transform(1e3 * np.eye(3)),
+                                  diamond(3).transform(1e-3 * np.eye(3))])
+    for n, want in (((0, 3), 4.0 / 3.0 * 1e-9), ((1, 2), 0.002),
+                    ((2, 1), 2000.0), ((3, 0), 1e9)):
+        assert table.value(n) == pytest.approx(want, rel=1e-12)
+
+
 def test_oracle_scaling_multilinearity():
     K, L = cube(2), diamond(2)
     base = oracle_mixed_volumes([K, L]).value((1, 1))
@@ -149,7 +160,7 @@ def test_schneider_screen_keeps_selection_sums(monkeypatch):
                 want += br * math.prod(f.measure for f in tup)
         calls = []
         monkeypatch.setattr(mixvol.mixed_volume, "cones_intersect",
-                            lambda s: calls.append(s) or cones_intersect(s))
+                            lambda s, **kw: calls.append(s) or cones_intersect(s, **kw))
         got = schneider_mixed_volume(bodies, degrees, shifts=x)
         monkeypatch.undo()
         assert got == want / multinomial(bodies[0].dim, degrees)
@@ -181,9 +192,10 @@ def _beta_tuples():
 
 
 def test_admissible_mc_matches_per_draw_lp():
-    """Batched draws through the span screen give the per-draw loop's
-    estimate exactly and leave the generator where the loop leaves it,
-    since callers share one generator between routes."""
+    """Batched draws through the span screen, with the screen's point as the
+    LP start, give the estimate of the per-draw loop of cold LPs exactly and
+    leave the generator where the loop leaves it, since callers share one
+    generator between routes."""
     values = []
     for bodies, degrees, faces in _beta_tuples():
         batched, single = np.random.default_rng(5), np.random.default_rng(5)
@@ -193,6 +205,30 @@ def test_admissible_mc_matches_per_draw_lp():
         assert batched.bit_generator.state == single.bit_generator.state
         values.append(est.value)
     assert 0 < sum(v > 0 for v in values) < len(values)
+
+
+def test_admissible_mc_hits_need_no_pivot(monkeypatch):
+    """Each survivor of the screen is one lp_feasible call, and on this edge
+    against a facet every survivor is a hit at the screen's point, so none
+    of them reaches the simplex."""
+    import mixvol.cones
+    import mixvol.lp
+
+    Q, D = cube(3), diamond(3)
+    faces = (Q.faces(1)[0], D.faces(2)[0])
+    miss, _ = mixvol.cones._certain_misses(
+        faces, random_direction_tuples(3, 2, 200, np.random.default_rng(5)))
+    calls, pivoted = [], []
+    real_lp, real_phase1 = mixvol.lp.lp_feasible, mixvol.lp._phase1
+    monkeypatch.setattr(mixvol.cones, "lp_feasible",
+                        lambda *a, **kw: calls.append(1) or real_lp(*a, **kw))
+    monkeypatch.setattr(mixvol.lp, "_phase1",
+                        lambda *a: pivoted.append(1) or real_phase1(*a))
+    est = mixed_exterior_angle(faces, [Q, D], (1, 2), rng=5,
+                               route="admissible-mc", samples=200)
+    assert len(calls) == (~miss).sum() > 0
+    assert est.value == len(calls) / 200  # every survivor a hit
+    assert not pivoted
 
 
 def test_schneider_seed_reproducible():
