@@ -5,8 +5,11 @@ dimension <= 4, a few dozen vertices).  `sum_volume` over a grid of
 coefficient rows pays that once: the rows share one normal fan, so later
 rows only read off their vertices and facets.  Volumes come from facet
 recursion (a pyramid over each facet, down to polygons and segments) and
-never build the face lattice, which is made on first use by faces and
-normal cones and measures each face the same way in the face's own frame.
+never build the face lattice.  The lattice is graded on the first call to
+`faces`: vertex sets and dimensions only.  A face's frame, measure (by the
+same recursion, in the face's own frame) and normal cone are computed when
+first read, so a query on a fresh body pays for the faces it reads;
+`face_lattice()` computes them for every face and so warms the body.
 Lower-dimensional bodies (segments, points) are supported through
 `Polytope.hull(..., allow_degenerate=True)`; their faces include the
 relative-interior top face, whose normal cone picks up lineality.
@@ -74,15 +77,68 @@ class NormalCone:
         return (us @ self.ineq.T <= tol).all(axis=1)
 
 
-@dataclass(frozen=True, eq=False)
 class Face:
-    vertex_ids: tuple
-    dim: int
+    """A face F of a polytope.
+
+    `vertex_ids`, `dim`, `vertices` and `centroid` are set when the body
+    grades its lattice.  `frame` (the direction space of aff F), `measure`
+    (H^dim of F) and `normal_cone` are computed on first access from the
+    body's vertex and facet arrays, and kept.  Each is a pure function of
+    those arrays, so two threads that both compute one get the same value.
+    """
+
+    __slots__ = ("vertex_ids", "dim", "vertices", "centroid",
+                 "_body", "_frame", "_measure", "_cone")
+
+    def __init__(self, vertex_ids: tuple, dim: int, body: _BodyArrays):
+        self.vertex_ids = vertex_ids
+        self.dim = dim
+        self.vertices = body.vertices[list(vertex_ids)]
+        self.centroid = self.vertices.mean(axis=0)
+        self._body = body
+        self._frame = self._measure = self._cone = None
+
+    @property
+    def frame(self) -> Subspace:
+        if self._frame is None:
+            # the body's relative tolerance, as in hull: an absolute one reads
+            # rounding of far-translated vertices as an extra dimension
+            self._frame = Subspace(orthonormal_columns(
+                (self.vertices - self.centroid).T, tol=self._body.tol)) \
+                if len(self.vertex_ids) > 1 else Subspace.zero(self.vertices.shape[1])
+        return self._frame
+
+    @property
+    def measure(self) -> float:
+        if self._measure is None:
+            self._measure = _face_volume(
+                (self.vertices - self.centroid) @ self.frame.frame, self._body.tol)
+        return self._measure
+
+    @property
+    def normal_cone(self) -> NormalCone:
+        if self._cone is None:
+            b = self._body
+            ids = frozenset(self.vertex_ids)
+            fns = [n for n, fids in b.facets if ids <= fids]
+            fn_arr = np.array(fns) if fns else np.zeros((0, b.vertices.shape[1]))
+            self._cone = _build_cone(b.vertices, self.vertices, self.frame, fn_arr,
+                                     b.lineality)
+        return self._cone
+
+
+@dataclass(frozen=True, eq=False)
+class _BodyArrays:
+    """What a body's faces compute their geometry from: the vertices, the
+    facets as (unit normal, vertex id set), an orthonormal basis of
+    (lin aff P)^perp, which every normal cone contains, and the body's
+    tolerance.  The faces
+    hold this and not the body, so no reference cycle forms."""
+
     vertices: np.ndarray
-    frame: Subspace            # direction space of aff F
-    centroid: np.ndarray
-    measure: float             # H^dim of the face
-    normal_cone: NormalCone
+    facets: list
+    lineality: np.ndarray
+    tol: float
 
 
 def _build_cone(all_vertices: np.ndarray, face_vertices: np.ndarray,
@@ -161,7 +217,9 @@ def _candidate_facets(pts: np.ndarray, tol: float):
         diffs = pts[c[:, 1:]] - base[:, None, :]
         ns = _batched_normals(diffs)
         mag = np.linalg.norm(ns, axis=1)
-        ok = mag > 1e-12
+        # relative to the volume the differences could span at most, so that
+        # the cut does not grow with the body's size in the degree dd - 1
+        ok = mag > 1e-12 * np.prod(np.linalg.norm(diffs, axis=2), axis=1)
         if not ok.any():
             continue
         ns = ns[ok] / mag[ok, None]
@@ -306,7 +364,8 @@ class Polytope:
         self._origin = origin
         self._frame = frame               # (d, intrinsic_dim)
         self.facets = facets              # ambient-lifted (normal, offset, vertex ids)
-        self._lattice = None
+        self._faces = None                # _graded(): faces, geometry on first use
+        self._lattice = None              # face_lattice(): the same faces, all computed
         # volume() and _surface_measure, computed once: a body never changes
         self._volume = None
         self._surface = None
@@ -391,9 +450,16 @@ class Polytope:
 
     # -- face lattice
 
-    def _build_lattice(self):
-        d = self.dim
-        verts = self.vertices
+    def _graded(self) -> dict[int, list[Face]]:
+        """Faces by dimension, with their geometry not yet computed.
+
+        The vertex sets are the closure of the facets under intersection.
+        Each face's dimension is read off the lattice's grading: its
+        smallest proper superset among the faces covers it, so is one
+        dimension up, and the whole body has `intrinsic_dim`."""
+        if self._faces is not None:
+            return self._faces
+        d, n = self.dim, self.n_vertices
         facet_sets = [frozenset(ids) for _, _, ids in self.facets]
         all_sets = set(facet_sets)
         work = list(all_sets)
@@ -406,58 +472,53 @@ class Polytope:
                         all_sets.add(t)
                         new.append(t)
             work = new
-        for i in range(self.n_vertices):
-            s = frozenset([i])
-            if s not in all_sets:
-                # vertex of a body with no facets through it (e.g. a point body)
-                all_sets.add(s)
+        # vertices of a body with no facets through them (e.g. a point body)
+        all_sets.update(frozenset([i]) for i in range(n))
+        top = frozenset(range(n))
+        all_sets.discard(top)
         lin_basis = complete_basis(self._frame, d) \
             if self.intrinsic_dim < d else np.zeros((d, 0))
-        tol = self._tol()
+        body = _BodyArrays(self.vertices, [(f[0], s) for f, s in zip(self.facets, facet_sets)],
+                           lin_basis, self._tol())
 
-        def make_face(idset) -> Face:
-            ids = tuple(sorted(idset))
-            fav = verts[list(ids)]
-            centroid = fav.mean(axis=0)
-            # the body's relative tolerance, as in hull: an absolute one reads
-            # rounding of far-translated vertices as an extra dimension
-            frame = Subspace(orthonormal_columns((fav - centroid).T, tol=tol)) \
-                if len(ids) > 1 else Subspace.zero(d)
-            fdim = frame.dim
-            fns = [n for (n, off, fids) in self.facets if idset <= frozenset(fids)]
-            fn_arr = np.array(fns) if fns else np.zeros((0, d))
-            cone = _build_cone(verts, fav, frame, fn_arr, lin_basis)
-            measure = _face_volume((fav - centroid) @ frame.frame, tol)
-            return Face(ids, fdim, fav, frame, centroid, measure, cone)
-
-        faces = [make_face(s) for s in all_sets]
+        graded = [(top, self.intrinsic_dim)]  # by decreasing size
+        for s in sorted(all_sets, key=len, reverse=True):
+            graded.append((s, next(k for t, k in reversed(graded) if s < t) - 1))
+        # a lower-dimensional body keeps its top face: the relative interior
+        # is a proper piece of the normal bundle
+        if self.intrinsic_dim == d:
+            del graded[0]
         by_dim: dict[int, list[Face]] = {}
-        for f in faces:
-            if len(f.vertex_ids) == self.n_vertices:
-                continue  # only possible for degenerate bodies; re-added as top below
-            by_dim.setdefault(f.dim, []).append(f)
-        if self.intrinsic_dim < d:
-            # lower-dimensional body: the relative interior is a proper piece
-            # of the normal bundle, so the top face belongs to the lattice
-            top = make_face(frozenset(range(self.n_vertices)))
-            by_dim.setdefault(self.intrinsic_dim, []).append(top)
+        for s, k in graded:
+            by_dim.setdefault(k, []).append(Face(tuple(sorted(s)), k, body))
         for k in by_dim:
             by_dim[k].sort(key=lambda f: f.vertex_ids)
-
-        self._lattice = by_dim
+        self._faces = by_dim
+        return by_dim
 
     def face_lattice(self) -> dict[int, list[Face]]:
         """Faces by dimension.  Full-dimensional bodies: proper faces 0..d-1.
         Lower-dimensional bodies additionally expose the relative-interior
-        top face at its own dimension (its normal cone is nontrivial)."""
+        top face at its own dimension (its normal cone is nontrivial).
+
+        Unlike `faces`, this computes every face's frame, measure and normal
+        cone before it returns, so a body that has been through it is warm:
+        later queries on it pay for no face geometry."""
         if self._lattice is None:
-            self._build_lattice()
+            lattice = self._graded()
+            for faces in lattice.values():
+                for f in faces:
+                    _ = f.normal_cone, f.measure
+            self._lattice = lattice
         return self._lattice
 
     def faces(self, j: int) -> list[Face]:
+        """The j-faces, sorted by vertex ids.  A face's frame, measure and
+        normal cone are computed when first read, so a query on a fresh body
+        pays only for the faces it reads."""
         if j < 0:
             raise InputError("face dimension must be >= 0")
-        return self.face_lattice().get(j, [])
+        return self._graded().get(j, [])
 
     def _tol(self) -> float:
         return _TOL * max(1.0, float(np.max(np.abs(self.vertices))))

@@ -392,7 +392,7 @@ def test_lattice_report_matches_snapshot():
 def test_volume_does_not_build_the_lattice():
     p = Polytope.hull(rotated_cube(3, 2).vertices)
     assert p.volume() == pytest.approx(1.0)
-    assert p._lattice is None
+    assert p._faces is None and p._lattice is None
 
 
 def test_oracle_does_not_import_qhull():
@@ -417,3 +417,134 @@ def test_volume_and_surface_measure_are_computed_once():
     assert not u.flags.writeable and not w.flags.writeable
     assert w.sum() == pytest.approx(4.0 * math.sqrt(3.0), rel=1e-12)
     assert p.volume() == p._volume == pytest.approx(4.0 / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("d", (2, 3, 4))
+@pytest.mark.parametrize("exp", (-7, -6, -5, -3, 0, 3, 6))
+def test_scaled_cubes_keep_their_facets(d, exp):
+    # the candidate-normal cut is relative to the differences' lengths, so
+    # a tiny cube is not read as degenerate
+    s = 10.0 ** exp
+    p = Polytope.hull(cube(d).vertices * s)
+    assert len(p.facets) == 2 * d
+    assert p.volume() == pytest.approx(s ** d, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# faces graded eagerly, their geometry computed on first use
+
+
+def _lazy_corpus():
+    """Factories of fresh bodies, named for failure messages."""
+    out = {}
+    for d in (2, 3, 4):
+        for name, make in (("cube", cube), ("simplex", simplex), ("diamond", diamond)):
+            out[f"{name}{d}"] = lambda make=make, d=d: make(d)
+        for s in (2, 5):
+            out[f"rot{d}.{s}"] = lambda d=d, s=s: rotated_cube(d, s)
+    for d in (2, 3):
+        for seed in range(4):
+            out[f"cloud{d}.{seed}"] = lambda d=d, seed=seed: Polytope.hull(
+                np.random.default_rng(seed).standard_normal((6 + 3 * seed, d)))
+    for s in (1e-3, 1e3):
+        out[f"diamond3*{s:g}"] = lambda s=s: diamond(3).transform(s * np.eye(3))
+        out[f"rot3.7*{s:g}"] = lambda s=s: rotated_cube(3, 7).transform(s * np.eye(3))
+    out["far"] = lambda: rotated_cube(3, 5).translate((-1e6, 2e6, 1e6))
+    out["flat"] = lambda: Polytope.hull([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]],
+                                        allow_degenerate=True)
+    out["segment"] = lambda: segment(3, 1)
+    out["point"] = lambda: Polytope.hull([[0.5, -1.0, 2.0]], allow_degenerate=True)
+    return out
+
+
+LAZY_CORPUS = _lazy_corpus()
+
+
+def _same_array(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CORPUS))
+def test_lazy_faces_equal_the_lattice_bit_for_bit(name):
+    fresh, warm = LAZY_CORPUS[name](), LAZY_CORPUS[name]()
+    lattice = warm.face_lattice()
+    dims = [j for j in range(fresh.dim + 1) if fresh.faces(j)]
+    assert fresh._lattice is None
+    assert dims == sorted(lattice)
+    for j in dims:
+        assert len(fresh.faces(j)) == len(lattice[j])
+        # read the fields in another order than face_lattice() does
+        for f, g in zip(reversed(fresh.faces(j)), reversed(lattice[j])):
+            assert f.vertex_ids == g.vertex_ids
+            assert f.dim == g.dim == j == f.frame.dim
+            assert repr(f.measure) == repr(g.measure)
+            assert _same_array(f.vertices, g.vertices)
+            assert _same_array(f.centroid, g.centroid)
+            assert _same_array(f.frame.frame, g.frame.frame)
+            for field in ("ineq", "span", "generators"):
+                assert _same_array(getattr(f.normal_cone, field),
+                                   getattr(g.normal_cone, field)), field
+
+
+def test_one_normal_cone_builds_one_cone(monkeypatch):
+    import mixvol.polytope as polytope
+
+    calls = []
+    build = polytope._build_cone
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(polytope, "_build_cone", counting)
+    p = cube(3)
+    edge = p.faces(1)[3]
+    cone = edge.normal_cone
+    assert edge.normal_cone is cone and p.faces(1)[3] is edge
+    assert len(calls) == 1
+    # warming the body builds the other 25 and keeps this one
+    assert p.face_lattice()[1][3].normal_cone is cone
+    assert len(calls) == 26
+
+
+def test_concurrent_first_reads_agree():
+    # more threads than cores, switching often, all reading the same fresh
+    # faces: whichever thread's value is kept, every read equals the lattice
+    from concurrent.futures import ThreadPoolExecutor
+
+    want = rotated_cube(3, 3).face_lattice()
+    fresh = rotated_cube(3, 3)
+    faces = [f for j in (0, 1, 2) for f in fresh.faces(j)]
+
+    def read(shift):
+        order = faces[shift:] + faces[:shift]
+        return [(f.dim, f.vertex_ids, f.normal_cone.ineq.tobytes(),
+                 f.frame.frame.tobytes(), repr(f.measure)) for f in order]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            got = [fut.result(timeout=120) for fut in
+                   [pool.submit(read, 4 * i) for i in range(6)]]
+    finally:
+        sys.setswitchinterval(old)
+    ref = {(g.dim, g.vertex_ids): (g.normal_cone.ineq.tobytes(), g.frame.frame.tobytes(),
+                                   repr(g.measure)) for j in (0, 1, 2) for g in want[j]}
+    for rows in got:
+        assert len(rows) == 26
+        for dim, ids, *fields in rows:
+            assert tuple(fields) == ref[(dim, ids)]
+
+
+def test_threads_on_fresh_bodies_match_one_thread():
+    # worker threads may compute one face's geometry twice; both get the
+    # same value, so the estimates stay bit-identical
+    from mixvol.flag_calculus import flag_mixed_volume
+    from mixvol.mixed_volume import angle_mixed_volume
+
+    for route in (angle_mixed_volume, flag_mixed_volume):
+        got = [route([rotated_cube(3, 3), diamond(3)], [1, 2], rng=4,
+                     samples=600, threads=t) for t in (1, 2)]
+        assert got[0].value == got[1].value
+        assert got[0].std_error == got[1].std_error

@@ -642,7 +642,7 @@ def test_exact_j0_builds_no_hull_or_lattice(monkeypatch):
         table = decompose_homogeneous(list(bodies), 0, rng=3, samples=10)
         assert est.std_error == 0.0 and table.route == "exact-decomposition"
         assert table.total().value == est.value
-        assert all(p._lattice is None for p in bodies)
+        assert all(p._faces is None and p._lattice is None for p in bodies)
 
 
 _GENS3 = (cube(3), simplex(3), diamond(3))
