@@ -15,6 +15,13 @@ Lower-dimensional bodies (segments, points) are supported through
 relative-interior top face, whose normal cone picks up lineality.
 `hull_from_points` keeps the strict contract and raises on degenerate input.
 
+A similarity x -> a x + t (a^T a = s^2 I) maps a hull to a hull, so
+`transform` by such a matrix, `negate` and `translate` carry the body's
+vertices, facet normals and affine frame over instead of hulling again;
+other matrices hull the mapped vertices.  Every tolerance is relative to
+the largest coordinate of the points (1 for a point at the origin), so a
+tiny body keeps its dimension.
+
 All derived data is deterministic: vertices are sorted lexicographically,
 facets by (normal, offset), faces by (dim, vertex ids).
 """
@@ -352,6 +359,30 @@ def _surface_measure(p: Polytope):
     return out
 
 
+def _scale(x: np.ndarray) -> float:
+    """max |x|, the size every tolerance of a point set is relative to; 1 for
+    an all-zero set (a point at the origin)."""
+    m = float(np.max(np.abs(x)))
+    return m if m > 0.0 else 1.0
+
+
+def _sorted_body(verts, facets, idim, origin, frame, name) -> Polytope:
+    """A Polytope in canonical order from vertices and facets given as
+    (ambient unit normal, vertex ids): vertices lex-sorted, each facet's ids
+    remapped and sorted, its offset read off its first vertex, facets sorted
+    by (normal, offset)."""
+    order = np.lexsort(verts.T[::-1])
+    inv = np.empty(len(order), dtype=int)
+    inv[order] = np.arange(len(order))
+    verts = verts[order]
+    out = []
+    for n, ids in facets:
+        ids = tuple(sorted(int(inv[i]) for i in ids))
+        out.append((n, float(np.dot(n, verts[ids[0]])), ids))
+    out.sort(key=lambda f: (tuple(np.round(f[0], 12)), round(f[1], 12)))
+    return Polytope(verts, out, idim, origin, frame, name)
+
+
 # ---------------------------------------------------------------------------
 # the polytope type
 
@@ -378,11 +409,10 @@ class Polytope:
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise InputError("expected a nonempty (m x d) array of points")
         d = pts.shape[1]
-        scale = max(1.0, float(np.max(np.abs(pts))))
-        tol = _TOL * scale
+        tol = _TOL * _scale(pts)
         pts = _dedupe_points(pts, tol)
         origin = pts.mean(axis=0)
-        frame = orthonormal_columns((pts - origin).T, tol=1e-9 * scale)
+        frame = orthonormal_columns((pts - origin).T, tol=tol)
         idim = frame.shape[1]
         if idim < d and not allow_degenerate:
             raise DegenerateInputError(
@@ -394,19 +424,19 @@ class Polytope:
             return Polytope(verts, [], 0, verts[0], frame, name)
         local = (pts - origin) @ frame
         verts_local, facets_local = _hull_core(local, tol)
-        verts = verts_local @ frame.T + origin
-        order = np.lexsort(verts.T[::-1])
-        inv = np.empty(len(order), dtype=int)
-        inv[order] = np.arange(len(order))
-        verts = verts[order]
-        facets = []
-        for n, off, ids in facets_local:
-            n_amb = frame @ n
-            ids_amb = tuple(sorted(int(inv[i]) for i in ids))
-            off_amb = float(np.dot(n_amb, verts[ids_amb[0]]))
-            facets.append((n_amb, off_amb, ids_amb))
-        facets.sort(key=lambda f: (tuple(np.round(f[0], 12)), round(f[1], 12)))
-        return Polytope(verts, facets, idim, origin, frame, name)
+        return _sorted_body(verts_local @ frame.T + origin,
+                            [(frame @ n, ids) for n, _, ids in facets_local],
+                            idim, origin, frame, name)
+
+    def _moved(self, a: np.ndarray, s: float, t: np.ndarray, name) -> "Polytope":
+        """The image under x -> a x + t, for a similarity a (a^T a = s^2 I,
+        s > 0), read off this body's hull: a similarity maps vertices to
+        vertices, facets to facets and normals n to a n / s (Schneider,
+        Convex Bodies, sect. 1.7), so nothing is hulled again."""
+        return _sorted_body(self.vertices @ a.T + t,
+                            [(a @ n / s, ids) for n, _, ids in self.facets],
+                            self.intrinsic_dim, self._origin @ a.T + t,
+                            a @ self._frame / s, name)
 
     # -- basic queries
 
@@ -438,15 +468,26 @@ class Polytope:
         return A, b
 
     def translate(self, t) -> "Polytope":
-        return Polytope.hull(self.vertices + np.asarray(t, dtype=float),
-                             name=self.name, allow_degenerate=True)
+        """The body moved by t; its hull is carried over, not recomputed."""
+        return self._moved(np.eye(self.dim), 1.0, np.asarray(t, dtype=float), self.name)
 
     def transform(self, matrix) -> "Polytope":
-        return Polytope.hull(self.vertices @ np.asarray(matrix, dtype=float).T,
-                             name=self.name, allow_degenerate=True)
+        """The image under x -> matrix x.  A similarity (matrix^T matrix =
+        s^2 I, s > 0) carries this body's hull over; any other matrix
+        (shear, anisotropic scaling, singular, another shape) hulls the
+        mapped vertices."""
+        a = np.asarray(matrix, dtype=float)
+        d = self.dim
+        if a.shape == (d, d):
+            g = a.T @ a
+            s2 = float(np.trace(g)) / d
+            if s2 > 0 and np.max(np.abs(g - s2 * np.eye(d))) <= 1e-12 * s2:
+                return self._moved(a, math.sqrt(s2), np.zeros(d), self.name)
+        return Polytope.hull(self.vertices @ a.T, name=self.name, allow_degenerate=True)
 
     def negate(self) -> "Polytope":
-        return Polytope.hull(-self.vertices, name=f"-{self.name}", allow_degenerate=True)
+        """-P, carried over from this body's hull."""
+        return self._moved(-np.eye(self.dim), 1.0, np.zeros(self.dim), f"-{self.name}")
 
     # -- face lattice
 
@@ -521,7 +562,7 @@ class Polytope:
         return self._graded().get(j, [])
 
     def _tol(self) -> float:
-        return _TOL * max(1.0, float(np.max(np.abs(self.vertices))))
+        return _TOL * _scale(self.vertices)
 
     def volume(self) -> float:
         """H^d measure by facet recursion, without the face lattice; 0 for
@@ -598,7 +639,7 @@ def _sum_points(coeffs, polys) -> np.ndarray:
         if t == 0.0:
             continue
         pts = (pts[:, None, :] + t * p.vertices[None, :, :]).reshape(-1, d)
-        pts = _dedupe_points(pts, _TOL * max(1.0, float(np.max(np.abs(pts)))))
+        pts = _dedupe_points(pts, _TOL * _scale(pts))
     return pts
 
 
@@ -622,7 +663,8 @@ def sum_volume(coeffs, polys):
     for row in np.atleast_2d(rows):
         pts = _sum_points(row, polys)
         centred = pts - pts.mean(axis=0)
-        if np.linalg.matrix_rank(centred, tol=1e-9) < d:
+        tol = _TOL * _scale(pts)
+        if np.linalg.matrix_rank(centred, tol=tol) < d:
             out.append(0.0)
             continue
         if pts.shape[0] > 150:
@@ -630,7 +672,6 @@ def sum_volume(coeffs, polys):
 
             out.append(float(ConvexHull(pts).volume))
             continue
-        tol = _TOL * max(1.0, float(np.max(np.abs(pts))))
         key = tuple(np.sign(row))
         if key in fans:
             n = fans[key]

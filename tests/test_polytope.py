@@ -420,14 +420,17 @@ def test_volume_and_surface_measure_are_computed_once():
 
 
 @pytest.mark.parametrize("d", (2, 3, 4))
-@pytest.mark.parametrize("exp", (-7, -6, -5, -3, 0, 3, 6))
+@pytest.mark.parametrize("exp", (-12, -9, -7, -6, -5, -3, 0, 3, 6))
 def test_scaled_cubes_keep_their_facets(d, exp):
-    # the candidate-normal cut is relative to the differences' lengths, so
-    # a tiny cube is not read as degenerate
+    # the candidate-normal cut is relative to the differences' lengths, and
+    # every tolerance to max |x| with no floor at 1, so a tiny cube is not
+    # read as degenerate; the carried-over hull agrees
     s = 10.0 ** exp
     p = Polytope.hull(cube(d).vertices * s)
     assert len(p.facets) == 2 * d
     assert p.volume() == pytest.approx(s ** d, rel=1e-14)
+    assert sum_volume([2.0], [p]) == pytest.approx((2.0 * s) ** d, rel=1e-14)
+    _assert_same_body(cube(d).transform(s * np.eye(d)), p)
 
 
 # ---------------------------------------------------------------------------
@@ -548,3 +551,143 @@ def test_threads_on_fresh_bodies_match_one_thread():
                      samples=600, threads=t) for t in (1, 2)]
         assert got[0].value == got[1].value
         assert got[0].std_error == got[1].std_error
+
+    # bodies carried over from the shared unit cube in several threads at
+    # once are the bodies one thread builds, and give the same estimates
+    from concurrent.futures import ThreadPoolExecutor
+
+    def build(seed):
+        q = rotated_cube(3, seed)
+        est = angle_mixed_volume([q, diamond(3)], [1, 2], rng=4, samples=300)
+        return q.vertices.tobytes(), [f[2] for f in q.facets], est.value, est.std_error
+
+    import mixvol.generators
+
+    seeds = [3, 5, 3, 5, 7, 3]
+    mixvol.generators._unit.cache_clear()  # the threads race to hull the cube
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = [fut.result(timeout=120) for fut in
+                   [pool.submit(build, s) for s in seeds]]
+    finally:
+        sys.setswitchinterval(old)
+    assert got == [build(s) for s in seeds]
+
+
+# ---------------------------------------------------------------------------
+# similarities carry the hull over; generator bodies are hulled once
+
+
+def _similarities(name, p, rng):
+    """(a, t) pairs: a rotation, a reflection, -I, c Q for c in 1e-3, 1,
+    1e3, and rotations with translations of 1, 1e3 and 1e6 times the body's
+    size.  The seeded clouds and the 4-D bodies move at most 1e3 times their
+    size: at 1e6 the hull's tolerance, relative to max |x|, merges the
+    clouds' nearly coplanar facets and gives 4-D bodies spurious ones, so
+    the hull of the moved points is no reference there."""
+    d = p.dim
+    refl = random_rotation(d, rng)
+    refl[:, 0] *= -1.0
+    out = [(random_rotation(d, rng), 0.0), (refl, 0.0), (-np.eye(d), 0.0)]
+    out += [(c * random_rotation(d, rng), 0.0) for c in (1e-3, 1.0, 1e3)]
+    size = float(np.max(np.linalg.norm(p.vertices - p.vertices.mean(axis=0), axis=1))) or 1.0
+    far = (1.0, 1e3) if d == 4 or name.startswith("cloud") else (1.0, 1e3, 1e6)
+    for k in far:
+        u = rng.standard_normal(d)
+        out.append((random_rotation(d, rng), k * size * u / np.linalg.norm(u)))
+    return out
+
+
+def _assert_same_body(got, want, cond=1.0):
+    """got equals want: the same dimension, facets in the same order with the
+    same normals and offsets, the same faces and volume.  Values agree to
+    1e-12 relative to the coordinates: a hull of points at distance m from a
+    body of size L has its normals to about eps m / L, and cond = m / L.
+
+    Vertex ids agree where the hull's numbering is defined.  The hull sorts
+    its vertices lexicographically after a round trip through the body's
+    frame, so vertices whose coordinates tie (a cube's) are ordered by that
+    round-off; there the ids are compared through the matching of the
+    vertices by position."""
+    n = want.n_vertices
+    assert got.intrinsic_dim == want.intrinsic_dim and got.n_vertices == n
+    m = float(np.max(np.abs(want.vertices)))
+    dist = np.max(np.abs(got.vertices[:, None] - want.vertices[None]), axis=2)
+    ids = np.argmin(dist, axis=0)  # want's vertex i is got's vertex ids[i]
+    assert sorted(ids) == list(range(n))
+    assert dist[ids, np.arange(n)].max() <= 1e-12 * m
+    gaps = np.diff(np.sort(want.vertices, axis=0), axis=0)
+    if n == 1 or gaps.min() > 1e-9 * m:  # no ties: the same numbering
+        assert list(ids) == list(range(n))
+
+    def moved(vertex_ids):
+        return tuple(sorted(int(ids[i]) for i in vertex_ids))
+
+    assert [f[2] for f in got.facets] == [moved(f[2]) for f in want.facets]
+    for (u, off, _), (u2, off2, _) in zip(got.facets, want.facets):
+        np.testing.assert_allclose(u, u2, rtol=0, atol=1e-12 * cond)
+        assert off == pytest.approx(off2, rel=0, abs=1e-12 * m * cond)
+    for j in range(want.dim + 1):
+        assert sorted(f.vertex_ids for f in got.faces(j)) == \
+            sorted(moved(f.vertex_ids) for f in want.faces(j))
+    assert got.volume() == pytest.approx(want.volume(), rel=1e-12 * cond)
+    if want.dim <= 3:  # exact; in d = 4 a Monte Carlo sum over cone frames
+        assert got.intrinsic_volume(1) == pytest.approx(want.intrinsic_volume(1),
+                                                        rel=1e-12 * cond)
+
+
+@pytest.mark.parametrize("name", sorted(LAZY_CORPUS))
+def test_similarities_match_the_hull_of_the_moved_points(name):
+    p = LAZY_CORPUS[name]()
+    for a, t in _similarities(name, p, np.random.default_rng(11)):
+        want = Polytope.hull(p.vertices @ a.T + t, allow_degenerate=True)
+        v = want.vertices
+        size = float(np.max(np.linalg.norm(v - v.mean(axis=0), axis=1)))
+        cond = max(1.0, float(np.max(np.abs(v))) / size) if size else 1.0
+        _assert_same_body(p.transform(a).translate(t), want, cond)
+
+
+def test_only_non_similarities_rehull(monkeypatch):
+    import mixvol.polytope as polytope
+
+    calls = []
+    real = polytope._hull_core
+
+    def counting(pts, tol):
+        calls.append(len(pts))
+        return real(pts, tol)
+
+    p = cube(3)
+    monkeypatch.setattr(polytope, "_hull_core", counting)
+    turn = random_rotation(3, np.random.default_rng(2))
+    for a in (turn, -turn, 1e3 * turn, 1e-3 * np.eye(3)):
+        p.transform(a)
+    p.negate()
+    p.translate([1e6, -2.0, 3.0])
+    rotated_cube(3, 4)
+    assert calls == []
+    shear, stretch = np.eye(3), np.diag([1.0, 2.0, 3.0])
+    shear[0, 1] = 0.5
+    for a in (shear, stretch):
+        assert p.transform(a).intrinsic_dim == 3
+    flat = p.transform(np.diag([1.0, 1.0, 0.0]))
+    assert len(calls) == 3
+    assert flat.intrinsic_dim == 2 and flat.n_vertices == 4
+
+
+def test_generator_bodies_share_one_hull():
+    a, b = cube(3), cube(3)
+    assert a is not b and a.facets is not b.facets
+    assert a.vertices is b.vertices
+    a.face_lattice()
+    assert b._faces is None and b._lattice is None
+    assert cube(3, name="box").name == "box" and cube(3).name == "cube3"
+    assert rotated_cube(3, 4, name="turned").name == "turned"
+    for body in (cube(3), simplex(2), diamond(4)):
+        with pytest.raises(ValueError):
+            body.vertices[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            body.facets[0][0][0] = 5.0
+    assert cube(3).vertices[0, 0] == b.vertices[0, 0]

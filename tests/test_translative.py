@@ -512,7 +512,8 @@ def test_scaled_bodies_match_rehulled(d, j):
     # scaled bodies are prod_i lambda_i^{r_i} times those of the bodies
     bodies = [cube(d), rotated_cube(d, 5)]
     lams = (1.5, 2.0)
-    rehulled = [p.transform(lam * np.eye(d)) for p, lam in zip(bodies, lams)]
+    # hulled from the scaled vertices: transform would carry the hull over
+    rehulled = [Polytope.hull(p.vertices * lam) for p, lam in zip(bodies, lams)]
     scaled = _entries(rehulled, j)
     for r, v in _entries(bodies, j).items():
         assert scaled[r] == pytest.approx(lams[0] ** r[0] * lams[1] ** r[1] * v,
