@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .util import as_rng, complete_basis, gram_det, orthonormal_columns
+from .util import complete_basis, gram_det, orthonormal_columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,58 +199,6 @@ def graded_scalar_product(U: Subspace, A: Subspace, ell: int, host: Subspace | N
     for I in graded_index_sets(D, j, ell):
         total += multivector_product(basis[:, list(I)], a) ** 2
     return total
-
-
-def diag_projection_norm(points) -> float:
-    """Norm of the projection of (x_1,...,x_k) onto the complement of the
-    diagonal subspace {(x,...,x)} of R^{kd}.
-
-    Computed two ways - explicit projection and the pairwise-difference
-    identity ||x|L^perp||^2 = (1/k) sum_{i<j} ||x_i - x_j||^2 - which must
-    agree to 1e-12 relative; the assert guards the chart conventions used by
-    the kernel quadratures.
-    """
-    x = np.asarray(points, dtype=float)
-    if x.ndim != 2:
-        raise InputError("expected a (k x d) array of points")
-    k = x.shape[0]
-    mean = x.mean(axis=0)
-    explicit = math.sqrt(float(((x - mean) ** 2).sum()))
-    acc = 0.0
-    for i in range(k):
-        for jj in range(i + 1, k):
-            acc += float(((x[i] - x[jj]) ** 2).sum())
-    pairwise = math.sqrt(acc / k)
-    scale = max(1.0, explicit)
-    if abs(explicit - pairwise) > 1e-12 * scale:
-        raise AssertionError(
-            f"projection identity violated: {explicit} vs {pairwise}"
-        )
-    return explicit
-
-
-def uniform_subspace(u, m: int, rng) -> Subspace:
-    """Uniform (Haar) m-dimensional subspace of u^perp."""
-    uv = _vec(u)
-    d = uv.shape[0]
-    if not (0 <= m <= d - 1):
-        raise InputError(f"m={m} out of range for ambient {d}")
-    host = Subspace.from_spanning(uv.reshape(-1, 1)).complement()
-    return uniform_subspace_in(host, m, rng)
-
-
-def uniform_subspace_in(host: Subspace, m: int, rng) -> Subspace:
-    """Uniform m-dimensional subspace of the given host space."""
-    if not (0 <= m <= host.dim):
-        raise InputError(f"m={m} out of range for host dim {host.dim}")
-    if m == 0:
-        return Subspace.zero(host.ambient_dim)
-    g = as_rng(rng).standard_normal((host.dim, m))
-    cols = orthonormal_columns(host.frame @ g)
-    while cols.shape[1] < m:  # pragma: no cover - measure-zero resample
-        g = as_rng(rng).standard_normal((host.dim, m))
-        cols = orthonormal_columns(host.frame @ g)
-    return Subspace(cols)
 
 
 def tangent_subspace(u, face_frame) -> Subspace:

@@ -13,10 +13,13 @@ Two kernel families over t in S^{k-1}_+ (all t_i >= 0):
     set to 0 for linearly dependent u_i; the epsilon variant multiplies by
     1{dist(0, conv{u_1..u_k}) >= eps}.
 
-Quadrature: adaptive panel-doubled Gauss-Legendre for k=2, tensor product
-on the (theta, phi) chart for k=3, Monte Carlo for k >= 4.  Integrands are
-functions of the Gram matrix of the u_i only, so batched evaluation over
-many direction tuples shares the quadrature grids.
+Evaluation: every k=2 kernel is one exact reduction in c = u_1.u_2
+(_two_ray_integral: elementary for exponents 2 and 3, which covers d <= 3,
+and a fixed Gauss-Legendre rule on a trigonometric polynomial above); the
+k=3 G kernel in R^3 is a solid angle over |det U|; other k=3 kernels use a
+tensor product on the (theta, phi) chart, and k >= 4 Monte Carlo.  Those
+integrands are functions of the Gram matrix of the u_i only, so batched
+evaluation over many direction tuples shares the quadrature grids.
 
 Near-coincident inputs below the 1e-9 spread floor raise DivergenceError
 rather than returning a huge float; the epsilon cutoffs never diverge.
@@ -31,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, InputError
-from .estimates import MCEstimate, from_samples
+from .estimates import from_samples
 from .util import as_rng, check_degrees, omega
 
 _SPREAD_FLOOR = 1e-9
@@ -134,10 +137,6 @@ def hull_distance_batch(us: np.ndarray) -> np.ndarray:
     return best
 
 
-def hull_distance(us) -> float:
-    return float(hull_distance_batch(np.asarray(us, dtype=float)[None])[0])
-
-
 # ---------------------------------------------------------------------------
 # quadrature engine
 
@@ -161,12 +160,6 @@ def _panel_grid(a: float, b: float, panels: int, order: int = 16):
     return x, w
 
 
-def _arc_grid(panels: int, order: int = 16):
-    """Chart of S^1_+ : t = (cos th, sin th), th in [0, pi/2]."""
-    th, w = _panel_grid(0.0, math.pi / 2.0, panels, order)
-    return np.stack([np.cos(th), np.sin(th)], axis=1), w
-
-
 def _octant_grid(panels: int, order: int = 16):
     """Tensor chart of S^2_+ : t = (sin phi cos th, sin phi sin th, cos phi)."""
     th, wth = _panel_grid(0.0, math.pi / 2.0, panels, order)
@@ -180,27 +173,23 @@ def _octant_grid(panels: int, order: int = 16):
     return t, w
 
 
-# k: (chart of S^{k-1}_+, panels of the first pass)
-_CHARTS = {2: (_arc_grid, 4), 3: (_octant_grid, 2)}
-
-
-def _refine_rows(frows, count: int, k: int, rtol: float, max_level: int):
-    """Panel-doubling quadrature over S^{k-1}_+ (k = 2, 3) for `count`
-    integrands sharing a grid.
+def _refine_rows(frows, count: int, rtol: float, max_level: int):
+    """Panel-doubling quadrature over S^2_+ for `count` integrands sharing
+    a grid.
 
     frows(idx, t) returns integrand values (len(idx), len(t)) at chart
     nodes t.  Returns (values, error estimates); rows that never meet rtol
     keep their last refinement delta as the error.
     """
-    chart, panels = _CHARTS[k]
+    panels = 2
     vals = np.zeros(count)
     errs = np.zeros(count)
     idx = np.arange(count)
-    t, w = chart(panels)
+    t, w = _octant_grid(panels)
     cur = frows(idx, t) @ w
     for _ in range(max_level):
         panels *= 2
-        t, w = chart(panels)
+        t, w = _octant_grid(panels)
         new = frows(idx, t) @ w
         delta = np.abs(new - cur)
         done = delta <= rtol * np.maximum(np.abs(new), 1e-12)
@@ -213,28 +202,44 @@ def _refine_rows(frows, count: int, k: int, rtol: float, max_level: int):
     return vals, errs
 
 
-def sphere_plus_integrate(f, k: int, rtol: float = 1e-10,
-                          budget: int = 10 ** 6, rng=None) -> MCEstimate:
-    """Integrate f over S^{k-1}_+ against H^{k-1}.
+def _two_ray_integral(b: int, p: int, lo: np.ndarray,
+                      hi: np.ndarray) -> np.ndarray:
+    """I(c) = int_0^inf t^b (t^2 - 2 c t + 1)^(-p/2) dt, 0 <= b <= p - 2,
+    for c in [-1, 1), given as 1-D arrays lo = 1 - c and hi = 1 + c so
+    that neither pole loses digits.
 
-    k=2: adaptive Gauss-Legendre in the angle; k=3: tensor quadrature on the
-    octant chart; k>=4: Monte Carlo (uniform via folded Gaussians).  The
-    std_error field carries the quadrature refinement delta for k<=3, so a
-    nonzero value doubles as the non-convergence flag.
+    With s = sqrt(lo hi), t - c = s cot(psi) turns it into
+        s^(1-p) int_0^L sin^b(L - psi) sin^(p-2-b)(psi) d psi,
+    L = atan2(s, -c), where sin(L - psi) = c sin psi + s cos psi.  The
+    integrand is a non-negative trigonometric polynomial of degree p - 2 on
+    an interval of length at most pi, which max(24, 2p) Gauss-Legendre
+    nodes integrate to round-off.  The whole c -> 1 blow-up sits in
+    s^(1-p); at s = 0 (c = -1) the value is the limit
+    b! (p-2-b)! / (p-1)!.  Elementary cases: L / s for p = 2 and 1 / lo
+    for p = 3.
     """
-    if k < 2:
-        raise InputError("need k >= 2")
-    if k in _CHARTS:
-        rtol, levels = (rtol, 14) if k == 2 else (max(rtol, 1e-10), 6)
-        vals, errs = _refine_rows(
-            lambda idx, t: np.asarray(f(t), dtype=float)[None, :], 1, k,
-            rtol, levels)
-        return MCEstimate(float(vals[0]), float(errs[0]), 0)
-    rng = as_rng(rng)
-    t = np.abs(rng.standard_normal((budget, k)))
-    t /= np.linalg.norm(t, axis=1, keepdims=True)
-    area = omega(k) / 2.0 ** k
-    return from_samples(np.asarray(f(t), dtype=float)).scaled(area)
+    if p == 3:
+        return 1.0 / lo
+    s = np.sqrt(lo * hi)
+    ell = np.arctan2(s, 0.5 * (lo - hi))
+    if p == 2:
+        body = ell
+    else:
+        x, w = _gl(max(24, 2 * p))
+        half = 0.5 * ell[:, None]
+        body = half[:, 0] * ((np.sin(half * (1.0 - x)) ** b
+                              * np.sin(half * (1.0 + x)) ** (p - 2 - b)) @ w)
+    limit = math.factorial(b) * math.factorial(p - 2 - b) / math.factorial(p - 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(s > 0.0, body / s ** (p - 1), limit)
+
+
+def solid_angle(det, c12, c23, c13):
+    """Solid angle of the cone on unit vectors u_1, u_2, u_3 from
+    det = |det U| and the pairwise cosines, 2 atan2(det, 1 + c12 + c23 +
+    c13) (Van Oosterom and Strackee, IEEE Trans. Biomed. Eng. 30, 1983);
+    broadcasts."""
+    return 2.0 * np.arctan2(det, 1.0 + c12 + c23 + c13)
 
 
 # ---------------------------------------------------------------------------
@@ -246,26 +251,44 @@ def _f_prefactor(spec: KernelSpec) -> float:
     return k ** ((k - 2) * d / 2.0) / omega((k - 1) * d)
 
 
-def _grams(us: np.ndarray) -> np.ndarray:
-    return us @ us.transpose(0, 2, 1)
-
-
-def _core_batch(spec: KernelSpec, grams: np.ndarray, kind: str,
+def _core_batch(spec: KernelSpec, us: np.ndarray, kind: str,
                 rng=None) -> np.ndarray:
-    """Quadrature of the t-integral for each Gram matrix.
+    """The t-integral for each direction tuple (rows of unit vectors).
 
     kind "F": base(t) = k - t'Gt, exponent (k-1)d/2, powers d-1-n_i.
     kind "G": base(t) = t'Gt, exponent (d-j)/2, powers d-1-r_i.
+
+    k = 2: t = (cos th, sin th) and tan th = x give
+    int_0^inf x^(d-1-deg_2) (x^2 -+ 2 c x + 1)^(-exponent) dx with
+    c = u_1.u_2 (minus for F, plus for G): _two_ray_integral at +-c.
+    The reduction takes |u_i| = 1, which kernel_values checks to 1e-9.
+    k = 3 in R^3 for G (r = (2, 2, 2), j = 0): |det U| times the integral
+    of |U t|^-3 over S^2_+ is the solid angle of the cone on the u_i.
+    Other k = 3 kernels use the octant tensor quadrature, k >= 4 Monte
+    Carlo.
     """
     k, d = spec.k, spec.d
-    exps = np.array([d - 1 - x for x in spec.degrees], dtype=float)
     if kind == "F":
         power = (k - 1) * d / 2.0
         pref = _f_prefactor(spec)
     else:
         power = (d - spec.j) / 2.0
         pref = 1.0 / omega(d - spec.j)
+    if k == 2:
+        # 1 -+ u_1.u_2 = |u_1 -+ u_2|^2 / 2, exact where the dot product
+        # has lost its digits
+        gaps = 0.5 * np.stack([np.sum((us[:, 0] - us[:, 1]) ** 2, axis=1),
+                               np.sum((us[:, 0] + us[:, 1]) ** 2, axis=1)])
+        lo, hi = gaps if kind == "F" else gaps[::-1]
+        return pref * _two_ray_integral(d - 1 - spec.degrees[1],
+                                        round(2.0 * power), lo, hi)
+    grams = us @ us.transpose(0, 2, 1)
     n = grams.shape[0]
+    exps = np.array([d - 1 - x for x in spec.degrees], dtype=float)
+    if k == 3 and kind == "G" and d == 3:
+        det = np.abs(np.linalg.det(us))
+        return pref * solid_angle(det, grams[:, 0, 1], grams[:, 1, 2],
+                                  grams[:, 0, 2]) / det
 
     def integrand(idx, t):
         quad = np.einsum("bij,mi,mj->bm", grams[idx], t, t)
@@ -274,13 +297,12 @@ def _core_batch(spec: KernelSpec, grams: np.ndarray, kind: str,
         tp = np.prod(t[None, :, :] ** exps[None, None, :], axis=2)
         return tp * base ** (-power)
 
-    if k in _CHARTS:
-        chunk, rtol, levels = (8192, 1e-8, 12) if k == 2 else (512, 1e-6, 5)
+    if k == 3:
         out = np.empty(n)
-        for s in range(0, n, chunk):
-            m = min(n, s + chunk) - s
+        for s in range(0, n, 512):
+            m = min(n, s + 512) - s
             out[s:s + m], _ = _refine_rows(
-                lambda idx, t, _s=s: integrand(idx + _s, t), m, k, rtol, levels)
+                lambda idx, t, _s=s: integrand(idx + _s, t), m, 1e-6, 5)
         return pref * out
     rng = as_rng(rng)
     budget = 200000
@@ -330,7 +352,7 @@ def kernel_values(spec: KernelSpec, us: np.ndarray, rng=None) -> np.ndarray:
                     "F diverges: direction tuple within 1e-9 of the diagonal")
             live = ~zero
         if np.any(live):
-            out[live] = _core_batch(spec, _grams(us[live]), "F", rng=rng)
+            out[live] = _core_batch(spec, us[live], "F", rng=rng)
         return out
     dep = _dependent_mask(us)
     dist = hull_distance_batch(us)
@@ -343,46 +365,8 @@ def kernel_values(spec: KernelSpec, us: np.ndarray, rng=None) -> np.ndarray:
                 "G diverges: 0 within 1e-9 of the direction hull")
         live = ~dep
     if np.any(live):
-        out[live] = _core_batch(spec, _grams(us[live]), "G", rng=rng)
+        out[live] = _core_batch(spec, us[live], "G", rng=rng)
     return out
-
-
-# ---------------------------------------------------------------------------
-# scalar entry points
-
-
-def _one(spec: KernelSpec, us) -> np.ndarray:
-    us = np.asarray(us, dtype=float)
-    if us.shape != (spec.k, spec.d):
-        raise InputError(f"expected {spec.k} direction vectors in R^{spec.d}")
-    return us[None]
-
-
-def eval_F(spec: KernelSpec, us, rng=None) -> float:
-    """F at one direction tuple; 0 when all u_i coincide; raises
-    DivergenceError within the spread floor (use eval_F_eps for a total
-    function)."""
-    if spec.mode != "n":
-        raise InputError("eval_F needs a mode n spec")
-    base = KernelSpec(spec.d, spec.degrees, "n", 0.0)
-    return float(kernel_values(base, _one(spec, us), rng=rng)[0])
-
-
-def eval_F_eps(spec: KernelSpec, us, rng=None) -> float:
-    """Cutoff kernel F^(eps) = F * 1{||u|L^perp|| >= eps}; finite everywhere."""
-    if spec.mode != "n":
-        raise InputError("eval_F_eps needs a mode n spec")
-    if spec.epsilon <= 0:
-        raise InputError("eval_F_eps needs epsilon > 0")
-    return float(kernel_values(spec, _one(spec, us), rng=rng)[0])
-
-
-def eval_G(spec: KernelSpec, us, rng=None) -> float:
-    """G at one direction tuple; 0 for linearly dependent directions."""
-    if spec.mode != "r":
-        raise InputError("eval_G needs a mode r spec")
-    base = KernelSpec(spec.d, spec.degrees, "r", 0.0)
-    return float(kernel_values(base, _one(spec, us), rng=rng)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .cones import _arc_interval, _finite_cone_combos, _ray_points
 from .errors import DivergenceError, EstimationError, InputError
 from .estimates import MCEstimate
 from .exterior import subspace_determinant
-from .kernels import _SPREAD_FLOOR, KernelSpec, kernel_values
+from .kernels import _SPREAD_FLOOR, KernelSpec, kernel_values, solid_angle
 from .mixed_volume import oracle_mixed_volumes
 from .polytope import Polytope, _surface_measure
 from .util import as_integer, as_rng, check_bodies, check_count, omega
@@ -219,14 +219,13 @@ def _facet_pair_term(K: Polytope, L: Polytope) -> float:
 def _facet_triple_term(K: Polytope, L: Polytope, M: Polytope) -> float:
     """V_(2,2,2)(K, L, M) in R^3: sum over facet triples of |det| times the
     facet areas times the normalised solid angle of the cone the three
-    normals span, 2 atan2(|det|, 1 + u.v + v.w + u.w) / (4 pi) (Van
-    Oosterom and Strackee, IEEE Trans. Biomed. Eng. 30, 1983), with
-    det = det(u, v, w) the bracket of the three normal lines."""
+    normals span (kernels.solid_angle over 4 pi), with det = det(u, v, w)
+    the bracket of the three normal lines."""
     (u, a), (v, b), (w, c) = map(_surface_measure, (K, L, M))
     det = np.abs(np.cross(u[:, None], v[None]) @ w.T)
-    cos = 1.0 + (u @ v.T)[:, :, None] + (v @ w.T)[None] + (u @ w.T)[:, None]
-    return float(np.einsum("i,j,l,ijl->", a, b, c, det * np.arctan2(det, cos))) \
-        / (2.0 * math.pi)
+    cone = solid_angle(det, (u @ v.T)[:, :, None], (v @ w.T)[None],
+                       (u @ w.T)[:, None])
+    return float(np.einsum("i,j,l,ijl->", a, b, c, det * cone)) / (4.0 * math.pi)
 
 
 def _intrinsic_volume(p: Polytope, j: int) -> float:

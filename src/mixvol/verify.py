@@ -398,7 +398,7 @@ def _prop_invariance(rng, cases) -> tuple[bool, str]:
         rot = kernel_values(spec, us @ rho.T, rng=rng)
         perm_spec = KernelSpec(d, degrees[::-1], mode, 0.05)
         perm = kernel_values(perm_spec, us[:, ::-1], rng=rng)
-        # the t-quadrature refines to relative 1e-8; compare a bit above that
+        # the two-ray kernels are exact to round-off, well inside 1e-6
         scale = np.maximum(1.0, np.abs(base))
         worst = max(worst, float(np.max(np.abs(rot - base) / scale)),
                     float(np.max(np.abs(perm - base) / scale)))

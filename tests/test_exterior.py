@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mixvol.exterior import (Subspace, diag_projection_norm,
-                             graded_index_sets, graded_scalar_product,
-                             subspace_determinant, tangent_subspace,
-                             uniform_subspace, uniform_subspace_in,
-                             wedge_norm_sq)
+from mixvol.exterior import (Subspace, graded_index_sets,
+                             graded_scalar_product, subspace_determinant,
+                             tangent_subspace, wedge_norm_sq)
+from mixvol.flag_calculus import _batched_uniform_in
+from mixvol.kernels import perp_spread
 from mixvol.util import orthonormal_columns
 
 
@@ -94,18 +94,15 @@ def test_diag_projection_norm_identity(rng):
     vs = rng.standard_normal((3, 4))
     mean = vs.mean(axis=0)
     want = math.sqrt(np.sum(vs * vs) - 3 * np.dot(mean, mean))
-    assert diag_projection_norm(vs) == pytest.approx(want, abs=1e-12)
+    assert perp_spread(vs) == pytest.approx(want, abs=1e-12)
 
 
 def test_uniform_subspace_mean_cosine(rng):
     # E <U, A>^2 = 1 / binom(m, j) for independent Haar pairs
     m, j, n = 4, 2, 4000
     a = Subspace(np.eye(m)[:, :j])
-    vals = np.empty(n)
-    for i in range(n):
-        u = uniform_subspace_in(Subspace(np.eye(m)), j, rng)
-        d = np.linalg.det(u.frame.T @ a.frame)
-        vals[i] = d * d
+    us = _batched_uniform_in(np.broadcast_to(np.eye(m), (n, m, m)), j, rng)
+    vals = np.linalg.det(np.swapaxes(us, 1, 2) @ a.frame) ** 2
     want = 1.0 / math.comb(m, j)
     se = vals.std(ddof=1) / math.sqrt(n)
     assert abs(vals.mean() - want) <= 4.0 * se
@@ -114,9 +111,10 @@ def test_uniform_subspace_mean_cosine(rng):
 def test_uniform_subspace_lives_in_normal_complement(rng):
     u = rng.standard_normal(3)
     u /= np.linalg.norm(u)
-    v = uniform_subspace(u, 2, rng)
-    np.testing.assert_allclose(v.frame.T @ u, 0.0, atol=1e-10)
-    np.testing.assert_allclose(v.frame.T @ v.frame, np.eye(2), atol=1e-10)
+    host = Subspace.from_spanning(u).complement().frame
+    v = _batched_uniform_in(host[None], 2, rng)[0]
+    np.testing.assert_allclose(v.T @ u, 0.0, atol=1e-10)
+    np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-10)
 
 
 def test_tangent_subspace_orthogonal_to_normal_and_face(rng):

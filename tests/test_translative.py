@@ -657,22 +657,22 @@ _GENS3 = (cube(3), simplex(3), diamond(3))
     pytest.param((cube(2), diamond(2)), id="cube2-diamond2"),
     pytest.param(_GENS3, id="k3"),
     pytest.param((simplex(3), rotated_cube(3, 5), diamond(3)), id="k3-rotated"),
+    # orders that expose a three-ray kernel depending on body order
+    pytest.param((cube(3), simplex(3), rotated_cube(3, 7)), id="k3-R7"),
+    pytest.param((diamond(3), simplex(3), rotated_cube(3, 5)), id="k3-R5"),
 ])
 def test_entries_match_curvature(bodies):
     # every entry with all r_i in 1..d-1 is also a curvature-route value,
     # from the normal-bundle kernel instead of face-tuple angles; cube and
     # simplex have antiparallel facets, where u_F.u_G = -1 + ulp.  For
-    # three rays the curvature route integrates its kernel by quadrature
-    # to rtol 1e-6 (kernels._core_batch), so it bounds V_(2,2,2) only that
-    # closely
+    # three rays both routes take the solid angle of the normals' cone
     d = bodies[0].dim
-    rel = 1e-12 if len(bodies) == 2 else 1e-6
     seen = 0
     for j in range(d):
         for r, v in _entries(list(bodies), j).items():
             if all(1 <= ri <= d - 1 for ri in r):
                 want = curvature_mixed_functional(list(bodies), r)
-                assert v == pytest.approx(want, rel=rel), (j, r)
+                assert v == pytest.approx(want, rel=1e-12), (j, r)
                 seen += 1
     assert seen == {2: 1, 3: 1 if len(bodies) == 3 else 3}[d]
 
