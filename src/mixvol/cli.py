@@ -10,6 +10,7 @@ suite, 2 input error, 3 divergence, 4 estimation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -253,6 +254,7 @@ def _add_body_flags(sub):
     sub.add_argument("--dim", type=int, help="ambient dimension for --gen")
 
 
+@functools.cache  # parsing leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="mixvol",
                                 description="mixed volumes and translative "

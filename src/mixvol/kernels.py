@@ -76,17 +76,16 @@ class KernelSpec:
 
 def perp_spread(vs) -> float:
     """||v | L^perp|| for a block vector v = (v_1..v_k), L the diagonal."""
-    v = np.asarray(vs, dtype=float)
-    mean = v.mean(axis=0)
-    s2 = float(np.sum(v * v) - v.shape[0] * np.dot(mean, mean))
-    return math.sqrt(max(s2, 0.0))
+    return float(perp_spread_batch(np.asarray(vs, dtype=float)[None])[0])
 
 
 def perp_spread_batch(vs: np.ndarray) -> np.ndarray:
+    """perp_spread of each row of vs (N, k, d), as (sum_i |v_i - mean|^2)^(1/2)
+    from the centred vectors: sum_i |v_i|^2 - k |mean|^2 cancels to 0 for
+    directions within 1e-8 of each other."""
     v = np.asarray(vs, dtype=float)
-    mean = v.mean(axis=1, keepdims=True)
-    s2 = np.sum(v * v, axis=(1, 2)) - v.shape[1] * np.sum(mean[:, 0] ** 2, axis=1)
-    return np.sqrt(np.maximum(s2, 0.0))
+    w = v - v.mean(axis=1, keepdims=True)
+    return np.sqrt(np.sum(w * w, axis=(1, 2)))
 
 
 def in_star_region(t) -> bool:

@@ -87,14 +87,16 @@ def oracle_mixed_volumes(polytopes) -> MixedVolumeTable:
     vol equals sum over |alpha| = d of binom(d; alpha) V(K[alpha]) t^alpha.
     The volume is evaluated on the grid {1..d+1}^k / (d+1) by one
     `sum_volume` call: every grid point is positive, and F(sum t_i K_i, u) =
-    sum t_i F(K_i, u) (Schneider, Convex Bodies, sect. 1.7), so one hull's
-    normal fan serves the whole grid.  Each body enters divided by its size
-    s_i (largest vertex distance from the vertex mean), so bodies of very
-    different scale do not lose their small entries against the largest
-    grid volume; coefficients are scaled back by prod s_i^alpha_i.  The
-    Vandermonde system is solved by least squares and the multinomial
-    weights are then stripped so entries are mixed volumes.  Max relative
-    fit residual and the grid condition number are reported in `meta`.
+    sum t_i F(K_i, u) (Schneider, Convex Bodies, sect. 1.7), so every grid
+    point has the first point's vertices and facets: one hull, and one
+    batched facet recursion over the whole grid.  Each body enters divided
+    by its size s_i (largest vertex distance from the vertex mean), so
+    bodies of very different scale do not lose their small entries against
+    the largest grid volume; coefficients are scaled back by
+    prod s_i^alpha_i.  The Vandermonde system is solved by least squares
+    and the multinomial weights are then stripped so entries are mixed
+    volumes.  Max relative fit residual and the grid condition number are
+    reported in `meta`.
     """
     d, _ = check_bodies(polytopes)
     k = len(polytopes)

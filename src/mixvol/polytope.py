@@ -2,14 +2,18 @@
 
 Construction is brute force over vertex subsets (desk scale: ambient
 dimension <= 4, a few dozen vertices).  `sum_volume` over a grid of
-coefficient rows pays that once: the rows share one normal fan, so later
-rows only read off their vertices and facets.  Volumes come from facet
-recursion (a pyramid over each facet, down to polygons and segments) and
-never build the face lattice.  The lattice is graded on the first call to
-`faces`: vertex sets and dimensions only.  A face's frame, measure (by the
-same recursion, in the face's own frame) and normal cone are computed when
-first read, so a query on a fresh body pays for the faces it reads;
-`face_lattice()` computes them for every face and so warms the body.
+coefficient rows pays that once per sign pattern: the rows of a pattern
+share one normal fan, so they share the first row's vertex choices and
+facets, and one batched pass measures them all.  Volumes come from facet
+recursion (a pyramid over each facet, down to polygons and segments) over
+a leading row axis: a face's structure (its hull, a polygon's vertex cycle)
+is taken from the first row and the arithmetic runs over every row; a
+single body is one row.  Volumes never build the face lattice.  The
+lattice is graded on the first call to `faces`: vertex sets and
+dimensions only.  A face's frame, measure (by the same recursion, in the
+face's own frame) and normal cone are computed when first read, so a
+query on a fresh body pays for the faces it reads; `face_lattice()`
+computes them for every face and so warms the body.
 Lower-dimensional bodies (segments, points) are supported through
 `Polytope.hull(..., allow_degenerate=True)`; their faces include the
 relative-interior top face, whose normal cone picks up lineality.
@@ -118,8 +122,8 @@ class Face:
     @property
     def measure(self) -> float:
         if self._measure is None:
-            self._measure = _face_volume(
-                (self.vertices - self.centroid) @ self.frame.frame, self._body.tol)
+            local = (self.vertices - self.centroid) @ self.frame.frame
+            self._measure = float(_face_volume(local[None], self._body.tol)[0])
         return self._measure
 
     @property
@@ -170,12 +174,13 @@ def _build_cone(all_vertices: np.ndarray, face_vertices: np.ndarray,
 # brute-force hull in full-dimensional coordinates
 
 
-def _dedupe_points(pts: np.ndarray, tol: float) -> np.ndarray:
-    """Lex-sorted points without near-duplicates: a point is dropped when it
-    lies within tol of a point kept before it (first-come greedy).  Points
-    with no neighbour within tol are always kept, so after one pairwise
-    distance pass the greedy loop runs over the others only."""
-    pts = pts[np.lexsort(pts.T[::-1])]
+def _dedupe_order(pts: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of the lex-sorted points without near-duplicates: a point is
+    dropped when it lies within tol of a point kept before it (first-come
+    greedy).  Points with no neighbour within tol are always kept, so after
+    one pairwise distance pass the greedy loop runs over the others only."""
+    order = np.lexsort(pts.T[::-1])
+    pts = pts[order]
     m = pts.shape[0]
     close = np.zeros((m, m), dtype=bool)
     rows = max(1, 2 ** 20 // max(m * pts.shape[1], 1))  # bounds the (rows, m, d) block
@@ -185,7 +190,11 @@ def _dedupe_points(pts: np.ndarray, tol: float) -> np.ndarray:
     keep = np.ones(m, dtype=bool)
     for i in np.flatnonzero(close.any(axis=1)):
         keep[i] = not keep[close[i]].any()
-    return pts[keep]
+    return order[keep]
+
+
+def _dedupe_points(pts: np.ndarray, tol: float) -> np.ndarray:
+    return pts[_dedupe_order(pts, tol)]
 
 
 def _batched_normals(diffs: np.ndarray) -> np.ndarray:
@@ -257,8 +266,9 @@ def _dedupe_planes(normals: np.ndarray, offsets: np.ndarray, tol: float):
 def _hull_core(pts: np.ndarray, tol: float):
     """Facets and extreme points of a full-dimensional point set.
 
-    Returns (vertices, facet list) with facet = (unit normal, offset,
-    vertex index tuple) referring to the returned vertex order.
+    Returns (vertex indices into pts, lex-sorted by position; facet list)
+    with facet = (unit normal, offset, vertex index tuple) referring to the
+    returned vertex order.
     """
     dd = pts.shape[1]
     normals, offsets = _dedupe_planes(*_candidate_facets(pts, tol), tol)
@@ -274,60 +284,65 @@ def _hull_core(pts: np.ndarray, tol: float):
         off2 = float(np.dot(n2, c))
         if (pts @ n2 - off2).max() <= 5 * tol:
             normals[j], offsets[j] = n2, off2
-    return _facets_on(pts, *_dedupe_planes(normals, offsets, tol), tol)
-
-
-def _facets_on(pts: np.ndarray, normals: np.ndarray, offsets: np.ndarray, tol: float):
-    """(vertices, facet list) of a point set from its facet planes, as
-    _hull_core returns them."""
-    dd = pts.shape[1]
+    normals, offsets = _dedupe_planes(normals, offsets, tol)
     # a point is a vertex when the normals of the planes through it span R^dd
     active = np.abs(pts @ normals.T - offsets) <= 5 * tol  # (M, F)
     sv = np.linalg.svd(active[:, :, None] * normals, compute_uv=False)
-    is_vertex = (sv > 1e-8).sum(axis=1) == dd
-    verts = pts[is_vertex]
-    if verts.shape[0] < dd + 1:
+    idx = np.flatnonzero((sv > 1e-8).sum(axis=1) == dd)
+    if idx.size < dd + 1:
         raise DegenerateInputError("extreme point set is not full-dimensional")
-    order = np.lexsort(verts.T[::-1])
-    verts = verts[order]
-
-    on = np.abs(verts @ normals.T - offsets) <= 5 * tol
+    idx = idx[np.lexsort(pts[idx].T[::-1])]
     facets = []
-    for n, off, col in zip(normals, offsets, on.T):
+    for n, off, col in zip(normals, offsets, active[idx].T):
         ids = tuple(int(i) for i in np.flatnonzero(col))
         if len(ids) >= dd:
             facets.append((n, float(off), ids))
     facets.sort(key=lambda f: (tuple(np.round(f[0], 12)), round(f[1], 12)))
-    return verts, facets
+    return idx, facets
 
 
-def _face_volume(pts: np.ndarray, tol: float) -> float:
-    """H^d measure of a face given by its vertices in local coordinates
-    spanning R^d: a point has measure 1, a segment max - min, a polygon the
-    shoelace formula after an angular sort, higher faces their pyramids."""
-    d = pts.shape[1]
+def _face_volume(pts: np.ndarray, tol: float) -> np.ndarray:
+    """H^d measure of a face in each row of pts (rows, m, d), its vertices in
+    local coordinates spanning R^d: a point has measure 1, a segment
+    max - min, a polygon the shoelace formula, higher faces their pyramids.
+    The rows are one face at several positions of one combinatorial type,
+    so the polygon's vertex cycle (an angular sort) and a higher face's hull
+    are taken from the first row and serve every row."""
+    d = pts.shape[2]
     if d < 2:
-        return float(np.ptp(pts)) if d else 1.0
+        return np.ptp(pts[:, :, 0], axis=1) if d else np.ones(pts.shape[0])
     if d == 2:
-        w = pts - pts.mean(axis=0)
-        x, y = w[np.argsort(np.arctan2(w[:, 1], w[:, 0]))].T
-        return 0.5 * abs(float(x @ np.roll(y, -1) - y @ np.roll(x, -1)))
-    return _pyramid_volume(*_hull_core(pts, tol), tol)
+        w = pts - pts.mean(axis=1, keepdims=True)
+        cyc = np.argsort(np.arctan2(w[0, :, 1], w[0, :, 0]))
+        a, b = w[:, cyc], w[:, np.concatenate([cyc[1:], cyc[:1]])]
+        return 0.5 * np.abs(np.vecdot(a[:, :, 0], b[:, :, 1])
+                            - np.vecdot(a[:, :, 1], b[:, :, 0]))
+    idx, facets = _hull_core(pts[0], tol)
+    return _pyramid_volume(pts[:, idx], facets, tol)
 
 
-def _pyramid_volume(verts: np.ndarray, facets, tol: float) -> float:
-    """V(P) = (1/d) sum_F (h(P, u_F) - <u_F, c>) V_{d-1}(F), c the vertex
-    centroid (Schneider, Convex Bodies, ch. 5).  A facet is measured after
+def _facet_areas(verts: np.ndarray, facets, normals: np.ndarray, tol: float) -> np.ndarray:
+    """(rows, F) (d-1)-volumes of the facets (unit normals (F, d), vertex
+    ids) in each row of verts (rows, m, d).  A facet is measured after
     dropping the largest coordinate k of its normal, which scales its
     (d-1)-volume by |u_k|."""
-    d = verts.shape[1]
-    c = verts.mean(axis=0)
-    total = 0.0
-    for n, off, ids in facets:
-        k = int(np.argmax(np.abs(n)))
-        fv = np.delete(verts[list(ids)], k, axis=1)
-        total += (off - float(n @ c)) * _face_volume(fv, tol) / abs(n[k])
-    return total / d
+    d = verts.shape[2]
+    keep = [[i for i in range(d) if i != k] for k in range(d)]
+    out = np.empty((verts.shape[0], len(facets)))
+    for j, ((_, _, ids), k) in enumerate(zip(facets, np.argmax(np.abs(normals), axis=1))):
+        out[:, j] = _face_volume(verts[:, list(ids)].take(keep[k], axis=2), tol)
+    return out / np.abs(normals).max(axis=1)
+
+
+def _pyramid_volume(verts: np.ndarray, facets, tol: float) -> np.ndarray:
+    """V(P) = (1/d) sum_F (h(P, u_F) - <u_F, c>) V_{d-1}(F) for each row of
+    verts (rows, m, d), c the vertex centroid and h read at the facet's
+    first vertex (Schneider, Convex Bodies, ch. 5).  Every row has the
+    facets' vertex ids and normals."""
+    normals = np.array([n for n, _, _ in facets])
+    h = np.vecdot(verts[:, [ids[0] for _, _, ids in facets]], normals) \
+        - np.vecdot(verts.mean(axis=1, keepdims=True), normals)
+    return np.sum(h * _facet_areas(verts, facets, normals, tol), axis=1) / verts.shape[2]
 
 
 def _surface_measure(p: Polytope):
@@ -341,15 +356,11 @@ def _surface_measure(p: Polytope):
         return p._surface
     d, tol = p.dim, p._tol()
     if p.intrinsic_dim == d:
-        areas = []
-        for n, _, ids in p.facets:
-            k = int(np.argmax(np.abs(n)))
-            areas.append(_face_volume(np.delete(p.vertices[list(ids)], k, axis=1), tol)
-                         / abs(n[k]))
-        out = np.array([n for n, _, _ in p.facets]), np.array(areas)
+        normals = np.array([n for n, _, _ in p.facets])
+        out = normals, _facet_areas(p.vertices[None], p.facets, normals, tol)[0]
     elif p.intrinsic_dim == d - 1:
         n = complete_basis(p._frame, d)[:, 0]
-        area = _face_volume((p.vertices - p._origin) @ p._frame, tol)
+        area = _face_volume(((p.vertices - p._origin) @ p._frame)[None], tol)[0]
         out = np.array([n, -n]), np.array([area, area])
     else:
         out = np.zeros((0, d)), np.zeros(0)
@@ -423,8 +434,8 @@ class Polytope:
             verts = pts[:1]
             return Polytope(verts, [], 0, verts[0], frame, name)
         local = (pts - origin) @ frame
-        verts_local, facets_local = _hull_core(local, tol)
-        return _sorted_body(verts_local @ frame.T + origin,
+        idx, facets_local = _hull_core(local, tol)
+        return _sorted_body(local[idx] @ frame.T + origin,
                             [(frame @ n, ids) for n, _, ids in facets_local],
                             idim, origin, frame, name)
 
@@ -568,7 +579,8 @@ class Polytope:
         """H^d measure by facet recursion, without the face lattice; 0 for
         lower-dimensional bodies."""
         if self._volume is None:
-            self._volume = _pyramid_volume(self.vertices, self.facets, self._tol()) \
+            self._volume = float(_pyramid_volume(self.vertices[None], self.facets,
+                                                 self._tol())[0]) \
                 if self.is_full_dimensional() else 0.0
         return self._volume
 
@@ -628,19 +640,27 @@ def scaled_sum(coeffs, polys, name=None) -> Polytope:
         raise InputError("scaled_sum needs nonnegative coefficients")
     if any(p.dim != polys[0].dim for p in polys):
         raise InputError("dimension mismatch in scaled sum")
-    return Polytope.hull(_sum_points(coeffs, polys), name=name, allow_degenerate=True)
+    return Polytope.hull(_sum_points(coeffs, [p.vertices for p in polys])[0],
+                         name=name, allow_degenerate=True)
 
 
-def _sum_points(coeffs, polys) -> np.ndarray:
-    """Deduplicated sums sum_i t_i v_i over vertex choices, t_i = 0 skipped."""
-    d = polys[0].dim
-    pts = np.zeros((1, d))
-    for t, p in zip(coeffs, polys):
+def _sum_points(coeffs, vertex_sets):
+    """Deduplicated sums sum_i t_i v_i over vertex choices, t_i = 0 skipped,
+    as (points (M, d), choices (M, k')): row j of choices holds the index
+    of the vertex that point j takes from each of the k' bodies with
+    t_i != 0."""
+    d = vertex_sets[0].shape[1]
+    pts, choice = np.zeros((1, d)), np.zeros((1, 0), dtype=int)
+    for t, v in zip(coeffs, vertex_sets):
         if t == 0.0:
             continue
-        pts = (pts[:, None, :] + t * p.vertices[None, :, :]).reshape(-1, d)
-        pts = _dedupe_points(pts, _TOL * _scale(pts))
-    return pts
+        n = len(v)
+        pts = (pts[:, None, :] + t * v[None, :, :]).reshape(-1, d)
+        choice = np.column_stack([np.repeat(choice, n, axis=0),
+                                  np.tile(np.arange(n), len(choice))])
+        keep = _dedupe_order(pts, _TOL * _scale(pts))
+        pts, choice = pts[keep], choice[keep]
+    return pts, choice
 
 
 def sum_volume(coeffs, polys):
@@ -648,39 +668,45 @@ def sum_volume(coeffs, polys):
     array of coefficient rows gives an array with one volume per row.
 
     F(sum t_i K_i, u) = sum t_i F(K_i, u) for t_i > 0 (Schneider, Convex
-    Bodies, sect. 1.7), so the sum's facet normals depend on the signs of the
-    t_i, not on their sizes.  Rows are grouped by sign pattern: the first row
-    of a group runs the native hull, and every later row takes its vertices
-    and facets from those normals at its own support values.  Either way the
-    volume comes by facet recursion, without a Polytope or its face lattice.
-    A row with more than 150 candidate points goes through Qhull, which only
-    has to produce the volume.
+    Bodies, sect. 1.7), so the sum's combinatorial type depends on the signs
+    of the t_i, not on their sizes.  Rows are grouped by sign pattern, and
+    each group is hulled once, on its first row, whose sum points carry the
+    vertex they take from each body.  Every row of the group has the
+    vertices sum_i t_i v_i at the hull's vertex choices and the hull's
+    facets, so one batched facet recursion measures the whole group,
+    without a Polytope or its face lattice.  A group whose first row has
+    more than 150 candidate points goes through Qhull, row by row.
     """
     rows = np.asarray(coeffs, dtype=float)
+    grid = np.atleast_2d(rows)
     d = polys[0].dim
-    fans = {}  # sign pattern -> facet normals of its first native hull
-    out = []
-    for row in np.atleast_2d(rows):
-        pts = _sum_points(row, polys)
-        centred = pts - pts.mean(axis=0)
+    # the volume is translation invariant: sum the bodies about their vertex
+    # means, so that a far-translated body is not rounded at its offset
+    bodies = [p.vertices - p.vertices.mean(axis=0) for p in polys]
+    groups = {}  # sign pattern -> its row indices
+    for r, row in enumerate(grid):
+        groups.setdefault(tuple(np.sign(row)), []).append(r)
+    out = np.zeros(len(grid))
+    for key, sel in groups.items():
+        t = grid[sel]
+        pts, choice = _sum_points(t[0], bodies)
         tol = _TOL * _scale(pts)
+        centred = pts - pts.mean(axis=0)
         if np.linalg.matrix_rank(centred, tol=tol) < d:
-            out.append(0.0)
-            continue
+            continue  # every row of the group is flat
+        # each row's points at the first row's vertex choices, summed in the
+        # order _sum_points sums them
+        x = sum(t[:, i, None, None] * bodies[i][choice[:, j]]
+                for j, i in enumerate(np.flatnonzero(key)))
         if pts.shape[0] > 150:
             from scipy.spatial import ConvexHull  # plumbing fallback for big sums
 
-            out.append(float(ConvexHull(pts).volume))
+            out[sel] = [ConvexHull(p).volume for p in x]
             continue
-        key = tuple(np.sign(row))
-        if key in fans:
-            n = fans[key]
-            verts, facets = _facets_on(centred, n, (centred @ n.T).max(axis=0), tol)
-        else:
-            verts, facets = _hull_core(centred, tol)
-            fans[key] = np.array([f[0] for f in facets])
-        out.append(float(_pyramid_volume(verts, facets, tol)))
-    return out[0] if rows.ndim == 1 else np.array(out)
+        idx, facets = _hull_core(centred, tol)
+        verts = x[:, idx]
+        out[sel] = _pyramid_volume(verts - verts.mean(axis=1, keepdims=True), facets, tol)
+    return float(out[0]) if rows.ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------

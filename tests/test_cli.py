@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import pytest
 
@@ -82,6 +83,22 @@ def test_epsilon_method_needs_eps(capsys):
 def test_missing_subcommand_is_input_error(capsys):
     assert cli.main([]) == 2
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call(capsys):
+    # the parser is built once per process; a parse error still exits 2 with
+    # its usage message after a good call, and --threads keeps its default
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (["verify", "--suite", "nope"], ["kernel-eval", "--mode", "n",
+                                                  "--degrees", "1,1", "--dirs", "1,0;0,1"],
+                 ["mixed-volume", "--method", "nope"]):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == (0 if argv[0] == "kernel-eval" else 2)
+        assert ("invalid choice" in err) == (code == 2)
+    args = cli.build_parser().parse_args(["verify"])
+    assert args.threads == (os.cpu_count() or 1) and args.suite == "quick"
+    assert cli.build_parser().parse_args(["--threads", "3", "verify"]).threads == 3
+    assert cli.build_parser().parse_args(["verify"]).threads == (os.cpu_count() or 1)
 
 
 def test_body_files(capsys, tmp_path):

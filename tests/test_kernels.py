@@ -213,6 +213,23 @@ def test_spread_lower_bounds(seed):
         assert spread >= 1.0 / (2.0 * k) - 1e-12
 
 
+@pytest.mark.parametrize("theta", [1e-10, 1e-9, 1e-8, 1e-7, 1e-6])
+def test_perp_spread_near_the_diagonal(theta):
+    # u_2 at angle theta from u_1: the spread is |u_1 - u_2| / sqrt 2 =
+    # theta / sqrt 2 to O(theta^3), with no cancellation toward 0
+    us = np.array([[1.0, 0.0, 0.0], [math.cos(theta), math.sin(theta), 0.0]])
+    want = math.sqrt(2.0) * math.sin(theta / 2.0)
+    assert perp_spread(us) == pytest.approx(want, rel=1e-12)
+    assert perp_spread(us) == pytest.approx(theta / math.sqrt(2.0), rel=1e-12)
+    assert perp_spread_batch(us[None])[0] == perp_spread(us)
+    if theta >= 1e-8:  # above the 1e-9 floor: a finite value, not a raise
+        got = kernel_values(KernelSpec(3, (1, 2), "n"), us[None])[0]
+        assert np.isfinite(got) and got > 0.0
+    else:
+        with pytest.raises(DivergenceError):
+            kernel_values(KernelSpec(3, (1, 2), "n"), us[None])
+
+
 def test_perp_spread_batch_matches_scalar(rng):
     us = rng.standard_normal((50, 3, 2))
     batch = perp_spread_batch(us)

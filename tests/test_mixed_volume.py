@@ -89,6 +89,27 @@ def test_oracle_grid_shares_one_hull(bodies, monkeypatch):
     assert got.meta.keys() == {"residual", "cond"}
 
 
+def test_4d_oracle_hulls_each_facet_once(monkeypatch):
+    # the 25-row grid shares the first row's hull, and each of its 3-D
+    # facets is hulled once on the first row for all rows: 1 + F hulls,
+    # where measuring row by row took 1 + 25 F
+    import mixvol.polytope
+
+    real, hulls = mixvol.polytope._hull_core, []
+
+    def counting(pts, tol):
+        hulls.append(real(pts, tol))
+        return hulls[-1]
+
+    bodies = [simplex(4), diamond(4)]
+    monkeypatch.setattr(mixvol.polytope, "_hull_core", counting)
+    got = oracle_mixed_volumes(bodies)
+    first_facets = hulls[0][1]
+    assert len(first_facets) > 8 and len(hulls) == 1 + len(first_facets)
+    assert got.value((4, 0)) == pytest.approx(1.0 / 24.0, rel=1e-12)
+    assert got.value((0, 4)) == pytest.approx(2.0 / 3.0, rel=1e-12)
+
+
 def test_table_entry_validation():
     table = oracle_mixed_volumes([cube(2), diamond(2)])
     with pytest.raises(InputError):
