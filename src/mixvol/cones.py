@@ -300,15 +300,16 @@ def random_direction_tuples(d: int, k: int, n: int, rng) -> np.ndarray:
     L is the diagonal {(y,...,y)}; projecting a Gaussian onto L^perp
     (subtract the block mean) and normalizing gives the uniform law.  The
     draws take the generator's numbers in order and each is normalised by
-    its own np.linalg.norm, so draw i is the i-th of n one-draw calls, bit
-    for bit.
+    the root of its own dot product (one np.vecdot), so draw i is the i-th
+    of n one-draw calls, bit for bit.
     """
     if k < 2:
         raise InputError("direction tuples need at least two blocks")
     rng = as_rng(rng)
     x = rng.standard_normal((n, k, d))
     x -= x.mean(axis=1, keepdims=True)
-    nrm = np.array([np.linalg.norm(xi) for xi in x])
+    flat = x.reshape(n, k * d)
+    nrm = np.sqrt(np.vecdot(flat, flat))
     for i in np.flatnonzero(nrm < 1e-12):  # a null event: redraw
         x[i], nrm[i] = random_direction_tuples(d, k, 1, rng)[0], 1.0
     return x / nrm[:, None, None]

@@ -15,11 +15,11 @@ Two kernel families over t in S^{k-1}_+ (all t_i >= 0):
 
 Evaluation: every k=2 kernel is one exact reduction in c = u_1.u_2
 (_two_ray_integral: elementary for exponents 2 and 3, which covers d <= 3,
-and a fixed Gauss-Legendre rule on a trigonometric polynomial above); the
-k=3 G kernel in R^3 is a solid angle over |det U|; other k=3 kernels use a
-tensor product on the (theta, phi) chart, and k >= 4 Monte Carlo.  Those
-integrands are functions of the Gram matrix of the u_i only, so batched
-evaluation over many direction tuples shares the quadrature grids.
+and a fixed Gauss-Legendre rule on a trigonometric polynomial above);
+every k=3 kernel is one integration-by-parts recursion of Gaussian orthant
+moments from a solid angle and two-ray faces (_three_ray_integral); k >= 4
+is Monte Carlo.  The integrands are functions of the Gram matrix of the
+u_i only, so a batch of direction tuples is evaluated in array operations.
 
 Near-coincident inputs below the 1e-9 spread floor raise DivergenceError
 rather than returning a huge float; the epsilon cutoffs never diverge.
@@ -27,13 +27,14 @@ rather than returning a huge float; the epsilon cutoffs never diverge.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InputError
+from .errors import DivergenceError, EstimationError, InputError
 from .estimates import from_samples
 from .util import as_rng, check_degrees, omega
 
@@ -137,68 +138,12 @@ def hull_distance_batch(us: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# quadrature engine
+# two- and three-ray integrals
 
 
-_GL_CACHE: dict = {}
-
-
+@functools.cache
 def _gl(order: int):
-    if order not in _GL_CACHE:
-        _GL_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_CACHE[order]
-
-
-def _panel_grid(a: float, b: float, panels: int, order: int = 16):
-    x0, w0 = _gl(order)
-    edges = np.linspace(a, b, panels + 1)
-    half = np.diff(edges) / 2.0
-    mid = (edges[:-1] + edges[1:]) / 2.0
-    x = (mid[:, None] + half[:, None] * x0[None, :]).ravel()
-    w = (half[:, None] * w0[None, :]).ravel()
-    return x, w
-
-
-def _octant_grid(panels: int, order: int = 16):
-    """Tensor chart of S^2_+ : t = (sin phi cos th, sin phi sin th, cos phi)."""
-    th, wth = _panel_grid(0.0, math.pi / 2.0, panels, order)
-    ph, wph = _panel_grid(0.0, math.pi / 2.0, panels, order)
-    t = np.stack([
-        np.outer(np.sin(ph), np.cos(th)).ravel(),
-        np.outer(np.sin(ph), np.sin(th)).ravel(),
-        np.outer(np.cos(ph), np.ones_like(th)).ravel(),
-    ], axis=1)
-    w = np.outer(wph * np.sin(ph), wth).ravel()
-    return t, w
-
-
-def _refine_rows(frows, count: int, rtol: float, max_level: int):
-    """Panel-doubling quadrature over S^2_+ for `count` integrands sharing
-    a grid.
-
-    frows(idx, t) returns integrand values (len(idx), len(t)) at chart
-    nodes t.  Returns (values, error estimates); rows that never meet rtol
-    keep their last refinement delta as the error.
-    """
-    panels = 2
-    vals = np.zeros(count)
-    errs = np.zeros(count)
-    idx = np.arange(count)
-    t, w = _octant_grid(panels)
-    cur = frows(idx, t) @ w
-    for _ in range(max_level):
-        panels *= 2
-        t, w = _octant_grid(panels)
-        new = frows(idx, t) @ w
-        delta = np.abs(new - cur)
-        done = delta <= rtol * np.maximum(np.abs(new), 1e-12)
-        vals[idx] = new
-        errs[idx] = delta
-        cur = new[~done]
-        idx = idx[~done]
-        if idx.size == 0:
-            break
-    return vals, errs
+    return np.polynomial.legendre.leggauss(order)
 
 
 def _two_ray_integral(b: int, p: int, lo: np.ndarray,
@@ -241,6 +186,77 @@ def solid_angle(det, c12, c23, c13):
     return 2.0 * np.arctan2(det, 1.0 + c12 + c23 + c13)
 
 
+# orthonormal, first column (1, 1, 1) / sqrt 3 up to sign
+_HELMERT = np.linalg.qr(np.tri(3))[0]
+
+
+def _three_ray_integral(a: tuple, us: np.ndarray, kind: str) -> np.ndarray:
+    """int_{S^2_+} t^a (t'At)^(-p/2), p = 3 + |a|, per unit triple, for
+    A = 3I - Gram (kind "F") or Gram ("G"); A = s C with C unit-diagonal.
+
+    By homogeneity this is s^(-p/2) 2 M_a / Gamma(p/2) for the Gaussian
+    orthant moments M_a = int_{R^3_+} t^a exp(-t'Ct) dt, and parts in t_j give
+        sum_l C_jl M_{a+e_l} = (a_j M_{a-e_j} + [a_j = 0] M'_{a-j}) / 2
+    (Kan and Robotti, J. Comput. Graph. Stat. 26, 2017), from M_0 =
+    sqrt(pi)/4 Omega / sqrt(det C) (Omega: solid angle on generators of
+    Gram C) and the face moments M'_b = Gamma(|b|/2 + 1) / 2 *
+    _two_ray_integral(b_2, |b| + 2, 1 + c, 1 - c), c the face's entry of C.
+    For F, C^-1 and det C come from the _HELMERT basis, where 3I - 11' is
+    diag(0, 3, 3), exact down to the spread floor; for G from U' = QR.  A
+    small eigenvalue of C with a mixed-sign eigenvector (F: nearly collinear
+    with an antipodal pair; G: nearly dependent) makes C^-1 cancel digits:
+    each moment carries a first-order bound on its relative error, and a
+    bound above 1e-6 raises EstimationError.
+    """
+    minus = 0.5 * np.sum((us[:, :, None] - us[:, None, :]) ** 2, axis=3)
+    if kind == "F":
+        scale, c = 2.0, 0.5 * (minus - 1.0)
+        rot = _HELMERT.T @ minus @ _HELMERT + np.diag([0.0, 3.0, 3.0])
+        root_det = np.sqrt(np.linalg.det(rot) / 8.0)
+        inv = 2.0 * _HELMERT @ np.linalg.inv(rot) @ _HELMERT.T
+        lo, hi = 1.0 + c, 1.0 - c
+    else:
+        scale, c = 1.0, 1.0 - minus
+        r = np.linalg.qr(us.transpose(0, 2, 1), mode="r")
+        root_det = np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1))
+        rinv = np.linalg.inv(r)
+        inv = rinv @ rinv.transpose(0, 2, 1)
+        lo = 0.5 * np.sum((us[:, :, None] + us[:, None, :]) ** 2, axis=3)
+        hi = minus
+    eps = 4e-16
+    memo = {(0, 0, 0): (math.sqrt(math.pi) / 4.0 * solid_angle(
+        root_det, c[:, 0, 1], c[:, 1, 2], c[:, 0, 2]) / root_det, eps)}
+
+    def step(b, j, by):
+        return b[:j] + (b[j] + by,) + b[j + 1:]
+
+    def moment(b):  # (M_b, first-order bound on its relative error)
+        if b not in memo:
+            a = step(b, b.index(max(b)), -1)
+            rhs, err = [], []
+            for j in range(3):
+                i, m = (x for x in range(3) if x != j)
+                value, bound = moment(step(a, j, -1)) if a[j] else (
+                    math.gamma((a[i] + a[m]) / 2.0 + 1.0) / 2.0
+                    * _two_ray_integral(a[m], a[i] + a[m] + 2,
+                                        lo[:, i, m], hi[:, i, m]), eps)
+                rhs.append(max(a[j], 1) * value)
+                err.append(np.abs(rhs[-1]) * (bound + eps))
+            rhs, err = np.stack(rhs, axis=1), np.stack(err, axis=1)
+            sol = 0.5 * np.einsum("nij,nj->ni", inv, rhs)
+            bound = 0.5 * np.einsum("nij,nj->ni", np.abs(inv), err) / np.abs(sol)
+            for j in range(3):
+                memo.setdefault(step(a, j, 1), (sol[:, j], bound[:, j] + eps))
+        return memo[b]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value, bound = moment(tuple(a))
+    if not np.all(bound <= 1e-6):
+        raise EstimationError("three-ray kernel: ill-conditioned triple")
+    p = sum(a) + 3
+    return scale ** (-p / 2.0) * 2.0 * value / math.gamma(p / 2.0)
+
+
 # ---------------------------------------------------------------------------
 # batched kernel cores (everything is a function of the Gram matrix)
 
@@ -261,10 +277,10 @@ def _core_batch(spec: KernelSpec, us: np.ndarray, kind: str,
     int_0^inf x^(d-1-deg_2) (x^2 -+ 2 c x + 1)^(-exponent) dx with
     c = u_1.u_2 (minus for F, plus for G): _two_ray_integral at +-c.
     The reduction takes |u_i| = 1, which kernel_values checks to 1e-9.
-    k = 3 in R^3 for G (r = (2, 2, 2), j = 0): |det U| times the integral
-    of |U t|^-3 over S^2_+ is the solid angle of the cone on the u_i.
-    Other k = 3 kernels use the octant tensor quadrature, k >= 4 Monte
-    Carlo.
+    k = 3: the exponent is (3 + sum of the powers) / 2, so the integral is a
+    Gaussian orthant moment, which _three_ray_integral reaches by one
+    integration-by-parts recursion from a solid angle and two-ray faces.
+    k >= 4: Monte Carlo.
     """
     k, d = spec.k, spec.d
     if kind == "F":
@@ -281,38 +297,22 @@ def _core_batch(spec: KernelSpec, us: np.ndarray, kind: str,
         lo, hi = gaps if kind == "F" else gaps[::-1]
         return pref * _two_ray_integral(d - 1 - spec.degrees[1],
                                         round(2.0 * power), lo, hi)
-    grams = us @ us.transpose(0, 2, 1)
-    n = grams.shape[0]
-    exps = np.array([d - 1 - x for x in spec.degrees], dtype=float)
-    if k == 3 and kind == "G" and d == 3:
-        det = np.abs(np.linalg.det(us))
-        return pref * solid_angle(det, grams[:, 0, 1], grams[:, 1, 2],
-                                  grams[:, 0, 2]) / det
-
-    def integrand(idx, t):
-        quad = np.einsum("bij,mi,mj->bm", grams[idx], t, t)
-        base = (k - quad) if kind == "F" else quad
-        base = np.maximum(base, 1e-300)
-        tp = np.prod(t[None, :, :] ** exps[None, None, :], axis=2)
-        return tp * base ** (-power)
-
+    powers = tuple(d - 1 - x for x in spec.degrees)
     if k == 3:
-        out = np.empty(n)
-        for s in range(0, n, 512):
-            m = min(n, s + 512) - s
-            out[s:s + m], _ = _refine_rows(
-                lambda idx, t, _s=s: integrand(idx + _s, t), m, 1e-6, 5)
-        return pref * out
+        return pref * _three_ray_integral(powers, us, kind)
+    grams = us @ us.transpose(0, 2, 1)
     rng = as_rng(rng)
     budget = 200000
     t = np.abs(rng.standard_normal((budget, k)))
     t /= np.linalg.norm(t, axis=1, keepdims=True)
+    tp = np.prod(t ** np.array(powers, dtype=float), axis=1)
     area = omega(k) / 2.0 ** k
-    out = np.empty(n)
+    out = np.empty(us.shape[0])
     chunk = max(1, 2 ** 22 // budget)
-    for s in range(0, n, chunk):
-        idx = np.arange(s, min(n, s + chunk))
-        out[idx] = integrand(idx, t).mean(axis=1) * area
+    for s in range(0, us.shape[0], chunk):
+        quad = np.einsum("bij,mi,mj->bm", grams[s:s + chunk], t, t)
+        base = np.maximum((k - quad) if kind == "F" else quad, 1e-300)
+        out[s:s + chunk] = (tp * base ** (-power)).mean(axis=1) * area
     return pref * out
 
 
@@ -328,9 +328,9 @@ def _dependent_mask(us: np.ndarray) -> np.ndarray:
 def kernel_values(spec: KernelSpec, us: np.ndarray, rng=None) -> np.ndarray:
     """Batched kernel evaluation on direction tuples us (N, k, d).
 
-    Applies the mode's zero conventions and the epsilon cutoff; with
-    epsilon == 0, inputs inside the 1e-9 degeneracy floor raise
-    DivergenceError (F: spread of u, G: hull distance).
+    Applies the mode's zero conventions and the epsilon cutoff.  With
+    epsilon 0 the 1e-9 floor raises DivergenceError (F: spread of u, G:
+    hull distance); an ill-conditioned three-ray triple EstimationError.
     """
     us = np.asarray(us, dtype=float)
     if us.ndim != 3 or us.shape[1] != spec.k or us.shape[2] != spec.d:

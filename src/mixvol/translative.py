@@ -287,14 +287,13 @@ def translative_integral_mc(polytopes, j: int, rng=None,
     with sum r = (k-1)d + j, and every V_r comes in closed form from
     _entries (volumes, facet areas and normals, support values and, for
     j = 1 in R^3, edge external angles), so std_error is 0 for any number
-    of bodies and any j.  samples uniform draws are still taken from rng,
-    so a generator shared across calls advances as it did when the
-    integral was sampled.
+    of bodies and any j.  samples and rng are checked as for a sampled
+    integral and samples is reported, but nothing is drawn: a shared
+    generator is left as it was.
     """
-    d = _check_translative(polytopes, j)
+    _check_translative(polytopes, j)
     check_count(samples)
-    rng = as_rng(rng)
-    rng.random((samples, (len(polytopes) - 1) * d))
+    as_rng(rng)
     return MCEstimate.exact(sum(_entries(polytopes, j).values()), samples)
 
 
@@ -308,12 +307,12 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
     int = sum_r (prod_i lambda_i^{r_i}) V_r on the grid of scaling factors:
     lambdas must be positive and give at least as many grid values as there
     are entries, and the design matrix must have condition number at most
-    1e8 (meta["cond"]).  The draws are taken as in translative_integral_mc.
+    1e8 (meta["cond"]).  samples and rng are checked; nothing is drawn.
     """
     d = _check_translative(polytopes, j)
     check_count(samples)
+    as_rng(rng)
     k = len(polytopes)
-    rng = as_rng(rng)
     r_list = _degree_tuples(d, k, j)
     if any(float(v) <= 0.0 for v in lambdas):
         raise InputError("scaling factors must be positive")
@@ -328,7 +327,6 @@ def decompose_homogeneous(polytopes, j: int, rng=None, samples: int = 20000,
         raise EstimationError(f"homogeneous fit ill-conditioned (cond={cond:.3e})")
     meta = {"cond": cond, "fit_residual": 0.0, "samples": samples,
             "lambdas": tuple(lambdas), "total_std_error": 0.0}
-    rng.random((samples, (k - 1) * d))
     entries = _entries(polytopes, j)
     return TranslativeTable(d, j, entries, "exact-decomposition",
                             dict.fromkeys(entries, 0.0), meta)

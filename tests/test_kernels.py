@@ -1,12 +1,14 @@
 """Direction-tuple kernels F_n and G_r.
 
-Closed-form anchors: F on an orthogonal 2D pair is 1/4, and the
-positive-sphere projection self-test has target omega_p (1+beta)^{-(p-d)/2}.
-The two-ray kernels are checked against an adaptive quadrature of the
-defining integral kept here as an oracle, and against their elementary
-forms in d <= 3.
+Closed-form anchors: F on an orthogonal 2D pair is 1/4, F_(1,1,1) on an
+orthonormal triple is its prefactor / 64 and G_(2,2,2) there is 1/8, and
+the positive-sphere projection self-test has target
+omega_p (1+beta)^{-(p-d)/2}.  The two- and three-ray kernels are checked
+against panel-doubling quadratures of the defining integral kept here as
+oracles, and the two-ray ones against their elementary forms in d <= 3.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mixvol import kernels
-from mixvol.errors import DivergenceError, InputError
+from mixvol.errors import DivergenceError, EstimationError, InputError
 from mixvol.estimates import MCEstimate
 from mixvol.kernels import (KernelSpec, _two_ray_integral,
                             hull_distance_batch, in_star_region,
@@ -24,30 +26,47 @@ from mixvol.util import omega, random_unit_vectors
 
 
 # ---------------------------------------------------------------------------
-# oracle: the adaptive arc quadrature the two-ray kernels used to run
+# oracle: the panel-doubling quadratures the two- and three-ray kernels used
+# to run
 
 
-def _arc_grid(panels: int, order: int = 16):
-    """Chart of S^1_+ : t = (cos th, sin th), th in [0, pi/2]."""
+def _gauss_panels(panels: int, order: int = 16):
+    """Gauss-Legendre nodes and weights on equal panels of [0, pi/2]."""
     x0, w0 = np.polynomial.legendre.leggauss(order)
     edges = np.linspace(0.0, math.pi / 2.0, panels + 1)
     half = np.diff(edges)[:, None] / 2.0
-    th = ((edges[:-1] + edges[1:])[:, None] / 2.0 + half * x0).ravel()
-    return np.stack([np.cos(th), np.sin(th)], axis=1), (half * w0).ravel()
+    return (((edges[:-1] + edges[1:])[:, None] / 2.0 + half * x0).ravel(),
+            (half * w0).ravel())
 
 
-def _arc_refine(frows, count: int, rtol: float, max_level: int):
-    """Panel doubling from 4 panels until each row's value moves by at most
-    rtol; rows that never do keep their last delta as the error."""
-    panels = 4
+def _arc_grid(panels: int):
+    """Chart of S^1_+ : t = (cos th, sin th), th in [0, pi/2]."""
+    th, w = _gauss_panels(panels)
+    return np.stack([np.cos(th), np.sin(th)], axis=1), w
+
+
+def _octant_grid(panels: int):
+    """Tensor chart of S^2_+ : t = (sin ph cos th, sin ph sin th, cos ph)."""
+    ang, w = _gauss_panels(panels)
+    s, c = np.sin(ang), np.cos(ang)
+    t = np.stack([np.outer(s, c).ravel(), np.outer(s, s).ravel(),
+                  np.outer(c, np.ones_like(ang)).ravel()], axis=1)
+    return t, np.outer(w * s, w).ravel()
+
+
+def _refine(frows, count: int, rtol: float, max_level: int, k: int):
+    """Panel doubling on the arc (k = 2, from 4 panels) or the octant
+    (k = 3, from 2 panels) until each row's value moves by at most rtol;
+    rows that never do keep their last delta as the error."""
+    grid, panels = (_arc_grid, 4) if k == 2 else (_octant_grid, 2)
     vals = np.zeros(count)
     errs = np.zeros(count)
     idx = np.arange(count)
-    t, w = _arc_grid(panels)
+    t, w = grid(panels)
     cur = frows(idx, t) @ w
     for _ in range(max_level):
         panels *= 2
-        t, w = _arc_grid(panels)
+        t, w = grid(panels)
         new = frows(idx, t) @ w
         delta = np.abs(new - cur)
         done = delta <= rtol * np.maximum(np.abs(new), 1e-12)
@@ -65,33 +84,47 @@ def sphere_plus_integrate(f, k: int, rtol: float = 1e-10) -> MCEstimate:
     std_error field carries the last refinement delta."""
     frows = lambda idx, t: np.asarray(f(t), dtype=float)[None, :]
     if k == 2:
-        vals, errs = _arc_refine(frows, 1, rtol, 14)
+        vals, errs = _refine(frows, 1, rtol, 14, 2)
     else:
-        vals, errs = kernels._refine_rows(frows, 1, max(rtol, 1e-10), 6)
+        vals, errs = _refine(frows, 1, max(rtol, 1e-10), 6, 3)
     return MCEstimate(float(vals[0]), float(errs[0]), 0)
 
 
 def _oracle_core(spec, us, kind, rng=None):
-    """Two-ray kernels by the adaptive arc quadrature of the defining
-    integral, refined to rtol 1e-11 (13 doublings).  The base
-    |t_1 u_1 -+ t_2 u_2|^2 (F, G) is written
-    (t_1 - t_2)^2 + t_1 t_2 |u_1 -+ u_2|^2, which keeps the digits that
-    k - t'Gt cancels at |c| -> 1."""
-    d = spec.d
+    """Two- and three-ray kernels by panel doubling on the defining
+    integral: to rtol 1e-11 on the arc (13 doublings), and to rtol 1e-12 on
+    the octant (5 doublings, one tuple at a time).  The F base
+    sum_{i<j} |t_i u_i - t_j u_j|^2 is written
+    sum_{i<j} (t_i - t_j)^2 + t_i t_j |u_i - u_j|^2, and the two-ray G base
+    |t_1 u_1 + t_2 u_2|^2 as (t_1 - t_2)^2 + t_1 t_2 |u_1 + u_2|^2: that
+    keeps the digits that k - t'Gt and t'Gt cancel near coincident (F) and
+    antipodal (G) pairs.  The three-ray G base is t'Gt."""
+    k, d = spec.k, spec.d
     exps = np.array([d - 1 - x for x in spec.degrees], dtype=float)
     if kind == "F":
-        power, pref = d / 2.0, kernels._f_prefactor(spec)
+        power, pref = (k - 1) * d / 2.0, kernels._f_prefactor(spec)
     else:
         power, pref = (d - spec.j) / 2.0, 1.0 / omega(d - spec.j)
-    gap = np.sum((us[:, 0] - us[:, 1] if kind == "F"
-                  else us[:, 0] + us[:, 1]) ** 2, axis=1)
+    pairs = list(itertools.combinations(range(k), 2))
+    sign = -1.0 if kind == "F" else 1.0
+    gap = np.stack([np.sum((us[:, i] + sign * us[:, j]) ** 2, axis=1)
+                    for i, j in pairs], axis=1)
+    grams = us @ us.transpose(0, 2, 1)
 
     def integrand(idx, t):
-        base = (t[:, 0] - t[:, 1]) ** 2 + np.outer(gap[idx], t[:, 0] * t[:, 1])
+        if kind == "F" or k == 2:
+            base = sum((t[:, i] - t[:, j]) ** 2
+                       + np.outer(gap[idx, n], t[:, i] * t[:, j])
+                       for n, (i, j) in enumerate(pairs))
+        else:
+            base = np.einsum("bij,mi,mj->bm", grams[idx], t, t)
         return np.prod(t ** exps, axis=1) * base ** (-power)
 
-    vals, _ = _arc_refine(integrand, us.shape[0], 1e-11, 13)
-    return pref * vals
+    if k == 2:
+        return pref * _refine(integrand, us.shape[0], 1e-11, 13, 2)[0]
+    return pref * np.array([
+        _refine(lambda idx, t, r=r: integrand(idx + r, t), 1, 1e-12, 5, 3)[0][0]
+        for r in range(us.shape[0])])
 
 
 def _pairs(c, d):
@@ -401,19 +434,103 @@ def test_floor_decisions_match_the_oracle(monkeypatch):
     assert seen == {"raise", "zero", "value"}
 
 
-def test_three_ray_g_is_the_solid_angle(rng):
-    # r = (2, 2, 2) in R^3: G = Omega / (omega_3 |det U|); octant quadrature
-    # of the defining integral as the reference
+def _three_ray_specs():
+    for d in range(2, 6):
+        for degrees in itertools.product(range(d), repeat=3):
+            for mode in ("n", "r"):
+                try:
+                    yield KernelSpec(d, degrees, mode)
+                except InputError:
+                    pass
+
+
+def _near_coincident(d, spread, rng, n=2):
+    """n unit triples within about `spread` of e_1."""
+    us = np.zeros((n, 3, d))
+    us[:, :, 0] = 1.0
+    us[:, :, 1:] = spread * rng.standard_normal((n, 3, d - 1))
+    return us / np.linalg.norm(us, axis=2, keepdims=True)
+
+
+def _near_dependent(d, tilt, rng, n=2):
+    """n unit triples within 0.6 rad of e_1 in the (e_1, e_2) plane, tilted
+    out of it by about `tilt`: nearly dependent, 0 far from their hull."""
+    ang = rng.uniform(-0.6, 0.6, (n, 3))
+    us = np.zeros((n, 3, d))
+    us[:, :, 0], us[:, :, 1] = np.cos(ang), np.sin(ang)
+    us[:, :, 2:] = tilt * rng.standard_normal((n, 3, d - 2))
+    return us / np.linalg.norm(us, axis=2, keepdims=True)
+
+
+def test_three_ray_kernels_match_the_oracle(monkeypatch):
+    # d = 2..5, both modes, every admissible degree triple: four random
+    # triples (for G with 0 at least 0.2 from their hull, where the octant
+    # oracle converges) and two near-coincident (F, spread 0.05) or
+    # near-dependent (G, tilt 1e-2) ones
+    rng = np.random.default_rng(23)
+    seen = 0
+    for spec in _three_ray_specs():
+        d = spec.d
+        draws = random_unit_vectors(d, 60, rng).reshape(20, 3, d)
+        if spec.mode == "n":
+            us = np.concatenate([draws[:4], _near_coincident(d, 0.05, rng)])
+        else:
+            far = draws[hull_distance_batch(draws) > 0.2][:4]
+            assert len(far) == 4
+            us = np.concatenate([far, _near_dependent(d, 1e-2, rng)])
+        want = _with_oracle(monkeypatch, spec, us)
+        assert np.all(want > 0.0)
+        np.testing.assert_allclose(kernel_values(spec, us), want, rtol=1e-10,
+                                   err_msg=str(spec))
+        seen += 1
+    assert seen == (3 + 7 + 12 + 18) + (1 + 4 + 10)
+
+
+def test_orthonormal_three_ray_anchors():
+    # U = I: F_(1,1,1) = prefactor * int t_1 t_2 t_3 (2 |t|^2)^-3 over S^2_+
+    # = prefactor / 64, and G_(2,2,2) = (pi / 2) / omega_3 = 1 / 8
+    us = np.eye(3)[None]
+    spec = KernelSpec(3, (1, 1, 1), "n")
+    assert kernel_values(spec, us)[0] == pytest.approx(
+        kernels._f_prefactor(spec) / 64.0, rel=1e-15, abs=0.0)
+    assert kernel_values(KernelSpec(3, (2, 2, 2), "r"), us)[0] == \
+        pytest.approx(0.125, rel=1e-15, abs=0.0)
+
+
+def test_ill_conditioned_three_ray_triples_raise():
+    # a small eigenvalue of C with a mixed-sign eigenvector leaves the
+    # kernel finite but cancels digits in C^-1: collinear F triples with an
+    # antipodal pair, and G triples 1e-7 from a plane with 0 far from their
+    # hull, raise instead of returning the cancelled digits
+    f_cases = ([(2, (1, 0, 1)), [[1, 0], [-1, 0], [1, 0]]],
+               [(3, (1, 1, 1)), [[1, 0, 0], [-1, 0, 0], [1, 0, 0]]],
+               [(3, (1, 1, 1)), [[1, 0, 0], [-1, 1e-3, 0], [1, 0, 1e-3]]])
+    ang = np.array([-0.5, 0.1, 0.6])
+    g_triple = np.stack([np.cos(ang), np.sin(ang), [1e-7, -1e-7, 1e-7],
+                         np.zeros(3)], axis=1)
+    for spec, us in [(KernelSpec(d, deg, "n"), us) for (d, deg), us in f_cases] \
+            + [(KernelSpec(4, (2, 3, 3), "r"), g_triple)]:
+        us = np.asarray(us, dtype=float)
+        us /= np.linalg.norm(us, axis=1, keepdims=True)
+        with pytest.raises(EstimationError):
+            kernel_values(spec, us[None])
+
+
+def test_three_ray_g_is_the_solid_angle(rng, monkeypatch):
+    # r = (2, 2, 2) in R^3 is the recursion's root alone:
+    # G = Omega / (omega_3 |det U|), and the octant oracle agrees
     us = random_unit_vectors(3, 60, rng).reshape(20, 3, 3)
+    us = us[hull_distance_batch(us) > 0.2]
+    assert len(us) >= 5
     spec = KernelSpec(3, (2, 2, 2), "r")
     got = kernel_values(spec, us)
+    det = np.abs(np.linalg.det(us))
     grams = us @ us.transpose(0, 2, 1)
-    ref, _ = kernels._refine_rows(
-        lambda idx, t: np.einsum("bij,mi,mj->bm", grams[idx], t, t) ** -1.5,
-        20, 1e-10, 7)
-    live = hull_distance_batch(us) > 0.2
-    assert live.sum() >= 5
-    np.testing.assert_allclose(got[live], ref[live] / omega(3), rtol=1e-8)
+    want = solid_angle(det, grams[:, 0, 1], grams[:, 1, 2],
+                       grams[:, 0, 2]) / (omega(3) * det)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+    np.testing.assert_allclose(got, _with_oracle(monkeypatch, spec, us),
+                               rtol=1e-10)
     # an orthant is an eighth of the sphere
     assert solid_angle(1.0, 0.0, 0.0, 0.0) == pytest.approx(math.pi / 2.0,
                                                             rel=1e-15)

@@ -313,13 +313,12 @@ def test_translative_validation():
 
 
 def test_translative_seed_reproducible():
-    # the integral is exact, and a generator shared across calls advances
-    # by samples * (k - 1) * d uniform draws, as when it was sampled
+    # the integral is exact: nothing is drawn from a shared generator, and
+    # the seed does not change the result
     for call in (translative_integral_mc, decompose_homogeneous):
         shared, twin = np.random.default_rng(9), np.random.default_rng(9)
         a = call([cube(3), diamond(3), simplex(3)], 1, rng=shared, samples=500)
-        b = call([cube(3), diamond(3), simplex(3)], 1, rng=9, samples=500)
-        twin.random((500, 6))
+        b = call([cube(3), diamond(3), simplex(3)], 1, rng=4, samples=500)
         assert shared.random() == twin.random()
         assert a == b
 
