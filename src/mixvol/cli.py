@@ -188,8 +188,7 @@ def _cmd_flag_check(args) -> int:
         est = flag_mixed_functional(bodies, degrees, rng=args.seed,
                                     eps=args.eps or 0.0,
                                     samples=args.samples,
-                                    threads=args.threads,
-                                    dmatrix_cache=args.dmatrix_cache)
+                                    threads=args.threads)
         report["target"] = "translative-functional"
         try:
             ref = curvature_mixed_functional(bodies, degrees,
@@ -200,8 +199,7 @@ def _cmd_flag_check(args) -> int:
     else:
         est = flag_mixed_volume(bodies, degrees, rng=args.seed,
                                 eps=args.eps or 0.0, samples=args.samples,
-                                threads=args.threads,
-                                dmatrix_cache=args.dmatrix_cache)
+                                threads=args.threads)
         report["target"] = "mixed-volume"
         ref = oracle_mixed_volumes(bodies).value(degrees) \
             if (args.eps or 0.0) == 0.0 else None
@@ -290,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     fc.add_argument("--eps", type=float)
     fc.add_argument("--seed", type=int)
     fc.add_argument("--samples", type=int, default=4000)
-    fc.add_argument("--dmatrix-cache", help="JSON cache path for D-matrices")
     fc.add_argument("--out")
 
     tr = sub.add_parser("translative", help="translative integral routes")

@@ -235,8 +235,7 @@ def spherical_measure(cone: NormalCone, rng=None, samples: int = 40000) -> MCEst
     return MCEstimate(total * phat, se, samples)
 
 
-def cone_sphere_samples(cone: NormalCone, n: int, rng,
-                        measure_samples: int = 40000):
+def cone_sphere_samples(cone: NormalCone, n: int, rng):
     """(directions (n,d), measure estimate) for uniform sampling of the arc,
     point set, or spherical polytope n(P,F)."""
     rng = as_rng(rng)

@@ -24,24 +24,8 @@ from .errors import InputError
 from .util import complete_basis, gram_det, orthonormal_columns
 
 
-@dataclass(frozen=True, eq=False)
-class UnitVector:
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float).reshape(-1)
-        n = np.linalg.norm(c)
-        if not np.isfinite(n) or abs(n - 1.0) > 1e-9:
-            raise InputError(f"not a unit vector (norm {n})")
-        object.__setattr__(self, "coords", c)
-
-    @property
-    def dim(self) -> int:
-        return self.coords.shape[0]
-
-
 def _vec(u) -> np.ndarray:
-    return u.coords if isinstance(u, UnitVector) else np.asarray(u, dtype=float).reshape(-1)
+    return np.asarray(u, dtype=float).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)

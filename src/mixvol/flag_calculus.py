@@ -9,8 +9,10 @@ measure, T(F,u) = u^perp cap lin(F)^perp.
 Mixed volumes and mixed translative functionals are then integrals of a
 direction kernel (F_n or G_r) times a multiplier function (phi_n or psi_r)
 against a product of flag measures.  The multipliers are finite sums of
-squared determinants with coefficients taken from the inverses of small
-Grassmannian moment matrices (DMatrix below); their defining property is
+squared determinants (Gram determinants where psi's columns fall short of
+a square) with coefficients taken from the inverses of small Grassmannian
+moment matrices (DMatrix below), closed-form in every d <= 4, so for those
+bodies each multiplier value is deterministic; their defining property is
 reproducing wedge squares:
 
     int Phi(U_1..U_k) prod <U_i, A_i>^2 dU  = ||A_1 ^ .. ^ A_k||^2
@@ -25,9 +27,7 @@ flag_mixed_functional does not (V_r carries no such factor).
 from __future__ import annotations
 
 import itertools
-import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +35,7 @@ import numpy as np
 from .cones import cone_sphere_samples, general_position, spherical_measure
 from .errors import DivergenceError, EstimationError, InputError
 from .estimates import MCEstimate, combine_product, combine_sum, from_samples
-from .exterior import (Subspace, UnitVector, graded_index_sets,
+from .exterior import (Subspace, graded_index_sets,
                        graded_scalar_product, subspace_determinant,
                        tangent_subspace, wedge_norm_sq)
 from .kernels import KernelSpec, kernel_values
@@ -78,7 +78,6 @@ class DMatrix:
     entries: np.ndarray
     sigma: np.ndarray
     source: str
-    seed: int | None = None
 
     @property
     def grades(self) -> int:
@@ -97,31 +96,25 @@ class DMatrix:
         res = self.a @ self.entries - np.eye(self.grades)[0]
         return float(np.max(np.abs(res)))
 
-    def to_json(self) -> dict:
-        return {"schema": 1, "d": self.d, "j": self.j,
-                "entries": [float(x) for x in self.entries.reshape(-1)],
-                "sigma": [float(x) for x in self.sigma.reshape(-1)],
-                "seed": self.seed, "source": self.source}
-
-    @staticmethod
-    def from_json(payload: dict) -> "DMatrix":
-        g = int(round(math.sqrt(len(payload["entries"]))))
-        return DMatrix(int(payload["d"]), int(payload["j"]),
-                       np.array(payload["entries"]).reshape(g, g),
-                       np.array(payload["sigma"]).reshape(g, g),
-                       payload.get("source", "cache"), payload.get("seed"))
-
 
 def closed_d_matrix(d: int, j: int) -> DMatrix | None:
-    """Known closed forms: any degenerate grading, and the planar case."""
+    """Closed forms for every grading with at most two grades, which covers
+    every d <= 4; None for g = min(j, m - j) + 1 >= 3 (m = d - 1).
+
+    g = 1 is the identity.  For g = 2 the entries are
+    [[3, 1], [m - 1, m + 1]] / (m (m + 2)), from
+    E (u.a)^2 (u.b)^2 = (1 + 2 (a.b)^2) / (m (m + 2)) for u uniform on
+    S^{m-1} (lines, j = 1); hyperplanes (j = m - 1) have the same entries,
+    by passing to orthogonal complements.
+    """
     m = d - 1
     if not 0 <= j <= m:
         raise InputError(f"j={j} out of range for host dimension {m}")
     g = min(j, m - j) + 1
     if g == 1:
         return DMatrix(d, j, np.eye(1), np.zeros((1, 1)), "closed")
-    if m == 2 and j == 1:
-        entries = np.array([[3.0 / 8.0, 1.0 / 8.0], [1.0 / 8.0, 3.0 / 8.0]])
+    if g == 2:
+        entries = np.array([[3.0, 1.0], [m - 1.0, m + 1.0]]) / (m * (m + 2))
         return DMatrix(d, j, entries, np.zeros((2, 2)), "closed")
     return None
 
@@ -152,7 +145,6 @@ def estimate_d_matrix(d: int, j: int, rng=None, budget: int = 200000,
     per-pair standard errors; an ill-conditioned feature matrix (pairs not
     spreading the principal angles) raises an estimation failure.
     """
-    seed = rng if isinstance(rng, (int, np.integer)) else None
     rng = as_rng(rng)
     m = d - 1
     closed = closed_d_matrix(d, j)
@@ -187,25 +179,16 @@ def estimate_d_matrix(d: int, j: int, rng=None, budget: int = 200000,
     for p in range(g):
         entries[p] = pinv @ lhs[:, p]
         sigma[p] = np.abs(pinv) @ se[:, p]
-    return DMatrix(d, j, entries, sigma, "mc", seed)
+    return DMatrix(d, j, entries, sigma, "mc")
 
 
-def d_matrix(d: int, j: int, rng=None, cache_path: str | None = None,
-             budget: int = 200000) -> DMatrix:
-    """Closed form when available, else the (optionally cached) MC estimate."""
+def d_matrix(d: int, j: int, rng=None) -> DMatrix:
+    """The closed form when g <= 2 (every d <= 4), else the Monte Carlo
+    estimate, which only the dimension-generic kernels reach (d >= 5)."""
     closed = closed_d_matrix(d, j)
     if closed is not None:
         return closed
-    if cache_path is not None and os.path.exists(cache_path):
-        with open(cache_path, "r", encoding="utf-8") as fh:
-            stored = DMatrix.from_json(json.load(fh))
-        if stored.d == d and stored.j == j:
-            return stored
-    est = estimate_d_matrix(d, j, rng=rng, budget=budget)
-    if cache_path is not None:
-        with open(cache_path, "w", encoding="utf-8") as fh:
-            json.dump(est.to_json(), fh, sort_keys=True)
-    return est
+    return estimate_d_matrix(d, j, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -247,75 +230,52 @@ def _slot_selections(primary: np.ndarray, secondary: np.ndarray, p: int):
     return picks
 
 
-def _graded_det_sum(slots, a_vectors, extra: np.ndarray | None,
-                    n_samples: int) -> np.ndarray:
-    """Sum over gradings p and index picks of (prod a_p) det^2 of the
-    horizontally assembled square matrices; slots may append a fixed column
-    (the u_i of the interleaved kernel)."""
-    total = np.zeros(n_samples)
+def _multiplier_values(d: int, us_list, frames, a_vectors,
+                       interleave: bool) -> np.ndarray:
+    """Batched Phi (interleave False) or Psi (True): us_list[i] is (N, d),
+    frames[i] is (N, d, dim_i) inside u_i^perp, with dim_i = n_i summing
+    to d for Phi and dim_i = d-1-r_i for Psi.
+
+    Sums over gradings p and index picks (prod a_p) times the squared
+    volume of the horizontally assembled matrix M: slot i picks dim_i - p_i
+    columns of its frame and p_i of the frame's complement in u_i^perp,
+    followed by u_i when interleaved.  That volume is det(M)^2 for a square
+    M (Phi, and Psi at j = 0) and the Gram determinant det(M'M) for Psi's
+    d x (d - j) matrix at j > 0: closing M with a Haar j-frame W gives
+    E det[M | W]^2 = det(M'M) / binom(d, j), since E <W, V>^2 =
+    1/binom(d, j) for any fixed j-frame V.
+    """
+    slots = []
+    for u, frame, a in zip(us_list, frames, a_vectors):
+        comp = _batched_complement(
+            np.concatenate([u[:, :, None], frame], axis=2), d)
+        picks = [_slot_selections(frame, comp, p) for p in range(len(a))]
+        if interleave:
+            picks = [[np.concatenate([x, u[:, :, None]], axis=2) for x in row]
+                     for row in picks]
+        slots.append(picks)
+    total = np.zeros(us_list[0].shape[0])
     for p_combo in itertools.product(*[range(len(a)) for a in a_vectors]):
         coeff = math.prod(a_vectors[i][p] for i, p in enumerate(p_combo))
         if coeff == 0.0:
             continue
-        pick_lists = [slots[i]["picks"][p] for i, p in enumerate(p_combo)]
-        for choice in itertools.product(*pick_lists):
-            cols = []
-            for i, picked in enumerate(choice):
-                cols.append(picked)
-                if slots[i]["append"] is not None:
-                    cols.append(slots[i]["append"])
-            if extra is not None:
-                cols.append(extra)
-            dets = np.linalg.det(np.concatenate(cols, axis=2))
-            total += coeff * dets * dets
+        for choice in itertools.product(
+                *[slots[i][p] for i, p in enumerate(p_combo)]):
+            m = np.concatenate(choice, axis=2)
+            if m.shape[2] == d:
+                dets = np.linalg.det(m)
+                total += coeff * dets * dets
+            else:
+                total += coeff * np.linalg.det(np.swapaxes(m, 1, 2) @ m)
     return total
 
 
-def _phi_values(d: int, degrees, us_list, w_list, a_vectors) -> np.ndarray:
-    """Batched Phi: us_list[i] is (N, d), w_list[i] is (N, d, n_i) inside
-    u_i^perp, sum n_i = d."""
-    n_samples = us_list[0].shape[0]
-    slots = []
-    for i, n_i in enumerate(degrees):
-        stacked = np.concatenate([us_list[i][:, :, None], w_list[i]], axis=2)
-        comp = _batched_complement(stacked, d)
-        picks = {p: _slot_selections(w_list[i], comp, p)
-                 for p in range(len(a_vectors[i]))}
-        slots.append({"picks": picks, "append": None})
-    return _graded_det_sum(slots, a_vectors, None, n_samples)
-
-
-def _psi_values(d: int, degrees, us_list, u_frames_list, a_vectors,
-                rng=None) -> np.ndarray:
-    """Batched Psi: subspace frames of dim d-1-r_i with the u_i columns
-    interleaved; for j > 0 one fused uniform (u', U') draw per sample
-    closes the wedge to a square determinant, scaled by binom(d, j)."""
-    n_samples = us_list[0].shape[0]
-    j = sum(degrees) - (len(degrees) - 1) * d
-    slots = []
-    for i, r_i in enumerate(degrees):
-        frame = u_frames_list[i]
-        stacked = np.concatenate([us_list[i][:, :, None], frame], axis=2)
-        comp = _batched_complement(stacked, d)
-        picks = {p: _slot_selections(frame, comp, p)
-                 for p in range(len(a_vectors[i]))}
-        slots.append({"picks": picks, "append": us_list[i][:, :, None]})
-    extra = None
-    scale = 1.0
-    if j > 0:
-        rng = as_rng(rng)
-        u_extra = random_unit_vectors(d, n_samples, rng)
-        host = _batched_complement(u_extra[:, :, None], d)
-        frame_extra = _batched_uniform_in(host, j - 1, rng)
-        extra = np.concatenate([frame_extra, u_extra[:, :, None]], axis=2)
-        scale = float(math.comb(d, j))
-    return scale * _graded_det_sum(slots, a_vectors, extra, n_samples)
-
-
 def _as_unit_array(u) -> np.ndarray:
-    if isinstance(u, UnitVector):
-        return u.coords
-    return UnitVector(np.asarray(u, dtype=float)).coords
+    c = np.asarray(u, dtype=float).reshape(-1)
+    n = np.linalg.norm(c)
+    if not np.isfinite(n) or abs(n - 1.0) > 1e-9:
+        raise InputError(f"not a unit vector (norm {n})")
+    return c
 
 
 def _as_frame(s, d: int) -> np.ndarray:
@@ -335,11 +295,11 @@ def _check_slots(us, frames, dims_wanted, d: int):
             raise InputError("subspace is not contained in u^perp")
 
 
-def _phi_coefficients(d: int, degrees, rng=None, cache_path=None):
-    return [d_matrix(d, n_i, rng=rng, cache_path=cache_path).a for n_i in degrees]
+def _coefficients(d: int, slot_dims, rng=None):
+    return [d_matrix(d, s, rng=rng).a for s in slot_dims]
 
 
-def phi_kernel(us, subspaces, rng=None, dmatrix_cache=None) -> float:
+def phi_kernel(us, subspaces, rng=None) -> float:
     """Phi at one configuration: U_i of dimension n_i inside u_i^perp with
     the n_i summing to the ambient dimension."""
     us = [_as_unit_array(u) for u in us]
@@ -347,13 +307,13 @@ def phi_kernel(us, subspaces, rng=None, dmatrix_cache=None) -> float:
     frames = [_as_frame(s, d) for s in subspaces]
     degrees = check_degrees(d, [f.shape[1] for f in frames], "n")
     _check_slots(us, frames, degrees, d)
-    a_vecs = _phi_coefficients(d, degrees, rng=rng, cache_path=dmatrix_cache)
-    vals = _phi_values(d, degrees, [u.reshape(1, -1) for u in us],
-                       [f[None] for f in frames], a_vecs)
+    vals = _multiplier_values(d, [u.reshape(1, -1) for u in us],
+                              [f[None] for f in frames],
+                              _coefficients(d, degrees, rng), False)
     return float(vals[0])
 
 
-def phi_multiplier(us, flag_subspaces, rng=None, dmatrix_cache=None) -> float:
+def phi_multiplier(us, flag_subspaces, rng=None) -> float:
     """phi_n at flag coordinates: V_i of dimension d-1-n_i inside u_i^perp.
 
     Evaluates Phi at the complements of the V_i within u_i^perp and divides
@@ -366,51 +326,41 @@ def phi_multiplier(us, flag_subspaces, rng=None, dmatrix_cache=None) -> float:
     comps = [_batched_complement(
         np.concatenate([u.reshape(1, -1, 1), f[None]], axis=2), d)[0]
         for u, f in zip(us, frames)]
-    a_vecs = _phi_coefficients(d, degrees, rng=rng, cache_path=dmatrix_cache)
-    vals = _phi_values(d, degrees, [u.reshape(1, -1) for u in us],
-                       [c[None] for c in comps], a_vecs)
+    vals = _multiplier_values(d, [u.reshape(1, -1) for u in us],
+                              [c[None] for c in comps],
+                              _coefficients(d, degrees, rng), False)
     return float(vals[0]) / c_const(d, degrees)
 
 
-def psi_kernel(us, subspaces, rng=None, samples: int = 512,
-               dmatrix_cache=None) -> float:
+def psi_kernel(us, subspaces, rng=None) -> float:
     """Psi at one configuration: U_i of dimension d-1-r_i inside u_i^perp.
 
-    Deterministic for j = 0; for j > 0 the fused-average construction is
-    integrated by `samples` Monte Carlo draws."""
+    A finite sum of squared determinants for j = 0 and of Gram determinants
+    for j > 0; deterministic whenever the D-matrices are closed (d <= 4),
+    and `rng` only feeds the estimated ones beyond."""
     us = [_as_unit_array(u) for u in us]
     d = us[0].shape[0]
     frames = [_as_frame(s, d) for s in subspaces]
     degrees = check_degrees(d, [d - 1 - f.shape[1] for f in frames], "r")
-    _check_slots(us, frames, tuple(d - 1 - r for r in degrees), d)
-    j = sum(degrees) - (len(degrees) - 1) * d
-    a_vecs = [d_matrix(d, d - 1 - r, rng=rng, cache_path=dmatrix_cache).a
-              for r in degrees]
-    reps = check_count(samples) if j > 0 else 1
-    vals = _psi_values(d, degrees,
-                       [np.repeat(u.reshape(1, -1), reps, axis=0) for u in us],
-                       [np.repeat(f[None], reps, axis=0) for f in frames],
-                       a_vecs, rng=as_rng(rng))
-    return float(vals.mean())
+    slot_dims = tuple(d - 1 - r for r in degrees)
+    _check_slots(us, frames, slot_dims, d)
+    vals = _multiplier_values(d, [u.reshape(1, -1) for u in us],
+                              [f[None] for f in frames],
+                              _coefficients(d, slot_dims, rng), True)
+    return float(vals[0])
 
 
-def psi_multiplier(us, flag_subspaces, rng=None, samples: int = 512,
-                   dmatrix_cache=None) -> float:
+def psi_multiplier(us, flag_subspaces, rng=None) -> float:
     """psi_r at flag coordinates (the flag subspaces are Psi's arguments
     directly); Psi divided by the gamma-constant product."""
-    us_arr = [_as_unit_array(u) for u in us]
-    d = us_arr[0].shape[0]
-    frames = [_as_frame(s, d) for s in flag_subspaces]
-    degrees = tuple(d - 1 - f.shape[1] for f in frames)
-    value = psi_kernel(us, flag_subspaces, rng=rng, samples=samples,
-                       dmatrix_cache=dmatrix_cache)
-    return value / c_const(d, degrees)
+    d = _as_unit_array(us[0]).shape[0]
+    degrees = tuple(d - 1 - _as_frame(s, d).shape[1] for s in flag_subspaces)
+    return psi_kernel(us, flag_subspaces, rng=rng) / c_const(d, degrees)
 
 
 def verify_multiplier_identity(d: int, degrees, identity: str = "subspace",
                                rng=None, trials: int = 20,
-                               samples: int = 20000,
-                               dmatrix_cache=None) -> dict:
+                               samples: int = 20000) -> dict:
     """Numerical check of the reproducing property on random configurations.
 
     identity "subspace": integrates Phi against prod <U_i, A_i>^2 and
@@ -430,8 +380,7 @@ def verify_multiplier_identity(d: int, degrees, identity: str = "subspace",
     slot_dims = degrees if identity == "subspace" else \
         tuple(d - 1 - r for r in degrees)
     rng = as_rng(rng)
-    a_vecs = [d_matrix(d, s, rng=rng, cache_path=dmatrix_cache).a
-              for s in slot_dims]
+    a_vecs = _coefficients(d, slot_dims, rng)
     rows = []
     for _ in range(trials):
         us = random_unit_vectors(d, k, rng)
@@ -457,10 +406,8 @@ def verify_multiplier_identity(d: int, degrees, identity: str = "subspace",
                 dets = np.linalg.det(
                     np.swapaxes(drawn[i], 1, 2) @ targets_frames[i])
                 weight *= dets * dets
-        if identity == "subspace":
-            kern = _phi_values(d, degrees, us_b, drawn, a_vecs)
-        else:
-            kern = _psi_values(d, degrees, us_b, drawn, a_vecs, rng=rng)
+        kern = _multiplier_values(d, us_b, drawn, a_vecs,
+                                  identity == "interleaved")
         est = from_samples(kern * weight)
         resid = est.value - target
         # degenerate configurations are exact; don't standardize by pure
@@ -581,19 +528,16 @@ def _flag_tuple_estimate(d, degrees, atom_tuple, spec, a_vecs, face_frames,
     for i in range(k):
         if flag_dims[i] == 0:
             continue
-        f = face_frames[i]
-        t = np.linalg.qr(np.concatenate(
-            [us_list[i][:, :, None], np.repeat(f[None], n_draws, axis=0)],
-            axis=2), mode="complete")[0][:, :, 1 + f.shape[1]:]
+        t = _batched_complement(np.concatenate(
+            [us_list[i][:, :, None],
+             np.repeat(face_frames[i][None], n_draws, axis=0)], axis=2), d)
         dets = np.linalg.det(np.swapaxes(vs[i], 1, 2) @ t)
         weight *= dets * dets
     if use_complement:
-        args = [_batched_complement(
+        vs = [_batched_complement(
             np.concatenate([us_list[i][:, :, None], vs[i]], axis=2), d)
             for i in range(k)]
-        mult = _phi_values(d, degrees, us_list, args, a_vecs)
-    else:
-        mult = _psi_values(d, degrees, us_list, vs, a_vecs, rng=rng)
+    mult = _multiplier_values(d, us_list, vs, a_vecs, not use_complement)
     kern = kernel_values(spec, np.stack(us_list, axis=1), rng=rng)
     core = from_samples(kern * mult * weight)
     # atom gammas cancel against the 1/c constant of the multiplier exactly
@@ -601,16 +545,14 @@ def _flag_tuple_estimate(d, degrees, atom_tuple, spec, a_vecs, face_frames,
     return combine_product([core] + masses).scaled(hs)
 
 
-def _flag_sum(polytopes, degrees, mode, rng, eps, samples, threads,
-              dmatrix_cache):
+def _flag_sum(polytopes, degrees, mode, rng, eps, samples, threads):
     d = polytopes[0].dim
     k = len(polytopes)
     rng = as_rng(rng)
     atom_sets = [polytope_flag_atoms(p, deg, rng=rng)
                  for p, deg in zip(polytopes, degrees)]
     slot_dims = degrees if mode == "n" else tuple(d - 1 - r for r in degrees)
-    a_vecs = [d_matrix(d, s, rng=rng, cache_path=dmatrix_cache).a
-              for s in slot_dims]
+    a_vecs = _coefficients(d, slot_dims, rng)
     spec = KernelSpec(d, degrees, mode, epsilon=eps)
     tuples = [t for t in itertools.product(*[s.atoms for s in atom_sets])
               if all(a.cone.dim >= 1 for a in t)]
@@ -641,8 +583,7 @@ def _flag_sum(polytopes, degrees, mode, rng, eps, samples, threads,
 
 
 def flag_mixed_volume(polytopes, n, rng=None, eps: float = 0.0,
-                      samples: int = 40000, threads: int = 1,
-                      dmatrix_cache=None) -> MCEstimate:
+                      samples: int = 40000, threads: int = 1) -> MCEstimate:
     """Mixed volume V(K_1[n_1], .., K_k[n_k]) from flag measures.
 
     Sums E[F_n * phi_n * prod <V_i,T_i>^2] over face tuples of dimensions
@@ -661,14 +602,13 @@ def flag_mixed_volume(polytopes, n, rng=None, eps: float = 0.0,
         raise DivergenceError(
             "bodies are not in general position for these degrees; the "
             "direction kernel is unbounded on the flag support (use eps > 0)")
-    est = _flag_sum(polytopes, n, "n", rng, eps, samples, threads,
-                    dmatrix_cache)
+    est = _flag_sum(polytopes, n, "n", rng, eps, samples, threads)
     return est.scaled(1.0 / multinomial(d, n))
 
 
 def flag_mixed_functional(polytopes, r, rng=None, eps: float = 0.0,
-                          samples: int = 40000, threads: int = 1,
-                          dmatrix_cache=None) -> MCEstimate:
+                          samples: int = 40000,
+                          threads: int = 1) -> MCEstimate:
     """Mixed translative functional V_r from flag measures.
 
     Sums E[G_r * psi_r * prod <U_i,T_i>^2] over face tuples of dimensions
@@ -684,5 +624,4 @@ def flag_mixed_functional(polytopes, r, rng=None, eps: float = 0.0,
             "bodies are not in general (r)-position for these degrees; the "
             "hull-distance kernel is unbounded on the flag support "
             "(use eps > 0)")
-    return _flag_sum(polytopes, r, "r", rng, eps, samples, threads,
-                     dmatrix_cache)
+    return _flag_sum(polytopes, r, "r", rng, eps, samples, threads)

@@ -213,14 +213,16 @@ def _three_ray_integral(a: tuple, us: np.ndarray, kind: str) -> np.ndarray:
         scale, c = 2.0, 0.5 * (minus - 1.0)
         rot = _HELMERT.T @ minus @ _HELMERT + np.diag([0.0, 3.0, 3.0])
         root_det = np.sqrt(np.linalg.det(rot) / 8.0)
-        inv = 2.0 * _HELMERT @ np.linalg.inv(rot) @ _HELMERT.T
+        if any(a):  # C^-1 only serves the steps past the root
+            inv = 2.0 * _HELMERT @ np.linalg.inv(rot) @ _HELMERT.T
         lo, hi = 1.0 + c, 1.0 - c
     else:
         scale, c = 1.0, 1.0 - minus
         r = np.linalg.qr(us.transpose(0, 2, 1), mode="r")
         root_det = np.abs(np.prod(np.diagonal(r, axis1=1, axis2=2), axis=1))
-        rinv = np.linalg.inv(r)
-        inv = rinv @ rinv.transpose(0, 2, 1)
+        if any(a):
+            rinv = np.linalg.inv(r)
+            inv = rinv @ rinv.transpose(0, 2, 1)
         lo = 0.5 * np.sum((us[:, :, None] + us[:, None, :]) ** 2, axis=3)
         hi = minus
     eps = 4e-16

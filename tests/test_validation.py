@@ -156,10 +156,18 @@ def test_multiplier_kernels_reject_slot_dimensions():
     # Phi slots of dimensions 2 and 0 sum to 2, not d = 3
     with pytest.raises(InputError):
         phi_kernel(us, frames)
-    # r = (2, 2) is valid with j = 1, so Psi samples and needs samples >= 1
+
+
+@pytest.mark.parametrize("scale", [1.0 + 1e-6, 0.0, np.nan])
+def test_multiplier_kernels_reject_non_unit_directions(scale):
+    e = np.eye(3)
+    us = [scale * e[0], e[1]]
+    plane, line = Subspace(e[:, 1:]), Subspace(e[:, [0]])
     empty = Subspace(np.zeros((3, 0)))
-    with pytest.raises(InputError):
-        psi_kernel(us, [empty, empty], samples=0)
+    for call, frames in ((phi_kernel, [plane, line]),
+                         (psi_kernel, [empty, empty])):
+        with pytest.raises(InputError):
+            call(us, frames)
 
 
 @pytest.mark.parametrize("bad", [0, -5, 2.5, True, None, "10"])
