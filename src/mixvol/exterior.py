@@ -183,18 +183,3 @@ def graded_scalar_product(U: Subspace, A: Subspace, ell: int, host: Subspace | N
     for I in graded_index_sets(D, j, ell):
         total += multivector_product(basis[:, list(I)], a) ** 2
     return total
-
-
-def tangent_subspace(u, face_frame) -> Subspace:
-    """T(F, u) = u^perp ∩ lin(F)^perp for a face direction frame and an outer
-    normal u of that face; dimension d - 1 - dim F.  Errors if u is not
-    orthogonal to the face.
-    """
-    uv = _vec(u)
-    f = face_frame.frame if isinstance(face_frame, Subspace) else np.asarray(face_frame, dtype=float)
-    if f.ndim == 1:
-        f = f.reshape(-1, 1)
-    if f.shape[1] and np.max(np.abs(f.T @ uv)) > 1e-8:
-        raise InputError("direction is not normal to the face")
-    span = np.hstack([f, uv.reshape(-1, 1)])
-    return Subspace(complete_basis(orthonormal_columns(span), uv.shape[0]))

@@ -6,6 +6,13 @@ each face F carries gamma(d,n) * H^n(F) times the normal-cone sphere measure,
 with the Grassmann coordinate weighted by <V, T(F,u)>^2 against the Haar
 measure, T(F,u) = u^perp cap lin(F)^perp.
 
+Every Haar draw goes through _haar_split: one complete QR of the Gaussian
+draw in host coordinates gives V and its complement W inside u^perp.  Since
+[V W] and [T F] are orthonormal bases of the same u^perp (F = lin(F) lies
+in u^perp), the complementary minors of [V W]'[T F] agree and
+<V, T>^2 = <W, F>^2: the weight is det(W'F)^2 with the face frame F, and T
+is never formed.
+
 Mixed volumes and mixed translative functionals are then integrals of a
 direction kernel (F_n or G_r) times a multiplier function (phi_n or psi_r)
 against a product of flag measures.  The multipliers are finite sums of
@@ -37,7 +44,7 @@ from .errors import DivergenceError, EstimationError, InputError
 from .estimates import MCEstimate, combine_product, combine_sum, from_samples
 from .exterior import (Subspace, graded_index_sets,
                        graded_scalar_product, subspace_determinant,
-                       tangent_subspace, wedge_norm_sq)
+                       wedge_norm_sq)
 from .kernels import KernelSpec, kernel_values
 from .mixed_volume import _split_budget
 from .polytope import Face, NormalCone, Polytope
@@ -119,11 +126,6 @@ def closed_d_matrix(d: int, j: int) -> DMatrix | None:
     return None
 
 
-def _haar_frames(m: int, j: int, n: int, rng) -> np.ndarray:
-    g = rng.standard_normal((n, m, j))
-    return np.linalg.qr(g, mode="reduced")[0]
-
-
 def _graded_products(us: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """<U, span B[:, :j]>^2_p batched over U frames (N, m, j); B is (m, m)
     with the subspace in the leading columns and its complement behind."""
@@ -156,13 +158,13 @@ def estimate_d_matrix(d: int, j: int, rng=None, budget: int = 200000,
     feats = np.empty((npairs, g))
     lhs = np.empty((npairs, g))
     se = np.empty((npairs, g))
+    eye = np.eye(m)[None]
     for row in range(npairs):
-        a_frame = _haar_frames(m, j, 1, rng)[0]
-        b_frame = _haar_frames(m, j, 1, rng)[0]
-        b_full = np.hstack([b_frame, Subspace(b_frame).complement().frame])
-        A, B = Subspace(a_frame), Subspace(b_frame)
+        a_frame = _haar_split(eye, j, rng)[0][0]
+        b_full = np.concatenate(_haar_split(eye, j, rng), axis=2)[0]
+        A, B = Subspace(a_frame), Subspace(b_full[:, :j])
         feats[row] = [graded_scalar_product(A, B, q) for q in range(g)]
-        us = _haar_frames(m, j, per_pair, rng)
+        us = _haar_split(np.broadcast_to(eye, (per_pair, m, m)), j, rng)[0]
         plain = np.linalg.det(np.swapaxes(us, 1, 2) @ a_frame) ** 2
         for p in range(g):
             vals = _graded_products(us, b_full, p) * plain
@@ -206,13 +208,23 @@ def _batched_complement(mats: np.ndarray, d: int) -> np.ndarray:
     return q[:, :, m:]
 
 
-def _batched_uniform_in(host: np.ndarray, m: int, rng) -> np.ndarray:
-    """Haar m-subspace frames inside per-sample host frames (N, d, h)."""
-    n, d, h = host.shape
+def _haar_split(host: np.ndarray, m: int, rng):
+    """Haar m-subspace frames V inside per-sample host frames (N, d, h) and
+    their complements W in the host, (N, d, m) and (N, d, h - m), from one
+    complete QR of the (N, h, m) Gaussian draw in host coordinates."""
     if m == 0:
-        return np.empty((n, d, 0))
-    g = rng.standard_normal((n, h, m))
-    return np.linalg.qr(host @ g, mode="reduced")[0]
+        return np.empty(host.shape[:2] + (0,)), host
+    q = np.linalg.qr(rng.standard_normal((host.shape[0], host.shape[2], m)),
+                     mode="complete")[0]
+    frames = host @ q
+    return frames[:, :, :m], frames[:, :, m:]
+
+
+def _slot_complement(u: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """The complement of one subspace frame (d, s) inside u^perp, as a
+    batch of one (1, d, d-1-s)."""
+    return _batched_complement(
+        np.concatenate([u.reshape(1, -1, 1), frame[None]], axis=2), len(u))
 
 
 def _slot_selections(primary: np.ndarray, secondary: np.ndarray, p: int):
@@ -230,25 +242,27 @@ def _slot_selections(primary: np.ndarray, secondary: np.ndarray, p: int):
     return picks
 
 
-def _multiplier_values(d: int, us_list, frames, a_vectors,
+def _multiplier_values(d: int, us_list, frames, comps, a_vectors,
                        interleave: bool) -> np.ndarray:
     """Batched Phi (interleave False) or Psi (True): us_list[i] is (N, d),
-    frames[i] is (N, d, dim_i) inside u_i^perp, with dim_i = n_i summing
-    to d for Phi and dim_i = d-1-r_i for Psi.
+    frames[i] is (N, d, dim_i) inside u_i^perp and comps[i] its complement
+    there, (N, d, d-1-dim_i), with dim_i = n_i summing to d for Phi and
+    dim_i = d-1-r_i for Psi.  The flag routes hold both halves of one
+    _haar_split: mode n passes (W, V), since Phi's arguments are the
+    complements of the flag subspaces, and mode r passes (V, W).
 
     Sums over gradings p and index picks (prod a_p) times the squared
     volume of the horizontally assembled matrix M: slot i picks dim_i - p_i
-    columns of its frame and p_i of the frame's complement in u_i^perp,
-    followed by u_i when interleaved.  That volume is det(M)^2 for a square
-    M (Phi, and Psi at j = 0) and the Gram determinant det(M'M) for Psi's
-    d x (d - j) matrix at j > 0: closing M with a Haar j-frame W gives
+    columns of its frame and p_i of its complement, followed by u_i when
+    interleaved.  The sum over one grading's picks depends on the two
+    subspaces only, not on their bases.  That volume is det(M)^2 for a
+    square M (Phi, and Psi at j = 0) and the Gram determinant det(M'M) for
+    Psi's d x (d - j) matrix at j > 0: closing M with a Haar j-frame W gives
     E det[M | W]^2 = det(M'M) / binom(d, j), since E <W, V>^2 =
     1/binom(d, j) for any fixed j-frame V.
     """
     slots = []
-    for u, frame, a in zip(us_list, frames, a_vectors):
-        comp = _batched_complement(
-            np.concatenate([u[:, :, None], frame], axis=2), d)
+    for u, frame, comp, a in zip(us_list, frames, comps, a_vectors):
         picks = [_slot_selections(frame, comp, p) for p in range(len(a))]
         if interleave:
             picks = [[np.concatenate([x, u[:, :, None]], axis=2) for x in row]
@@ -309,6 +323,8 @@ def phi_kernel(us, subspaces, rng=None) -> float:
     _check_slots(us, frames, degrees, d)
     vals = _multiplier_values(d, [u.reshape(1, -1) for u in us],
                               [f[None] for f in frames],
+                              [_slot_complement(u, f)
+                               for u, f in zip(us, frames)],
                               _coefficients(d, degrees, rng), False)
     return float(vals[0])
 
@@ -323,11 +339,10 @@ def phi_multiplier(us, flag_subspaces, rng=None) -> float:
     frames = [_as_frame(s, d) for s in flag_subspaces]
     degrees = check_degrees(d, [d - 1 - f.shape[1] for f in frames], "n")
     _check_slots(us, frames, tuple(d - 1 - n for n in degrees), d)
-    comps = [_batched_complement(
-        np.concatenate([u.reshape(1, -1, 1), f[None]], axis=2), d)[0]
-        for u, f in zip(us, frames)]
     vals = _multiplier_values(d, [u.reshape(1, -1) for u in us],
-                              [c[None] for c in comps],
+                              [_slot_complement(u, f)
+                               for u, f in zip(us, frames)],
+                              [f[None] for f in frames],
                               _coefficients(d, degrees, rng), False)
     return float(vals[0]) / c_const(d, degrees)
 
@@ -346,6 +361,8 @@ def psi_kernel(us, subspaces, rng=None) -> float:
     _check_slots(us, frames, slot_dims, d)
     vals = _multiplier_values(d, [u.reshape(1, -1) for u in us],
                               [f[None] for f in frames],
+                              [_slot_complement(u, f)
+                               for u, f in zip(us, frames)],
                               _coefficients(d, slot_dims, rng), True)
     return float(vals[0])
 
@@ -386,7 +403,7 @@ def verify_multiplier_identity(d: int, degrees, identity: str = "subspace",
         us = random_unit_vectors(d, k, rng)
         hosts = [_batched_complement(us[i].reshape(1, -1, 1), d)
                  for i in range(k)]
-        targets_frames = [_batched_uniform_in(hosts[i], slot_dims[i], rng)[0]
+        targets_frames = [_haar_split(hosts[i], slot_dims[i], rng)[0][0]
                           for i in range(k)]
         if identity == "subspace":
             target = wedge_norm_sq(np.concatenate(targets_frames, axis=1).T)
@@ -398,15 +415,16 @@ def verify_multiplier_identity(d: int, degrees, identity: str = "subspace",
             target = wedge_norm_sq(np.concatenate(cols, axis=1).T)
         us_b = [np.repeat(us[i].reshape(1, -1), samples, axis=0)
                 for i in range(k)]
-        drawn = [_batched_uniform_in(np.repeat(hosts[i], samples, axis=0),
-                                     slot_dims[i], rng) for i in range(k)]
+        drawn, comps = zip(*[
+            _haar_split(np.repeat(hosts[i], samples, axis=0), slot_dims[i],
+                        rng) for i in range(k)])
         weight = np.ones(samples)
         for i in range(k):
             if slot_dims[i]:
                 dets = np.linalg.det(
                     np.swapaxes(drawn[i], 1, 2) @ targets_frames[i])
                 weight *= dets * dets
-        kern = _multiplier_values(d, us_b, drawn, a_vecs,
+        kern = _multiplier_values(d, us_b, drawn, comps, a_vecs,
                                   identity == "interleaved")
         est = from_samples(kern * weight)
         resid = est.value - target
@@ -437,9 +455,6 @@ class FlagAtom:
     hausdorff: float
     cone_mass: MCEstimate
 
-    def tangent(self, u) -> Subspace:
-        return tangent_subspace(u, self.face.frame)
-
 
 @dataclass(frozen=True)
 class FlagAtomSet:
@@ -466,22 +481,16 @@ class FlagAtomSet:
         normal (array) and a Subspace to a float."""
         rng = as_rng(rng)
         parts = []
-        m = self.d - 1 - self.n
         for atom in self.atoms:
             if atom.cone.dim == 0:
                 continue
             us, mass = cone_sphere_samples(atom.cone, samples_per_atom, rng)
-            hosts = _batched_complement(us[:, :, None], self.d)
-            vs = _batched_uniform_in(hosts, m, rng)
-            vals = np.empty(us.shape[0])
-            for s in range(us.shape[0]):
-                v = Subspace(vs[s]) if m else Subspace.zero(self.d)
-                if m:
-                    det = np.linalg.det(vs[s].T @ atom.tangent(us[s]).frame)
-                    w = det * det
-                else:
-                    w = 1.0
-                vals[s] = g(us[s], v) * w
+            vs, ws = _haar_split(_batched_complement(us[:, :, None], self.d),
+                                 self.d - 1 - self.n, rng)
+            # <V, T>^2 = <W, F>^2 (module docstring)
+            dets = np.linalg.det(np.swapaxes(ws, 1, 2) @ atom.face.frame.frame)
+            vals = np.array([g(u, Subspace(v)) for u, v in zip(us, vs)]) \
+                * (dets * dets)
             parts.append(combine_product([from_samples(vals), mass])
                          .scaled(self.gamma * atom.hausdorff))
         return combine_sum(parts) if parts else MCEstimate.exact(0.0)
@@ -510,34 +519,29 @@ def polytope_flag_atoms(P: Polytope, n: int, rng=None,
 # flag representations
 
 
-def _flag_tuple_estimate(d, degrees, atom_tuple, spec, a_vecs, face_frames,
-                         rng, n_draws, use_complement: bool):
+def _flag_tuple_estimate(d, degrees, atom_tuple, spec, a_vecs, rng,
+                         n_draws, mode: str):
     """E over one face tuple of kernel * multiplier * prod <V_i, T_i>^2,
     times the atom weights (gamma, Hausdorff, cone mass)."""
-    k = len(degrees)
     us_list, masses = [], []
     for atom in atom_tuple:
         us, mass = cone_sphere_samples(atom.cone, n_draws, rng)
         us_list.append(us)
         masses.append(mass)
     # flag coordinate dimension is d-1-degree for both representations
-    flag_dims = [d - 1 - deg for deg in degrees]
-    hosts = [_batched_complement(u[:, :, None], d) for u in us_list]
-    vs = [_batched_uniform_in(hosts[i], flag_dims[i], rng) for i in range(k)]
+    vs, ws = [], []
     weight = np.ones(n_draws)
-    for i in range(k):
-        if flag_dims[i] == 0:
-            continue
-        t = _batched_complement(np.concatenate(
-            [us_list[i][:, :, None],
-             np.repeat(face_frames[i][None], n_draws, axis=0)], axis=2), d)
-        dets = np.linalg.det(np.swapaxes(vs[i], 1, 2) @ t)
-        weight *= dets * dets
-    if use_complement:
-        vs = [_batched_complement(
-            np.concatenate([us_list[i][:, :, None], vs[i]], axis=2), d)
-            for i in range(k)]
-    mult = _multiplier_values(d, us_list, vs, a_vecs, not use_complement)
+    for atom, u, deg in zip(atom_tuple, us_list, degrees):
+        v, w = _haar_split(_batched_complement(u[:, :, None], d),
+                           d - 1 - deg, rng)
+        vs.append(v)
+        ws.append(w)
+        if deg < d - 1:
+            # <V, T>^2 = <W, F>^2 (module docstring)
+            dets = np.linalg.det(np.swapaxes(w, 1, 2) @ atom.face.frame.frame)
+            weight *= dets * dets
+    frames, comps = (ws, vs) if mode == "n" else (vs, ws)
+    mult = _multiplier_values(d, us_list, frames, comps, a_vecs, mode == "r")
     kern = kernel_values(spec, np.stack(us_list, axis=1), rng=rng)
     core = from_samples(kern * mult * weight)
     # atom gammas cancel against the 1/c constant of the multiplier exactly
@@ -573,11 +577,8 @@ def _flag_sum(polytopes, degrees, mode, rng, eps, samples, threads):
     streams = spawn_rngs(rng, len(kept))
 
     def one(i: int) -> MCEstimate:
-        t = kept[i]
-        face_frames = [a.face.frame.frame for a in t]
-        return _flag_tuple_estimate(d, degrees, t, spec, a_vecs,
-                                    face_frames, streams[i], budgets[i],
-                                    use_complement=(mode == "n"))
+        return _flag_tuple_estimate(d, degrees, kept[i], spec, a_vecs,
+                                    streams[i], budgets[i], mode)
 
     return combine_sum(parallel_map(one, range(len(kept)), threads=threads))
 

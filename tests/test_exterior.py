@@ -14,10 +14,9 @@ from hypothesis import given, settings, strategies as st
 
 from mixvol.exterior import (Subspace, graded_index_sets,
                              graded_scalar_product, subspace_determinant,
-                             tangent_subspace, wedge_norm_sq)
-from mixvol.flag_calculus import _batched_uniform_in
+                             wedge_norm_sq)
+from mixvol.flag_calculus import _haar_split
 from mixvol.kernels import perp_spread
-from mixvol.util import orthonormal_columns
 
 
 def test_wedge_norm_conventions():
@@ -101,7 +100,7 @@ def test_uniform_subspace_mean_cosine(rng):
     # E <U, A>^2 = 1 / binom(m, j) for independent Haar pairs
     m, j, n = 4, 2, 4000
     a = Subspace(np.eye(m)[:, :j])
-    us = _batched_uniform_in(np.broadcast_to(np.eye(m), (n, m, m)), j, rng)
+    us = _haar_split(np.broadcast_to(np.eye(m), (n, m, m)), j, rng)[0]
     vals = np.linalg.det(np.swapaxes(us, 1, 2) @ a.frame) ** 2
     want = 1.0 / math.comb(m, j)
     se = vals.std(ddof=1) / math.sqrt(n)
@@ -112,18 +111,6 @@ def test_uniform_subspace_lives_in_normal_complement(rng):
     u = rng.standard_normal(3)
     u /= np.linalg.norm(u)
     host = Subspace.from_spanning(u).complement().frame
-    v = _batched_uniform_in(host[None], 2, rng)[0]
+    v = _haar_split(host[None], 2, rng)[0][0]
     np.testing.assert_allclose(v.T @ u, 0.0, atol=1e-10)
     np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-10)
-
-
-def test_tangent_subspace_orthogonal_to_normal_and_face(rng):
-    face_frame = orthonormal_columns(rng.standard_normal((4, 1)))
-    # a normal direction orthogonal to the face
-    raw = rng.standard_normal(4)
-    raw -= face_frame[:, 0] * (face_frame[:, 0] @ raw)
-    u = raw / np.linalg.norm(raw)
-    t = tangent_subspace(u, face_frame)
-    assert t.dim == 2
-    np.testing.assert_allclose(t.frame.T @ u, 0.0, atol=1e-10)
-    np.testing.assert_allclose(t.frame.T @ face_frame, 0.0, atol=1e-10)

@@ -5,29 +5,36 @@ equal to the intrinsic volume; its normal-direction marginal is the area
 measure up to the documented constant; the two reproducing kernels recover
 wedge norms of frames; the closed D-matrices agree with their Monte Carlo
 estimate and the Gram-determinant Psi with the fused (u', U') draw it
-replaces, kept here as an oracle; and the resulting mixed-volume estimates
-agree with the exact oracle.
+replaces, kept here as an oracle; the flag weight <V, T>^2 equals
+<W, lin F>^2 per draw, with T(F, u) formed by an oracle the package no
+longer needs; and the resulting mixed-volume estimates agree with the exact
+oracle.
 """
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from mixvol import flag_calculus
+from mixvol.cones import cone_sphere_samples
 from mixvol.errors import DivergenceError, InputError
 from mixvol.estimates import MCEstimate
 from mixvol.exterior import Subspace
-from mixvol.flag_calculus import (c_const, closed_d_matrix, d_matrix,
+from mixvol.flag_calculus import (_batched_complement, _haar_split, c_const,
+                                  closed_d_matrix, d_matrix,
                                   estimate_d_matrix, flag_mixed_functional,
                                   flag_mixed_volume, gamma_const, phi_kernel,
                                   phi_multiplier, polytope_flag_atoms,
                                   psi_kernel, psi_multiplier,
                                   verify_multiplier_identity)
-from mixvol.generators import cube, diamond, rotated_cube
+from mixvol.generators import cube, diamond, rotated_cube, simplex
 from mixvol.mixed_volume import oracle_mixed_volumes
 from mixvol.translative import curvature_mixed_functional
-from mixvol.util import omega, random_unit_vectors
+from mixvol.util import (complete_basis, omega, orthonormal_columns,
+                         random_unit_vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +71,18 @@ def _fused_psi(us, frames, n, rng):
         total += math.prod(c for c, _ in choice) * dets * dets
     vals = math.comb(d, j) * total
     return vals.mean(), vals.std(ddof=1) / math.sqrt(n)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the tangent subspace T(F, u) that the flag weight used to form
+
+
+def _tangent_subspace(u, face_frame) -> np.ndarray:
+    """Orthonormal frame of T(F, u) = u^perp cap lin(F)^perp for a face
+    direction frame and an outer normal u of that face."""
+    assert np.max(np.abs(face_frame.T @ u), initial=0.0) <= 1e-8
+    span = np.column_stack([face_frame, u])
+    return complete_basis(orthonormal_columns(span), len(u))
 
 
 def _frames_in_perp(us, dims, rng):
@@ -288,3 +307,83 @@ def test_flag_routes_seed_reproducible():
     b = flag_mixed_volume(bodies, (1, 2), rng=31, samples=600)
     assert a.value == b.value and a.std_error == b.std_error
     assert isinstance(a, MCEstimate)
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_flag_weight_is_the_complementary_minor(d):
+    # [V W] and [T F] are orthonormal bases of u^perp, so the complementary
+    # minors of [V W]'[T F] agree: <V, T>^2 = <W, lin F>^2 per draw (bodies
+    # are hulled up to d = 4, so no flag route reaches d = 5)
+    rng = np.random.default_rng(d)
+    for body in (cube(d), simplex(d), diamond(d), rotated_cube(d, 5)):
+        for n in range(d):
+            for face in body.faces(n)[:3]:
+                f = face.frame.frame
+                us, _ = cone_sphere_samples(face.normal_cone, 6, rng)
+                vs, ws = _haar_split(_batched_complement(us[:, :, None], d),
+                                     d - 1 - n, rng)
+                for u, v, w in zip(us, vs, ws):
+                    vw = np.concatenate([v, w], axis=1)
+                    np.testing.assert_allclose(vw.T @ vw, np.eye(d - 1),
+                                               atol=1e-12)
+                    np.testing.assert_allclose(vw.T @ u, 0.0, atol=1e-12)
+                    want = np.linalg.det(v.T @ _tangent_subspace(u, f)) ** 2
+                    got = np.linalg.det(w.T @ f) ** 2
+                    assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_flag_outputs_keep_the_random_stream():
+    # values and standard errors recorded before the flag weight and the
+    # multiplier frames came from one split per slot
+    cases = (
+        (flag_mixed_volume, [cube(3), diamond(3)], (1, 2), 1, 2000,
+         1.9838579333212225, 0.00861972675303447),
+        (flag_mixed_volume, [cube(4), diamond(4)], (1, 3), 5, 500,
+         1.3407307117287763, 0.009833263008177434),
+        (flag_mixed_functional, [simplex(3), rotated_cube(3, 7)], (1, 2), 4,
+         2000, 3.2394225222969957, 0.025383135739189336),
+        (flag_mixed_functional, [cube(4), diamond(4)], (3, 2), 4, 300,
+         13.279591359659708, 0.08321417739300484))
+    for route, bodies, degrees, seed, samples, value, se in cases:
+        est = route(bodies, degrees, rng=seed, samples=samples)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.std_error == pytest.approx(se, rel=1e-12)
+    atoms = polytope_flag_atoms(cube(4), 1, rng=2, cone_samples=2000)
+    w = np.diag([1.0, 2.0, 3.0, 4.0])
+    est = atoms.integrate(
+        lambda u, v: float(np.trace(v.frame.T @ w @ v.frame)) + u[0],
+        rng=3, samples_per_atom=100)
+    assert est.value == pytest.approx(19.447422818960508, rel=1e-12)
+    assert est.std_error == pytest.approx(0.4294513568752381, rel=1e-12)
+    for identity, degrees, want in (
+            ("subspace", (1, 3), ((0.7681581141284884, 0.03012811791208371),
+                                  (0.6700070357169231, 0.026326075816538702))),
+            ("interleaved", (2, 3),
+             ((0.1897898578884186, 0.01906756332401166),
+              (0.3201313766684444, 0.010783725802407189)))):
+        rep = verify_multiplier_identity(4, degrees, identity, rng=6,
+                                         trials=2, samples=2000)
+        got = [(r["estimate"], r["std_error"]) for r in rep["trials"]]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_flag_slots_factor_once(monkeypatch):
+    # one QR for each slot's host u^perp, and one split for each slot with
+    # a positive flag dimension: 3 per (1, 3) tuple in d = 4
+    qr, calls, tuples = np.linalg.qr, [0], [0]
+    estimate = flag_calculus._flag_tuple_estimate
+
+    def counted_qr(*args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == flag_calculus.__name__:
+            calls[0] += 1
+        return qr(*args, **kwargs)
+
+    def counted_estimate(*args, **kwargs):
+        tuples[0] += 1
+        return estimate(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(flag_calculus, "_flag_tuple_estimate",
+                        counted_estimate)
+    flag_mixed_volume([cube(4), diamond(4)], (1, 3), rng=5, samples=500)
+    assert tuples[0] > 0
+    assert calls[0] == 3 * tuples[0]
