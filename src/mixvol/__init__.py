@@ -17,12 +17,10 @@ from .polytope import (
     Polytope,
     Face,
     NormalCone,
-    AreaMeasure,
     hull_from_points,
     minkowski_sum,
     scaled_sum,
     sum_volume,
-    area_measure_atoms,
     polytope_to_json,
     polytope_from_json,
 )
@@ -72,12 +70,10 @@ __all__ = [
     "Polytope",
     "Face",
     "NormalCone",
-    "AreaMeasure",
     "hull_from_points",
     "minkowski_sum",
     "scaled_sum",
     "sum_volume",
-    "area_measure_atoms",
     "polytope_to_json",
     "polytope_from_json",
     "cube",

@@ -168,7 +168,9 @@ def _cmd_kernel_eval(args) -> int:
     spec = KernelSpec(len(dirs[0]), degrees, args.mode, args.eps or 0.0)
     if dirs.shape[0] != spec.k:
         raise InputError("one direction per degree entry required")
-    value = float(kernel_values(spec, dirs[None, :, :])[0])
+    # a fixed seed for the k >= 4 Monte Carlo, so a call prints the same bytes
+    # on every run (k <= 3 reads no random numbers)
+    value = float(kernel_values(spec, dirs[None, :, :], rng=0)[0])
     report = {"schema": _SCHEMA, "command": "kernel-eval", "mode": args.mode,
               "degrees": list(degrees), "eps": args.eps or 0.0,
               "dirs": [[float(x) for x in row] for row in dirs],

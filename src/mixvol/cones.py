@@ -9,11 +9,12 @@ of unit normals") need no LP: each is one test of whether a cone
 {u : a u <= 0} holds a nonzero vector, decided from its candidate extreme
 rays.  The LP remains for cones_intersect, intersection_status and the
 zero-in-hull probe on three or more cones.  Where face dimensions sum to d,
-_certain_misses first drops, with one linear solve for a whole batch of
-shifts, every shift at which the cones cannot meet, so cones_intersect (the
-LP) decides only the screen's survivors.  The solve's point, where the
-shifted spans meet, is the LP's start: a survivor whose cones hold that
-point within the LP's tolerance is a hit without a pivot.
+_certain_misses first drops every (tuple, shift) pair at which the cones
+cannot meet, with one batched SVD and solve over a table of face tuples and
+shifts (one tuple and many draws, or many tuples and one shift), so
+cones_intersect (the LP) decides only the screen's survivors.  The solve's
+point, where the shifted spans meet, is the LP's start: a survivor whose
+cones hold that point within the LP's tolerance is a hit without a pivot.
 
 Sphere measures are exact for cones of linear dimension <= 2 (point counts
 and arc lengths) and rejection Monte Carlo above that; all MC is chunked
@@ -31,6 +32,7 @@ import numpy as np
 
 from .errors import EstimationError, InputError
 from .estimates import MCEstimate
+from .exterior import frame_table
 from .lp import lp_feasible
 from .polytope import Face, NormalCone, Polytope, _batched_normals
 from .util import as_rng, check_bodies, omega
@@ -108,38 +110,60 @@ def _vertex_row_slack(face: Face) -> float:
     return math.sqrt(len(w)) * (w.sum() / w.min() - 1.0) / sigma
 
 
-def _certain_misses(faces, x):
-    """(mask, z): the mask over shift tuples x (n, k, d) at which the shifted
-    cones N(P_i, F_i) - x_i certainly do not meet, i.e. cones_intersect says
-    no, and the points z (n, d) where the shifted spans meet (None when the
-    stack is below the floor), the LP's start for the survivors.
+def _certain_misses(pools, idx, x):
+    """(miss, z, screened) for the face tuples idx (T, k) over pools (one
+    face list per body) and the shift tuples x (n, k, d): miss (T, n) where
+    the shifted cones N(P_i, F_i) - x_i certainly do not meet (cones_intersect
+    says no), z (T, n, d) where the shifted spans meet (the LP's start), and
+    screened (T,), the tuples above the floor; the others have no miss and
+    no z.  Callers pass one tuple and a batch of draws (admissible-mc) or
+    every tuple of a query and one x (the selection rule).
 
     With face dimensions summing to d, the spans lin(F_i)^perp - x_i meet
     in one point z, the solution of M z = -(frame_i^T x_i)_i for the d x d
     stack M of the frames' transposes (|det M| is the bracket), and the
     cones meet iff every row of every cone holds at z.  z is linear in x,
-    so one factorisation serves every draw.  A point p that the LP accepts
+    so one factorisation per tuple serves every draw, and one batched SVD
+    and one batched solve serve every tuple.  A point p that the LP accepts
     misses no row by more than t = tol max(1, max_i |x_i|) (its scaled
     tolerance on unit rows), so |frame_i^T (p + x_i)| <= c_i t
-    (_vertex_row_slack) and |p - z| <= t |c| / sigma_min(M): a row
-    violated at z by more than t (1 + |c| / sigma_min(M)) rules p out.
-    The cut adds _SCREEN_MARGIN, on the same scale, against the rounding
-    of z; stacks with sigma_min(M) below _SCREEN_FLOOR (zero brackets and
-    round-off ones) screen nothing.
+    (_vertex_row_slack, once per face) and |p - z| <= t |c| / sigma_min(M):
+    a row violated at z by more than t (1 + |c| / sigma_min(M)) rules p
+    out.  The cut adds _SCREEN_MARGIN, on the same scale, against the
+    rounding of z; stacks with sigma_min(M) below _SCREEN_FLOOR (zero
+    brackets and round-off ones) screen nothing.  Each body's cone rows are
+    zero-padded to one count; a zero row changes no maximum, as each starts
+    at 0.
     """
-    frames = [f.frame.frame for f in faces]
-    m = np.hstack(frames).T
-    sigma = np.linalg.svd(m, compute_uv=False)[-1]
-    if sigma < _SCREEN_FLOOR:
-        return np.zeros(len(x), dtype=bool), None
-    cut = _TOL * (1.0 + math.hypot(*map(_vertex_row_slack, faces)) / sigma) \
-        + _SCREEN_MARGIN
-    blocks = x.transpose(1, 0, 2)
-    z = np.linalg.solve(m, -np.hstack([xi @ fr for xi, fr in zip(blocks, frames)]).T).T
-    viol = np.zeros(len(x))
-    for f, xi in zip(faces, blocks):
-        viol = np.maximum(viol, ((z + xi) @ f.normal_cone.ineq.T).max(axis=1, initial=0.0))
-    return viol > cut * np.maximum(1.0, np.linalg.norm(x, axis=2).max(axis=1)), z
+    n, _, d = x.shape
+    frames = [np.stack([f.frame.frame for f in pool]) for pool in pools]
+    m = np.swapaxes(frame_table(frames, idx), 1, 2)
+    sigma = np.linalg.svd(m, compute_uv=False)[:, -1]
+    screened = sigma >= _SCREEN_FLOOR
+    miss = np.zeros((len(idx), n), dtype=bool)
+    z = np.full((len(idx), n, d), np.nan)
+    rows = idx[screened]
+    slack_sq = np.zeros(len(rows))
+    rhs = np.concatenate([x[:, i] @ fr[rows[:, i]] for i, fr in enumerate(frames)],
+                         axis=2)
+    zs = np.swapaxes(np.linalg.solve(m[screened], -np.swapaxes(rhs, 1, 2)), 1, 2)
+    viol = np.zeros((len(rows), n))
+    for i, pool in enumerate(pools):
+        used = np.unique(rows[:, i])
+        slack = np.zeros(len(pool))
+        slack[used] = [_vertex_row_slack(pool[j]) for j in used]
+        slack_sq += slack[rows[:, i]] ** 2
+        cones = [pool[j].normal_cone.ineq for j in used]
+        ineq = np.zeros((len(pool), max(map(len, cones), default=0), d))
+        for j, a in zip(used, cones):
+            ineq[j, :len(a)] = a
+        viol = np.maximum(viol, ((zs + x[:, i]) @ np.swapaxes(ineq[rows[:, i]], 1, 2))
+                          .max(axis=2, initial=0.0))
+    cut = _TOL * (1.0 + np.sqrt(slack_sq) / sigma[screened]) + _SCREEN_MARGIN
+    miss[screened] = viol > cut[:, None] * np.maximum(
+        1.0, np.linalg.norm(x, axis=2).max(axis=1))
+    z[screened] = zs
+    return miss, z, screened
 
 
 def intersection_status(shifted, margin: float) -> str:

@@ -15,7 +15,6 @@ throughout the package:
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,24 +106,44 @@ def wedge_norm_sq(vectors) -> float:
     return gram_det(v @ v.T)
 
 
-def subspace_determinant(subspaces) -> float:
+def subspace_determinant(subspaces):
     """Bracket [L_1, ..., L_k]: the volume of the parallelepiped spanned by
     unit cubes of the L_i.  Returns 0 when the concatenated frames are
     dependent; sum of dimensions above the ambient dimension fails softly to 0.
+
+    `subspaces` is one tuple (Subspace objects or d x m_i frames), which
+    gives a float, or a face-tuple table: a (T, d, m) stack of T tuples'
+    frames side by side, which gives T brackets from one vectorised pivoted
+    Cholesky (util.gram_det), each bit for bit the one-tuple value.
     """
-    frames = []
-    for s in subspaces:
-        f = s.frame if isinstance(s, Subspace) else np.asarray(s, dtype=float)
-        if f.ndim == 1:
-            f = f.reshape(-1, 1)
-        frames.append(f)
-    frames = [f for f in frames if f.shape[1] > 0]
-    if not frames:
-        return 1.0
-    stacked = np.hstack(frames)
-    if stacked.shape[1] > stacked.shape[0]:
-        return 0.0
-    return math.sqrt(wedge_norm_sq(stacked.T))
+    one = not (isinstance(subspaces, np.ndarray) and subspaces.ndim == 3)
+    if one:
+        frames = [np.asarray(s.frame if isinstance(s, Subspace) else s, dtype=float)
+                  for s in subspaces]
+        frames = [f.reshape(len(f), -1) for f in frames if f.size]
+        if not frames:
+            return 1.0
+        subspaces = np.hstack(frames)[None]
+    t, d, m = subspaces.shape
+    if m > d:
+        out = np.zeros(t)
+    else:
+        out = np.sqrt(gram_det(np.swapaxes(subspaces, 1, 2) @ subspaces))
+    return float(out[0]) if one else out
+
+
+def tuple_index(pools) -> np.ndarray:
+    """(T, k) indices of every tuple of the pools' items, in
+    itertools.product order."""
+    return np.indices([len(p) for p in pools]).reshape(len(pools), -1).T
+
+
+def frame_table(frames, idx) -> np.ndarray:
+    """The (T, d, m) stack of the tuples idx (T, k): row t puts the frames
+    frames[i][idx[t, i]] side by side, where frames[i] is a list of one
+    width's (d, n_i) frames or their (F_i, d, n_i) stack."""
+    return np.concatenate([np.asarray(f)[idx[:, i]] for i, f in enumerate(frames)],
+                          axis=2)
 
 
 def multivector_product(frame_a: np.ndarray, frame_b: np.ndarray) -> float:

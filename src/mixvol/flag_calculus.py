@@ -42,9 +42,9 @@ import numpy as np
 from .cones import cone_sphere_samples, general_position, spherical_measure
 from .errors import DivergenceError, EstimationError, InputError
 from .estimates import MCEstimate, combine_product, combine_sum, from_samples
-from .exterior import (Subspace, graded_index_sets,
+from .exterior import (Subspace, frame_table, graded_index_sets,
                        graded_scalar_product, subspace_determinant,
-                       wedge_norm_sq)
+                       tuple_index, wedge_norm_sq)
 from .kernels import KernelSpec, kernel_values
 from .mixed_volume import _split_budget
 from .polytope import Face, NormalCone, Polytope
@@ -98,10 +98,6 @@ class DMatrix:
     def a(self) -> np.ndarray:
         coeffs = np.linalg.solve(self.entries.T, np.eye(self.grades)[0])
         return coeffs
-
-    def unit_row_residual(self) -> float:
-        res = self.a @ self.entries - np.eye(self.grades)[0]
-        return float(np.max(np.abs(res)))
 
 
 def closed_d_matrix(d: int, j: int) -> DMatrix | None:
@@ -558,19 +554,17 @@ def _flag_sum(polytopes, degrees, mode, rng, eps, samples, threads):
     slot_dims = degrees if mode == "n" else tuple(d - 1 - r for r in degrees)
     a_vecs = _coefficients(d, slot_dims, rng)
     spec = KernelSpec(d, degrees, mode, epsilon=eps)
-    tuples = [t for t in itertools.product(*[s.atoms for s in atom_sets])
-              if all(a.cone.dim >= 1 for a in t)]
-    weights = []
-    kept = []
-    for t in tuples:
-        span_frames = [a.face.frame for a in t] if mode == "n" else \
-                      [a.cone.span for a in t]
-        br = subspace_determinant(span_frames)
-        if br <= 1e-12:
-            continue
-        kept.append(t)
-        weights.append(math.prod(a.hausdorff * max(a.cone_mass.value, 1e-12)
-                                 for a in t))
+    pools = [s.atoms for s in atom_sets]
+    if any(not pool for pool in pools):
+        return MCEstimate.exact(0.0)
+    idx = tuple_index(pools)
+    br = subspace_determinant(frame_table(
+        [[a.face.frame.frame if mode == "n" else a.cone.span for a in pool]
+         for pool in pools], idx))
+    # every cone has dimension d - dim F >= 1: only the bracket cut drops tuples
+    kept = [[pool[j] for pool, j in zip(pools, row)] for row in idx[br > 1e-12]]
+    weights = [math.prod(a.hausdorff * max(a.cone_mass.value, 1e-12) for a in t)
+               for t in kept]
     if not kept:
         return MCEstimate.exact(0.0)
     budgets = _split_budget(np.array(weights), samples)

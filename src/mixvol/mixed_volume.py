@@ -26,7 +26,7 @@ from .cones import (ShiftedCone, _certain_misses, _finite_cone_combos,
                     random_admissible, random_direction_tuples)
 from .errors import DivergenceError, InputError
 from .estimates import MCEstimate, combine_product, combine_sum, from_indicator, from_samples
-from .exterior import subspace_determinant
+from .exterior import frame_table, subspace_determinant, tuple_index
 from .kernels import KernelSpec, kernel_values
 from .polytope import sum_volume
 from .util import (as_rng, check_bodies, check_count, multinomial,
@@ -129,10 +129,12 @@ def schneider_mixed_volume(polytopes, degrees, rng=None, shifts=None) -> float:
     keeping tuples whose shifted normal cones N(P_i, F_i) - x_i share a
     point for one admissible x in L^perp cap S^{kd-1}.  Almost every draw
     is admissible and the sum does not depend on the draw; pass `shifts`
-    to pin x.  A tuple the span screen (cones._certain_misses) rules out
-    skips the LP; every other tuple's LP starts at the screen's point, and
-    one whose cones hold that point within the LP's tolerance needs no
-    pivot.  Returns the mixed volume (multinomial divided out).
+    to pin x.  The query's face tuples form one table: one batched bracket
+    call over the stacked frames, then one span screen
+    (cones._certain_misses) over the tuples past the bracket cut.  Only
+    the screen's survivors reach the LP, each starting at the screen's
+    point, and one whose cones hold that point within the LP's tolerance
+    needs no pivot.  Returns the mixed volume (multinomial divided out).
     """
     d, degrees = check_bodies(polytopes, degrees)
     k = len(polytopes)
@@ -141,18 +143,22 @@ def schneider_mixed_volume(polytopes, degrees, rng=None, shifts=None) -> float:
     x = np.asarray(shifts, dtype=float)
     if x.shape != (k, d):
         raise InputError(f"shifts must have shape {(k, d)}")
+    pools = [p.faces(n) for p, n in zip(polytopes, degrees)]
+    if any(not pool for pool in pools):
+        return 0.0
+    idx = tuple_index(pools)
+    br = subspace_determinant(frame_table(
+        [[f.frame.frame for f in pool] for pool in pools], idx))
+    live = br > _BRACKET_TOL
+    idx, br = idx[live], br[live]
+    miss, z, screened = _certain_misses(pools, idx, x[None])
     total = 0.0
-    for tup in itertools.product(*[p.faces(n) for p, n in zip(polytopes, degrees)]):
-        br = subspace_determinant([f.frame for f in tup])
-        if br <= _BRACKET_TOL:
-            continue
-        miss, z = _certain_misses(tup, x[None])
-        if miss[0]:
-            continue
+    for t in np.flatnonzero(~miss[:, 0]):
+        tup = [pool[j] for pool, j in zip(pools, idx[t])]
         shifted = [ShiftedCone(f.normal_cone, xi) for f, xi in zip(tup, x)]
-        if cones_intersect(shifted, start=None if z is None else z[0]):
-            total += br * math.prod(f.measure for f in tup)
-    return total / multinomial(d, degrees)
+        if cones_intersect(shifted, start=z[t, 0] if screened[t] else None):
+            total += br[t] * math.prod(f.measure for f in tup)
+    return float(total) / multinomial(d, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +198,11 @@ def mixed_exterior_angle(faces, polytopes, degrees, rng=None,
     for which the shifted cones N(P_i,F_i) - x_i share a point.  Both
     routes estimate the same number (the sphere-section identity behind
     the selection rule); cross-checking them is the point of having two.
-    The draws come in batches; the span screen (cones._certain_misses)
-    drops certain misses with one linear solve per batch, and the LP of
-    cones_intersect decides every other draw, starting at the screen's
-    point: a draw whose cones hold it within the LP's tolerance is a hit
-    without a pivot.
+    The draws come in batches; the span screen (cones._certain_misses,
+    on a table of this one tuple against the batch) drops certain misses
+    with one linear solve per batch, and the LP of cones_intersect decides
+    every other draw, starting at the screen's point: a draw whose cones
+    hold it within the LP's tolerance is a hit without a pivot.
     """
     d, degrees = check_bodies(polytopes, degrees)
     if samples is not None:
@@ -215,9 +221,10 @@ def mixed_exterior_angle(faces, polytopes, degrees, rng=None,
         for start in range(0, n_draws, _DRAW_BATCH):
             x = random_direction_tuples(
                 d, k, min(_DRAW_BATCH, n_draws - start), rng)
-            miss, z = _certain_misses(faces, x)
-            starts = itertools.repeat(None) if z is None else z[~miss]
-            for xs, zs in zip(x[~miss], starts):
+            miss, z, screened = _certain_misses(
+                [[f] for f in faces], np.zeros((1, k), dtype=int), x)
+            starts = z[0, ~miss[0]] if screened[0] else itertools.repeat(None)
+            for xs, zs in zip(x[~miss[0]], starts):
                 hits += cones_intersect(
                     [ShiftedCone(f.normal_cone, xi) for f, xi in zip(faces, xs)],
                     start=zs)
@@ -267,11 +274,11 @@ def _corollary_sum(polytopes, degrees, rng, samples, eps, threads) -> MCEstimate
     pools = [p.faces(n) for p, n in zip(polytopes, degrees)]
     if any(not pool for pool in pools):
         return MCEstimate.exact(0.0)
-    tuples = []
-    for tup in itertools.product(*pools):
-        br = subspace_determinant([f.frame for f in tup])
-        if br > _BRACKET_TOL:
-            tuples.append((tup, br))
+    idx = tuple_index(pools)
+    br = subspace_determinant(frame_table(
+        [[f.frame.frame for f in pool] for pool in pools], idx))
+    tuples = [([pool[j] for pool, j in zip(pools, row)], float(b))
+              for row, b in zip(idx, br) if b > _BRACKET_TOL]
     if not tuples:
         return MCEstimate.exact(0.0)
     spec = KernelSpec(d, degrees, "n", epsilon=eps)

@@ -40,9 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInputError, InputError
-from .estimates import MCEstimate
 from .exterior import Subspace
-from .util import complete_basis, multinomial, kappa, omega, orthonormal_columns
+from .util import complete_basis, orthonormal_columns
 
 _TOL = 1e-9
 
@@ -470,14 +469,6 @@ class Polytope:
             return False
         return all(float(np.dot(n, x)) <= off + tol for n, off, _ in self.facets)
 
-    def halfspaces(self):
-        """(A, b) with the body = {x : A x <= b}; full-dimensional bodies only."""
-        if not self.is_full_dimensional():
-            raise InputError("H-representation requires a full-dimensional body")
-        A = np.array([f[0] for f in self.facets])
-        b = np.array([f[1] for f in self.facets])
-        return A, b
-
     def translate(self, t) -> "Polytope":
         """The body moved by t; its hull is carried over, not recomputed."""
         return self._moved(np.eye(self.dim), 1.0, np.asarray(t, dtype=float), self.name)
@@ -707,57 +698,6 @@ def sum_volume(coeffs, polys):
         verts = x[:, idx]
         out[sel] = _pyramid_volume(verts - verts.mean(axis=1, keepdims=True), facets, tol)
     return float(out[0]) if rows.ndim == 1 else out
-
-
-# ---------------------------------------------------------------------------
-# area measures
-
-
-@dataclass(frozen=True)
-class AreaMeasureAtom:
-    face: Face
-    weight: float          # H^n(F)
-    cone: NormalCone
-
-
-@dataclass(frozen=True)
-class AreaMeasure:
-    """Atoms of the order-n area measure of a polytope.
-
-    S_n(P, .) = constant * (1/omega_{d-n}) * sum_F H^n(F) H^{d-1-n}(n(P,F) cap .)
-    with constant = d kappa_{d-n} / binom(d, n); total mass is
-    constant * V_n(P).
-    """
-
-    d: int
-    n: int
-    atoms: tuple
-    constant: float
-
-    def total_mass(self, rng=None, samples: int = 40000) -> MCEstimate:
-        from .cones import spherical_measure
-
-        total = 0.0
-        var = 0.0
-        ns = 0
-        for atom in self.atoms:
-            m = spherical_measure(atom.cone, rng=rng, samples=samples)
-            total += atom.weight * m.value
-            var += (atom.weight * m.std_error) ** 2
-            ns += m.samples
-        c = self.constant / omega(self.d - self.n)
-        return MCEstimate(c * total, c * math.sqrt(var), ns)
-
-
-def area_measure_atoms(p: Polytope, n: int) -> AreaMeasure:
-    d = p.dim
-    if not (0 <= n <= d - 1):
-        raise InputError(f"area measure order {n} out of range")
-    atoms = tuple(
-        AreaMeasureAtom(f, f.measure, f.normal_cone) for f in p.faces(n)
-    )
-    constant = d * kappa(d - n) / multinomial(d, (n, d - n))
-    return AreaMeasure(d, n, atoms, constant)
 
 
 # ---------------------------------------------------------------------------

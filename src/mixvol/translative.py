@@ -29,15 +29,16 @@ import numpy as np
 from .cones import _arc_interval, _finite_cone_combos, _ray_points
 from .errors import DivergenceError, EstimationError, InputError
 from .estimates import MCEstimate
-from .exterior import subspace_determinant
+from .exterior import frame_table, subspace_determinant, tuple_index
 from .kernels import _SPREAD_FLOOR, KernelSpec, kernel_values, solid_angle
 from .mixed_volume import oracle_mixed_volumes
 from .polytope import Polytope, _surface_measure
 from .util import as_integer, as_rng, check_bodies, check_count, omega
 
-# frame bases carry O(1e-8) rounding after the Gram-determinant square root,
-# so brackets below this are exactly dependent configurations; they enter
-# squared, hence dropping them changes nothing above 1e-14
+# frame bases carry O(1e-8) rounding after the Gram-determinant square root
+# (batched, bit for bit the one-tuple bracket), so brackets below this are
+# exactly dependent configurations; they enter squared, hence dropping them
+# changes nothing above 1e-14
 _BRACKET_TOL = 1e-7
 
 
@@ -142,10 +143,12 @@ def curvature_mixed_functional(polytopes, r, eps: float = 0.0) -> float:
           prod_i H^{r_i}(F_i) * [lin(F_1)^perp, .., lin(F_k)^perp]^2
           * int G_r over n(P_1,F_1) x .. x n(P_k,F_k);
     the bracket is the subspace determinant of the normal spans, constant on
-    each tuple.  The cone of a face of dimension r_i has dimension d - r_i:
-    tuples of rays sum G_r over their finitely many direction tuples, and
-    one arc against one ray (k = 2, r = (d - 2, d - 1) in either order)
-    integrates G_r = 1 / (omega_3 (1 + u.v)) in closed form.  That covers
+    each tuple, and one batched call gives every tuple's.  The cone of a
+    face of dimension r_i has dimension d - r_i: tuples of rays sum G_r
+    over their finitely many direction tuples, all tuples' in one
+    kernel_values call, summed back per tuple; one arc against one ray
+    (k = 2, r = (d - 2, d - 1) in either order) integrates
+    G_r = 1 / (omega_3 (1 + u.v)) in closed form, tuple by tuple.  That covers
     every valid r in d <= 3; other r (two arcs, an arc with k >= 3, a cone
     of dimension >= 3: all d >= 4) raise InputError before any face work.
     For an arc against a ray v the bracket is w = |v - q q^T v|, so every
@@ -159,23 +162,31 @@ def curvature_mixed_functional(polytopes, r, eps: float = 0.0) -> float:
     if dims[-1] > 1 and dims != [1, 2]:
         raise InputError(f"r={r} in d={d} gives normal cones of dimensions {dims}; "
                          "the curvature route takes rays, or one arc against one ray")
-    spec = KernelSpec(d, r, "r", epsilon=eps)
-    total = 0.0
-    for tup in itertools.product(*[p.faces(ri) for p, ri in zip(polytopes, r)]):
-        br = subspace_determinant([f.normal_cone.span for f in tup])
-        if br <= _BRACKET_TOL:
-            continue
-        cones = [f.normal_cone for f in tup]
-        if all(c.dim == 1 for c in cones):
-            value = float(kernel_values(spec, _finite_cone_combos(cones)).sum())
-        else:
-            arc, ray = sorted(cones, key=lambda c: -c.dim)
-            value = sum(_arc_ray_integral(arc, v, eps) for v in _ray_points(ray))
-        if not math.isfinite(value):
-            raise DivergenceError("the kernel integral of a positive-weight "
-                                  "face tuple is infinite (use eps > 0)")
-        total += br * br * math.prod(f.measure for f in tup) * value
-    return total
+    pools = [p.faces(ri) for p, ri in zip(polytopes, r)]
+    if any(not pool for pool in pools):
+        return 0.0
+    idx = tuple_index(pools)
+    br = subspace_determinant(frame_table(
+        [[f.normal_cone.span for f in pool] for pool in pools], idx))
+    live = br > _BRACKET_TOL
+    if not live.any():
+        return 0.0
+    tuples = [[pool[j] for pool, j in zip(pools, row)] for row in idx[live]]
+    cones = [[f.normal_cone for f in tup] for tup in tuples]
+    if dims[-1] == 1:
+        combos = [_finite_cone_combos(c) for c in cones]
+        owner = np.repeat(np.arange(len(combos)), [len(c) for c in combos])
+        values = np.bincount(owner, kernel_values(
+            KernelSpec(d, r, "r", epsilon=eps), np.concatenate(combos)),
+            minlength=len(combos))
+    else:
+        values = [sum(_arc_ray_integral(arc, v, eps) for v in _ray_points(ray))
+                  for arc, ray in (sorted(c, key=lambda c: -c.dim) for c in cones)]
+    if not np.isfinite(values).all():
+        raise DivergenceError("the kernel integral of a positive-weight "
+                              "face tuple is infinite (use eps > 0)")
+    return float(sum(b * b * math.prod(f.measure for f in tup) * v
+                     for b, tup, v in zip(br[live], tuples, values)))
 
 
 # ---------------------------------------------------------------------------

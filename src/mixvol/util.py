@@ -153,26 +153,31 @@ def complete_basis(frame: np.ndarray, ambient: int | None = None) -> np.ndarray:
     return orthonormal_columns(v[:, keep])
 
 
-def gram_det(gram: np.ndarray) -> float:
-    """Determinant of a PSD Gram matrix via pivoted Cholesky; round-off clamped to 0."""
+def gram_det(gram: np.ndarray):
+    """Determinants of PSD Gram matrices (..., n, n) by pivoted Cholesky, each
+    matrix with its own pivot order; a pivot <= 0 (round-off included) makes
+    the determinant 0.  Vectorised over the leading axes, every matrix gets
+    the floating-point operations of the one-matrix loop, so its value does
+    not depend on the batch.  A float for one (n, n) matrix."""
     a = np.array(gram, dtype=float)
-    n = a.shape[0]
-    if n == 0:
-        return 1.0
-    det = 1.0
+    lead, n = a.shape[:-2], a.shape[-1]
+    a = a.reshape(math.prod(lead), n, n)
+    t = np.arange(len(a))
+    det = np.ones(len(a))
+    live = np.ones(len(a), dtype=bool)
     for i in range(n):
-        piv = i + int(np.argmax(np.diagonal(a)[i:]))
-        if piv != i:
-            a[[i, piv], :] = a[[piv, i], :]
-            a[:, [i, piv]] = a[:, [piv, i]]
-        p = a[i, i]
-        if p <= 0.0:
-            return 0.0
+        perm = np.tile(np.arange(n), (len(a), 1))
+        piv = i + np.argmax(np.diagonal(a, axis1=1, axis2=2)[:, i:], axis=1)
+        perm[t, i], perm[t, piv] = piv, i
+        a = a[t[:, None, None], perm[:, :, None], perm[:, None, :]]
+        p = a[:, i, i]
+        live &= p > 0.0
+        p = np.where(live, p, 1.0)
         det *= p
-        if i + 1 < n:
-            row = a[i, i + 1:] / p
-            a[i + 1:, i + 1:] -= np.outer(a[i + 1:, i], row)
-    return max(det, 0.0)
+        row = a[:, i, i + 1:] / p[:, None]
+        a[:, i + 1:, i + 1:] -= a[:, i + 1:, i, None] * row[:, None, :]
+    det = np.where(live, np.maximum(det, 0.0), 0.0)
+    return float(det[0]) if not lead else det.reshape(lead)
 
 
 def random_unit_vectors(d: int, n: int, rng) -> np.ndarray:

@@ -123,6 +123,18 @@ def test_reports_are_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_kernel_eval_k4_is_byte_identical(capsys):
+    """A k = 4 kernel is Monte Carlo, and kernel-eval takes no seed: it
+    seeds the draw itself, so two calls print the same bytes."""
+    argv = ["kernel-eval", "--mode", "n", "--degrees", "1,1,0,0",
+            "--dirs", "1,0;0,1;-1,0;0.6,0.8"]
+    code1, out1, _ = run_cli(capsys, *argv)
+    code2, out2, _ = run_cli(capsys, *argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    assert json.loads(out1)["value"] > 0.0
+
+
 def test_out_file_matches_stdout(capsys, tmp_path):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "kernel-eval", "--mode", "n",

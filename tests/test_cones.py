@@ -242,6 +242,14 @@ def test_lp_rejects_infeasible_block_system(first, second, pin):
 # the span screen in front of cones_intersect
 
 
+def _screen(faces, x):
+    """The span screen on one face tuple: (miss mask over the draws x, the
+    screen's points or None below the floor)."""
+    miss, z, screened = _certain_misses([[f] for f in faces],
+                                        np.zeros((1, len(faces)), dtype=int), x)
+    return miss[0], z[0] if screened[0] else None
+
+
 def _span_violation(faces, x):
     """Largest cone row at the common point of the shifted spans, which a
     least-squares solve of the stacked span equations finds."""
@@ -287,7 +295,7 @@ def test_screen_drops_only_misses():
         # long shifts widen the LP's tolerance, and so the screen's cut
         near = _near_boundary(faces, hit, miss)
         x = np.concatenate([x, near, 1e4 * near])
-        out, _ = _certain_misses(faces, x)
+        out = _screen(faces, x)[0]
         for xs, dropped in zip(x, out):
             if dropped:
                 assert not cones_intersect([ShiftedCone(f.normal_cone, xi)
@@ -312,7 +320,7 @@ def test_screen_passes_every_draw_below_the_floor():
         assert np.linalg.svd(m, compute_uv=False)[-1] < _SCREEN_FLOOR
         d = m.shape[0]
         x = random_direction_tuples(d, 2, 200, rng)
-        miss, start = _certain_misses(faces, x)
+        miss, start = _screen(faces, x)
         assert not miss.any() and start is None
         assert not all(cones_intersect([ShiftedCone(f.normal_cone, xi)
                                         for f, xi in zip(faces, xs)]) for xs in x)

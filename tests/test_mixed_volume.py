@@ -237,8 +237,9 @@ def test_admissible_mc_hits_need_no_pivot(monkeypatch):
 
     Q, D = cube(3), diamond(3)
     faces = (Q.faces(1)[0], D.faces(2)[0])
-    miss, _ = mixvol.cones._certain_misses(
-        faces, random_direction_tuples(3, 2, 200, np.random.default_rng(5)))
+    miss, _, _ = mixvol.cones._certain_misses(
+        [[f] for f in faces], np.zeros((1, 2), dtype=int),
+        random_direction_tuples(3, 2, 200, np.random.default_rng(5)))
     calls, pivoted = [], []
     real_lp, real_phase1 = mixvol.lp.lp_feasible, mixvol.lp._phase1
     monkeypatch.setattr(mixvol.cones, "lp_feasible",
@@ -247,7 +248,7 @@ def test_admissible_mc_hits_need_no_pivot(monkeypatch):
                         lambda *a: pivoted.append(1) or real_phase1(*a))
     est = mixed_exterior_angle(faces, [Q, D], (1, 2), rng=5,
                                route="admissible-mc", samples=200)
-    assert len(calls) == (~miss).sum() > 0
+    assert len(calls) == (~miss[0]).sum() > 0
     assert est.value == len(calls) / 200  # every survivor a hit
     assert not pivoted
 

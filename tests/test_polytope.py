@@ -11,13 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mixvol.cones import spherical_measure
 from mixvol.errors import DegenerateInputError, InputError
+from mixvol.estimates import MCEstimate
 from mixvol.generators import cube, diamond, rotated_cube, segment, simplex
-from mixvol.polytope import (Polytope, _surface_measure, area_measure_atoms,
-                             hull_from_points, lattice_report, minkowski_sum,
+from mixvol.polytope import (Polytope, _surface_measure, hull_from_points,
+                             lattice_report, minkowski_sum,
                              polytope_from_json, polytope_to_json,
                              scaled_sum, sum_volume)
-from mixvol.util import kappa, multinomial, random_rotation
+from mixvol.util import kappa, multinomial, omega, random_rotation
 
 
 def box(sides) -> Polytope:
@@ -111,7 +113,7 @@ def test_segment_is_lower_dimensional():
     assert s.volume() == 0.0
     assert s.intrinsic_volume(1) == pytest.approx(1.0)
     with pytest.raises(InputError):
-        s.halfspaces()
+        _halfspaces(s)
 
 
 def test_hull_rejects_degenerate_without_flag():
@@ -183,15 +185,38 @@ def test_lattice_report_shape():
     assert len(rep["faces"]["1"]) == 4
 
 
+def _halfspaces(p: Polytope):
+    """(A, b) with the body = {x : A x <= b}; full-dimensional bodies only."""
+    if not p.is_full_dimensional():
+        raise InputError("H-representation requires a full-dimensional body")
+    return np.array([f[0] for f in p.facets]), np.array([f[1] for f in p.facets])
+
+
+def _area_measure_mass(p: Polytope, n: int, rng=None, samples: int = 40000):
+    """(constant, total mass) of the order-n area measure of p,
+    S_n(P, .) = constant / omega_{d-n} * sum_F H^n(F) H^{d-1-n}(n(P, F) cap .)
+    with constant = d kappa_{d-n} / binom(d, n), from the n-faces' measures
+    and their cones' sphere measures."""
+    d = p.dim
+    constant = d * kappa(d - n) / multinomial(d, (n, d - n))
+    total = var = 0.0
+    draws = 0
+    for f in p.faces(n):
+        m = spherical_measure(f.normal_cone, rng=rng, samples=samples)
+        total += f.measure * m.value
+        var += (f.measure * m.std_error) ** 2
+        draws += m.samples
+    c = constant / omega(d - n)
+    return constant, MCEstimate(c * total, c * math.sqrt(var), draws)
+
+
 def test_area_measure_total_mass():
     # total mass = constant * V_n
-    am = area_measure_atoms(cube(2), 1)
-    assert am.constant == pytest.approx(2.0 * kappa(1) / multinomial(2, (1, 1)))
-    got = am.total_mass(rng=0)
-    assert got.value == pytest.approx(am.constant * 2.0, abs=1e-9)
-    am3 = area_measure_atoms(cube(3), 1)
-    got3 = am3.total_mass(rng=0)
-    assert abs(got3.value - am3.constant * 3.0) <= 3.0 * got3.std_error + 1e-9
+    constant, got = _area_measure_mass(cube(2), 1, rng=0)
+    assert constant == pytest.approx(2.0 * kappa(1) / multinomial(2, (1, 1)))
+    assert got.value == pytest.approx(constant * 2.0, abs=1e-9)
+    constant3, got3 = _area_measure_mass(cube(3), 1, rng=0)
+    assert abs(got3.value - constant3 * 3.0) <= 3.0 * got3.std_error + 1e-9
 
 
 # ---------------------------------------------------------------------------

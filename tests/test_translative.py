@@ -439,7 +439,9 @@ def _sampled_integral(bodies, j, rng, n):
                          for p in bodies[1:]])
     hi = np.concatenate([bodies[0].vertices.max(axis=0) - p.vertices.min(axis=0)
                          for p in bodies[1:]])
-    systems = [p.halfspaces() for p in bodies]
+    # each body as {x : A x <= b}, from its facets
+    systems = [(np.array([f[0] for f in p.facets]), np.array([f[1] for f in p.facets]))
+               for p in bodies]
     A = np.vstack([a for a, _ in systems])
     # Chebyshev centre (x, t): maximise t subject to A x + |a_i| t <= b
     cheb = np.column_stack([A, np.linalg.norm(A, axis=1)])
